@@ -48,130 +48,114 @@ def is_symplectic(s):
 
 
 # ---------------------------------------------------------------------------
-# Koenig-Smolin construction.  Internally we work in the "direct sum"
-# convention where coordinates come in (x_i, z_i) pairs; the result is
-# permuted into the standard block convention at the end.
+# Koenig-Smolin construction.  A symplectic matrix is indexed by per-level
+# components (k_l, free_l), l = 1..n, with 1 <= k_l < 4**l and
+# 0 <= free_l < 2**(2l - 1).  Level l embeds the level-(l-1) matrix as the
+# lower-right block of a 2l x 2l identity and multiplies it by four
+# transvections read off (k_l, free_l).  Internally coordinates come in
+# (x_i, z_i) pairs (the "direct sum" convention); the result is permuted
+# into the standard block convention at the end.
 
-def _sympl_inner_ds(v, w):
-    return int(np.dot(v[0::2], w[1::2]) + np.dot(v[1::2], w[0::2])) % 2
-
-
-def _transvect_ds(h, v):
-    if _sympl_inner_ds(v, h):
-        return v ^ h
-    return v.copy()
-
-
-def _find_transvection_ds(x, y):
-    """Two vectors h1, h2 with Z_h2 Z_h1 x = y (Z_h v = v + <v,h> h)."""
-    nn = len(x)
-    z = np.zeros(nn, dtype=np.uint8)
-    if (x == y).all():
-        return z.copy(), z.copy()
-    if _sympl_inner_ds(x, y):
-        return (x ^ y), z.copy()
-    # <x,y> = 0: go through an intermediate z with <x,z> = <y,z> = 1
-    for i in range(nn // 2):
-        ii = 2 * i
-        if (x[ii] or x[ii + 1]) and (y[ii] or y[ii + 1]):
-            z[ii] = x[ii] ^ y[ii]
-            z[ii + 1] = x[ii + 1] ^ y[ii + 1]
-            if not (z[ii] or z[ii + 1]):
-                z[ii + 1] = 1
-                if x[ii] != x[ii + 1]:
-                    z[ii] = 1
-            return (x ^ z), (y ^ z)
-    for i in range(nn // 2):
-        ii = 2 * i
-        if (x[ii] or x[ii + 1]) and not (y[ii] or y[ii + 1]):
-            if x[ii] == x[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = x[ii]
-                z[ii] = x[ii + 1]
-            break
-    for i in range(nn // 2):
-        ii = 2 * i
-        if not (x[ii] or x[ii + 1]) and (y[ii] or y[ii + 1]):
-            if y[ii] == y[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = y[ii]
-                z[ii] = y[ii + 1]
-            break
-    return (x ^ z), (y ^ z)
+def _bits(values, width):
+    """Little-endian binary digits of nonnegative integers below 2**63."""
+    raw = np.asarray(values, dtype="<i8")[..., None].view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=width, bitorder="little")
 
 
-def _int_bits(k, width):
-    return np.array([(k >> b) & 1 for b in range(width)], dtype=np.uint8)
+def _swap_pairs(v):
+    """Exchange x_i and z_i in direct-sum coordinates."""
+    return v.reshape(v.shape[:-1] + (-1, 2))[..., ::-1].reshape(v.shape)
 
 
-def _symplectic_from_components(components):
-    """Build a direct-sum-convention symplectic matrix from per-level
-    (k, bits) pairs, ordered from level 1 (2x2) up to level n."""
-    g = None
-    for level, (k, free_bits) in enumerate(components, start=1):
-        nn = 2 * level
-        if g is None:
-            g = np.eye(2, dtype=np.uint8)
-        else:
-            new = np.eye(nn, dtype=np.uint8)
-            new[2:, 2:] = g
-            g = new
-        e1 = np.zeros(nn, dtype=np.uint8)
-        e1[0] = 1
-        f1 = _int_bits(k, nn)
-        t0, t1 = _find_transvection_ds(e1, f1)
-        bvec = _int_bits(free_bits, nn - 1)
-        eprime = e1.copy()
-        eprime[2:] = bvec[1:]
-        h0 = _transvect_ds(t1, _transvect_ds(t0, eprime))
-        if bvec[0]:
-            f1 = np.zeros(nn, dtype=np.uint8)
-        for h in (t0, t1, h0, f1):
-            if h.any():
-                coeff = (g[:, 0::2] @ h[1::2] + g[:, 1::2] @ h[0::2]) % 2
-                g ^= np.outer(coeff, h).astype(np.uint8)
-    return g
+def _transvect(v, h):
+    """Z_h v = v + <v, h> h for stacks of vectors."""
+    inner = (v & _swap_pairs(h)).sum(axis=-1, dtype=np.uint8) & 1
+    return v ^ (inner[..., None] * h)
+
+
+def _level_transvections(k, free, nn):
+    """The four transvection vectors (t0, t1, h0, f1) of every level.
+
+    ``k`` and ``free`` have shape (n, count), row l - 1 holding level l.
+    Returns shape (n, 4, count, nn), level l's vectors in the first 2l
+    coordinates.  t0 and t1 satisfy Z_t1 Z_t0 e1 = f1, f1 holding the bits
+    of k (Koenig and Smolin's find_transvection with x = e1).
+    """
+    f1 = _bits(k, nn)
+    # <e1, f1> = 1, or f1 = e1: one transvection, by f1 + e1
+    easy = ((f1[..., 1] == 1) | (k == 1))[..., None]
+    # otherwise go through z with <e1, z> = <f1, z> = 1: z_1 = 1, and at the
+    # first nonzero pair (a, b) of f1, z takes (b & ~a, a), plus z_0 = f1_0
+    pairs = f1.reshape(f1.shape[:-1] + (-1, 2))
+    nonzero = pairs.any(axis=-1)
+    first = nonzero & (np.cumsum(nonzero, axis=-1, dtype=np.uint8) == 1)
+    a, b = pairs[..., 0], pairs[..., 1]
+    z = (np.stack([b & ~a, a], axis=-1) * first[..., None]).reshape(f1.shape)
+    z[..., 0] |= f1[..., 0]
+    z[..., 1] = 1
+    t0 = np.where(easy, f1, z)
+    t0[..., 0] ^= 1
+    t1 = (f1 ^ z) * ~easy
+    # e1 with the high bits of free in coordinates 2.., carried through t0, t1
+    h0 = _transvect(_transvect(_bits((free >> 1 << 2) | 1, nn), t0), t1)
+    return np.stack([t0, t1, h0, f1 * ((free & 1) == 0)[..., None]], axis=1)
+
+
+def _build_symplectic(k, free):
+    """Standard-convention symplectic matrices from index components.
+
+    ``k`` and ``free`` have shape (n, count), row l - 1 holding level l.
+    This is the only construction: sampling and enumeration both feed it.
+    """
+    n, count = k.shape
+    nn = 2 * n
+    vectors = _level_transvections(k, free, nn)
+    g = np.zeros((count, nn, nn), dtype=np.uint8)
+    g[:, np.arange(nn), np.arange(nn)] = 1
+    # Only bit 0 of an entry matters: in bit 0, uint8 sums, products and XORs
+    # are F2 arithmetic, so g is reduced mod 2 once, at the end.
+    for level in range(1, n + 1):
+        m = 2 * level
+        # level l acts on the lower-right 2l x 2l block; the rest is identity
+        block = g[:, nn - m:, nn - m:]
+        hs = vectors[level - 1, :, :, :m]
+        swapped = _swap_pairs(hs)[..., None]
+        for h, h_swapped in zip(hs, swapped):
+            # each row gains <row, h> h
+            block ^= np.matmul(block, h_swapped) * h[:, None, :]
+    g &= 1
+    # standard position i reads direct-sum position 2i (x_i) or 2i+1 (z_i)
+    gather = np.concatenate([np.arange(0, nn, 2), np.arange(1, nn, 2)])
+    return g[:, gather][:, :, gather]
 
 
 def _components_from_index(index, n):
-    components = []
+    k = np.empty((n, 1), dtype=np.int64)
+    free = np.empty((n, 1), dtype=np.int64)
     for level in range(n, 0, -1):
         s = 4 ** level - 1
-        k = index % s + 1
+        k[level - 1] = index % s + 1
         index //= s
-        free = index % 2 ** (2 * level - 1)
+        free[level - 1] = index % 2 ** (2 * level - 1)
         index >>= 2 * level - 1
-        components.append((k, free))
-    components.reverse()
-    return components
+    return k, free
 
 
-def _ds_to_standard(s_ds):
-    nn = s_ds.shape[0]
-    n = nn // 2
-    perm = np.empty(nn, dtype=np.int64)
-    for i in range(n):
-        perm[2 * i] = i
-        perm[2 * i + 1] = n + i
-    out = np.zeros_like(s_ds)
-    out[np.ix_(perm, perm)] = s_ds
-    return out
+def sample_symplectic_batch(n, rng, count):
+    """count standard-convention symplectic matrices, exactly uniform."""
+    k = np.empty((n, count), dtype=np.int64)
+    free = np.empty((n, count), dtype=np.int64)
+    for level in range(1, n + 1):
+        k[level - 1] = rng.integers(1, 4 ** level, size=count)
+        free[level - 1] = rng.integers(0, 2 ** (2 * level - 1), size=count)
+    return _build_symplectic(k, free)
 
 
 def symplectic_from_index(index, n):
     """Standard-convention symplectic matrix with canonical index ``index``."""
     if not 0 <= index < symplectic_order(n):
         raise ValueError("symplectic index out of range")
-    return _ds_to_standard(_symplectic_from_components(_components_from_index(index, n)))
-
-
-def sample_symplectic(n, rng):
-    components = [(int(rng.integers(1, 4 ** level)),
-                   int(rng.integers(0, 2 ** (2 * level - 1))))
-                  for level in range(1, n + 1)]
-    return _ds_to_standard(_symplectic_from_components(components))
+    return _build_symplectic(*_components_from_index(index, n))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +281,11 @@ class CliffordElement:
 
 def sample_uniform(n, rng):
     """Exactly uniform element of C_n (modulo global phase)."""
-    s = sample_symplectic(n, rng)
-    alpha = rng.integers(2, size=2 * n, dtype=np.uint8)
-    return CliffordElement(s, alpha)
+    return sample_uniform_batch(n, rng, 1)[0]
 
 
 def sample_uniform_batch(n, rng, count):
-    """count independent uniform elements, drawn through the batched sampler."""
+    """count independent uniform elements of C_n."""
     mats = sample_symplectic_batch(n, rng, count)
     alphas = rng.integers(2, size=(count, 2 * n), dtype=np.uint8)
     return [CliffordElement(s, a) for s, a in zip(mats, alphas)]
@@ -316,93 +298,10 @@ def enumerate_group(n):
     for index in range(symplectic_order(n)):
         s = symplectic_from_index(index, n)
         for abits in range(4 ** n):
-            alpha = _int_bits(abits, 2 * n)
+            alpha = _bits(abits, 2 * n)
             yield CliffordElement(s, alpha)
 
 
 def random_stabilizer_tableau(n, rng):
     """Uniformly random pure stabilizer state, as a tableau."""
     return StabilizerTableau.zero_state(n).apply_clifford(sample_uniform(n, rng))
-
-
-# ---------------------------------------------------------------------------
-# Batched symplectic sampling for the high-throughput experiment paths.
-
-def _transvect_batch(g, h):
-    """Apply per-sample transvections Z_{h[b]} to all rows of g[b]."""
-    coeff = (np.einsum("bri,bi->br", g[:, :, 0::2].astype(np.int64),
-                       h[:, 1::2].astype(np.int64))
-             + np.einsum("bri,bi->br", g[:, :, 1::2].astype(np.int64),
-                         h[:, 0::2].astype(np.int64))) % 2
-    g ^= (coeff[:, :, None] * h[:, None, :]).astype(np.uint8)
-
-
-def _find_transvection_e1_batch(f1):
-    """Batched _find_transvection_ds specialized to x = e1."""
-    nb, nn = f1.shape
-    e1 = np.zeros(nn, dtype=np.uint8)
-    e1[0] = 1
-    t0 = np.zeros_like(f1)
-    t1 = np.zeros_like(f1)
-    is_e1 = (f1 == e1).all(axis=1)
-    inner = f1[:, 1].astype(bool) & ~is_e1
-    t0[inner] = f1[inner] ^ e1
-    hard = ~inner & ~is_e1
-    if hard.any():
-        fh = f1[hard]
-        z = np.zeros_like(fh)
-        pair0 = fh[:, 0].astype(bool)           # y nonzero in pair 0
-        z[pair0, 0] = 1
-        z[pair0, 1] = 1
-        rest = ~pair0
-        if rest.any():
-            fr = fh[rest]
-            zr = np.zeros_like(fr)
-            zr[:, 1] = 1                        # pair 0: x=(1,0), y=(0,0)
-            pairs = fr.reshape(len(fr), -1, 2)
-            nonzero = pairs.any(axis=2)
-            first = np.argmax(nonzero, axis=1)
-            rows = np.arange(len(fr))
-            yi = pairs[rows, first, 0]
-            yi1 = pairs[rows, first, 1]
-            eq = yi == yi1
-            zr[rows[eq], 2 * first[eq] + 1] = 1
-            zr[rows[~eq], 2 * first[~eq] + 1] = yi[~eq]
-            zr[rows[~eq], 2 * first[~eq]] = yi1[~eq]
-            z[rest] = zr
-        t0[hard] = e1 ^ z
-        t1[hard] = fh ^ z
-    return t0, t1
-
-
-def sample_symplectic_batch(n, rng, count):
-    """count standard-convention symplectic matrices, exactly uniform."""
-    g = np.broadcast_to(np.eye(2, dtype=np.uint8), (count, 2, 2)).copy()
-    for level in range(1, n + 1):
-        nn = 2 * level
-        if level > 1:
-            gnew = np.zeros((count, nn, nn), dtype=np.uint8)
-            gnew[:, 0, 0] = 1
-            gnew[:, 1, 1] = 1
-            gnew[:, 2:, 2:] = g
-            g = gnew
-        k = rng.integers(1, 4 ** level, size=count)
-        free = rng.integers(0, 2 ** (2 * level - 1), size=count)
-        f1 = ((k[:, None] >> np.arange(nn)) & 1).astype(np.uint8)
-        bvec = ((free[:, None] >> np.arange(nn - 1)) & 1).astype(np.uint8)
-        t0, t1 = _find_transvection_e1_batch(f1)
-        eprime = np.zeros((count, nn), dtype=np.uint8)
-        eprime[:, 0] = 1
-        eprime[:, 2:] = bvec[:, 1:]
-        h0 = eprime[:, None, :].copy()
-        _transvect_batch(h0, t0)
-        _transvect_batch(h0, t1)
-        h0 = h0[:, 0, :]
-        f1 = f1 * (1 - bvec[:, :1])
-        for h in (t0, t1, h0, f1):
-            _transvect_batch(g, h)
-    # standard position i reads direct-sum position 2i (x_i) or 2i+1 (z_i)
-    gather = np.empty(2 * n, dtype=np.int64)
-    gather[:n] = 2 * np.arange(n)
-    gather[n:] = 2 * np.arange(n) + 1
-    return g[:, gather][:, :, gather]

@@ -12,14 +12,6 @@ def identity(n):
     return m
 
 
-def from_rows(rows):
-    return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
-
-
-def matmul(a, b):
-    return a @ b
-
-
 def inverse(m):
     """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
     n = m.shape[0]
@@ -45,7 +37,3 @@ def inverse(m):
 
 def equals(a, b):
     return a.shape == b.shape and bool((a == b).all())
-
-
-def to_float(m):
-    return np.array([[float(v) for v in row] for row in m], dtype=float)

@@ -20,7 +20,7 @@ from . import moments as mo
 from . import tails as tl
 from .ensembles import EnsembleSpec
 from .protocol import RunConfig, acquire, estimate, record_values, \
-    median_of_means, stabilizer_pair, write_records
+    median_of_means, stabilizer_pair, substream, write_records
 
 SCHEMA_VERSION = 1
 CHUNK = 512
@@ -52,6 +52,11 @@ def _require(cfg, *keys):
         raise ValueError(f"config for {cfg.get('experiment')!r} is missing {missing}")
 
 
+def _require_positive(name, value):
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def validate_config(cfg):
     if cfg.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {cfg.get('schema')!r}")
@@ -60,11 +65,15 @@ def validate_config(cfg):
         raise ValueError(f"unknown experiment {name!r}")
     if name == "estimate":
         _require(cfg, "ensemble", "measurements", "reuse", "batches", "seed")
+        for key in ("measurements", "reuse", "batches"):
+            _require_positive(key, cfg[key])
         if cfg["measurements"] % (cfg["reuse"] * cfg["batches"]):
             raise ValueError("measurements must be a multiple of reuse*batches")
     elif name == "variance-scan":
         _require(cfg, "ensemble", "measurements", "reuse_list", "vstar_circuits", "seed")
+        _require_positive("measurements", cfg["measurements"])
         for r in cfg["reuse_list"]:
+            _require_positive("reuse_list entry", r)
             if cfg["measurements"] % r:
                 raise ValueError(f"measurements not divisible by reuse {r}")
     elif name == "homeopathic-scan":
@@ -90,20 +99,16 @@ def _chunks(total):
             for i in range((total + CHUNK - 1) // CHUNK)]
 
 
-def _substream(seed, chunk_id):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_id,)))
-
-
 def _vstar_chunk(args):
     spec_json, seed, chunk_id, count = args
     spec = EnsembleSpec.from_json(spec_json)
-    return tl.pair_conditional_means(spec, _substream(seed, chunk_id), count)
+    return tl.pair_conditional_means(spec, substream(seed, chunk_id), count)
 
 
 def _xr_chunk(args):
     spec_json, seed, chunk_id, count, reuse = args
     spec = EnsembleSpec.from_json(spec_json)
-    return tl.sample_pair_xvalues(spec, _substream(seed, chunk_id), count, reuse=reuse)
+    return tl.sample_pair_xvalues(spec, substream(seed, chunk_id), count, reuse=reuse)
 
 
 def _parallel_concat(fn, tasks, threads):
@@ -211,7 +216,7 @@ def run_moment_table(cfg, threads=1):
 
 def run_tail_experiment(cfg, threads=1):
     spec = EnsembleSpec.from_json(cfg["ensemble"])
-    rng = _substream(cfg["seed"], 0)
+    rng = substream(cfg["seed"], 0)
     return tl.tail_experiment(spec, cfg["samples"], rng,
                               budget=cfg.get("budget", 10_000),
                               batches=cfg.get("batches", 40))

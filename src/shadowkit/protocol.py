@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dense
+from .clifford import CliffordElement
 from .ensembles import EnsembleSpec, SampledCircuit, sample_circuit
 from .stabilizer import StabilizerTableau, overlap_sq
 
@@ -90,6 +91,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("measurements", "reuse", "batches"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.measurements % (self.reuse * self.batches):
             raise ValueError("N must be a multiple of R*K")
 
@@ -170,15 +174,9 @@ def single_shot(o, circuit, x):
     if circuit.kind == "clifford" and o.kind in ("stab_projector", "pauli"):
         return float(single_shot_exact(o, circuit, x))
     if circuit.kind == "identity" and o.kind in ("stab_projector", "pauli"):
-        ident = SampledCircuit("clifford", o.n,
-                               element=_identity_element(o.n))
+        ident = SampledCircuit("clifford", o.n, element=CliffordElement.identity(o.n))
         return float(single_shot_exact(o, ident, x))
     return single_shot_dense(o, circuit, x)
-
-
-def _identity_element(n):
-    from .clifford import CliffordElement
-    return CliffordElement.identity(n)
 
 
 # ---------------------------------------------------------------------------

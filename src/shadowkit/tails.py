@@ -92,10 +92,6 @@ def bernstein_tail(eps, n_samples, o_hs):
 # ---------------------------------------------------------------------------
 # Fast exact sampling of X for the stabilizer pair.
 
-def pair_x_value(n, d):
-    return (2 ** n + 1) * (2.0 ** -d - 2.0 ** -n)
-
-
 def sample_pair_support_dims(n, rng, count, chunk=4096):
     """Support dimensions d of C|0^n> for uniform C, drawn in batches.
 
@@ -110,6 +106,22 @@ def sample_pair_support_dims(n, rng, count, chunk=4096):
         out[done:done + b] = f2.rank_f2_batch(s[:, :n, n:])
         done += b
     return out
+
+
+def _circuit_fixed_xvalues(spec, rng, count):
+    """Per-circuit X where the circuit alone fixes it, else None.
+
+    On the Clifford path every admissible outcome gives the same value, set
+    by the support dimension; the identity circuit always has d = 0.
+    """
+    n = spec.n
+    d = 2 ** n
+    if spec.kind == "clifford":
+        dims = sample_pair_support_dims(n, rng, count)
+        return (d + 1) * (np.exp2(-dims.astype(float)) - 2.0 ** -n)
+    if spec.kind == "identity":
+        return np.full(count, (d + 1) * (1 - 2.0 ** -n))
+    return None
 
 
 def _pair_born_vectors(spec, rng, count):
@@ -143,13 +155,11 @@ def sample_pair_xvalues(spec, rng, count, reuse=1):
     circuit.  On the Clifford path every admissible outcome gives the same
     value, so the R repetitions are collapsed analytically.
     """
+    fixed = _circuit_fixed_xvalues(spec, rng, count)
+    if fixed is not None:
+        return fixed
     n = spec.n
     d = 2 ** n
-    if spec.kind == "clifford":
-        dims = sample_pair_support_dims(n, rng, count)
-        return (d + 1) * (np.exp2(-dims.astype(float)) - 2.0 ** -n)
-    if spec.kind == "identity":
-        return np.full(count, (d + 1) * (1 - 2.0 ** -n))
     probs = _pair_born_vectors(spec, rng, count)
     out = np.empty(count)
     for i in range(count):
@@ -165,15 +175,11 @@ def pair_conditional_means(spec, rng, count):
     the Clifford path p is flat on its support so this is the single-shot
     value itself.
     """
-    n = spec.n
-    d = 2 ** n
-    if spec.kind == "clifford":
-        dims = sample_pair_support_dims(n, rng, count)
-        return (d + 1) * (np.exp2(-dims.astype(float)) - 2.0 ** -n)
-    if spec.kind == "identity":
-        return np.full(count, (d + 1) * (1 - 2.0 ** -n))
+    fixed = _circuit_fixed_xvalues(spec, rng, count)
+    if fixed is not None:
+        return fixed
     probs = _pair_born_vectors(spec, rng, count)
-    return (d + 1) * ((probs * probs).sum(axis=1) - 2.0 ** -n)
+    return (2 ** spec.n + 1) * ((probs * probs).sum(axis=1) - 2.0 ** -spec.n)
 
 
 # ---------------------------------------------------------------------------

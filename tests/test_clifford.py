@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -104,6 +106,24 @@ def test_batch_sampler_matches_scalar_distribution():
     keep = table.sum(axis=0) > 0
     _, p, _, _ = stats.chi2_contingency(table[:, keep])
     assert p > 0.001
+
+
+PINNED_NS = (1, 2, 3, 10, 31)
+
+
+def test_sample_uniform_bytes_are_pinned():
+    """Exact output for a fixed seed: the draws-to-matrix map never changes."""
+    h = hashlib.sha256()
+    for n in PINNED_NS:
+        h.update(cl.sample_uniform(n, np.random.default_rng(2212)).to_hex().encode())
+    assert h.hexdigest() == "2dd8319a8a462cc15287ff184c74a525051cfa0c7b31c359d4d90a2a0aef4407"
+
+
+def test_sample_symplectic_batch_bytes_are_pinned():
+    h = hashlib.sha256()
+    for n in PINNED_NS:
+        h.update(cl.sample_symplectic_batch(n, np.random.default_rng(2212), 8).tobytes())
+    assert h.hexdigest() == "5ed05662704b4f790fd6e5fef1ccaaee88540b8ca99370057ac8fde6ec38ef40"
 
 
 def test_to_dense_round_trips_symplectic_action():

@@ -33,6 +33,17 @@ def test_config_validation_errors():
                             "ensemble": {"kind": "clifford", "n": 2},
                             "measurements": 10, "reuse_list": [3],
                             "vstar_circuits": 10, "seed": 0})
+    estimate = {"schema": 1, "experiment": "estimate", "ensemble": {"kind": "clifford", "n": 2},
+                "measurements": 12, "reuse": 2, "batches": 2, "seed": 0}
+    for key in ("measurements", "reuse", "batches"):
+        with pytest.raises(ValueError, match=key):
+            ex.validate_config({**estimate, key: 0})
+    scan = {"schema": 1, "experiment": "variance-scan", "ensemble": {"kind": "clifford", "n": 2},
+            "measurements": 12, "reuse_list": [1, 2], "vstar_circuits": 10, "seed": 0}
+    with pytest.raises(ValueError, match="measurements"):
+        ex.validate_config({**scan, "measurements": 0})
+    with pytest.raises(ValueError, match="reuse_list"):
+        ex.validate_config({**scan, "reuse_list": [1, 0]})
 
 
 def test_emit_empty_rows_header_only():

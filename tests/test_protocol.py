@@ -71,6 +71,10 @@ def test_run_config_divisibility():
     spec = EnsembleSpec("clifford", 2)
     with pytest.raises(ValueError):
         pr.RunConfig(spec, measurements=10, reuse=3, batches=1)
+    for field in ("measurements", "reuse", "batches"):
+        sizes = {"measurements": 12, "reuse": 2, "batches": 2, field: 0}
+        with pytest.raises(ValueError, match=field):
+            pr.RunConfig(spec, **sizes)
     cfg = pr.RunConfig(spec, measurements=24, reuse=4, batches=2, seed=7)
     assert cfg.circuits == 6
 

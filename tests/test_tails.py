@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from shadowkit import moments as mo
 from shadowkit import tails as tl
@@ -97,6 +98,42 @@ def test_fast_sampler_matches_exact_moments():
             want = float(tl.clifford_moment(n, m))
             se = np.std(xs ** m, ddof=1) / math.sqrt(len(xs))
             assert abs(emp - want) < 3 * se + 1e-12, (n, m)
+
+
+def support_dim_law(n):
+    """Exact P(d = k), k = 0..n, for d the support dimension of C|0^n>:
+    [n,k]_2 2^(n-k) 2^(k(k+3)/2) / (2^n prod_{j<=n} (2^j + 1))."""
+    norm = 2 ** n
+    for j in range(1, n + 1):
+        norm *= 2 ** j + 1
+    law = []
+    for k in range(n + 1):
+        gauss = 1                       # Gaussian binomial [n, k]_2
+        for i in range(k):
+            gauss = gauss * (2 ** (n - i) - 1) // (2 ** (i + 1) - 1)
+        law.append(Fraction(gauss * 2 ** (n - k) * 2 ** (k * (k + 3) // 2), norm))
+    return law
+
+
+def test_support_dims_match_exact_law():
+    """Uniformity oracle beyond exhaustive enumeration: chi-square of the
+    sampled support dimension against its exact law, at n = 10 and 31."""
+    for n, count in ((10, 20_000), (31, 4_000)):
+        law = support_dim_law(n)
+        assert sum(law) == 1
+        for m in range(1, 5):
+            moment = sum(p * ((2 ** n + 1) * (Fraction(1, 2 ** k) - Fraction(1, 2 ** n))) ** m
+                         for k, p in enumerate(law))
+            assert moment == tl.clifford_moment(n, m)
+        dims = tl.sample_pair_support_dims(n, np.random.default_rng(n), count)
+        observed = np.bincount(dims, minlength=n + 1)
+        expected = count * np.array([float(p) for p in law])
+        # pool the rare small-d bins until the pooled expectation reaches 5
+        cut = int(np.argmax(np.cumsum(expected) >= 5)) + 1
+        observed = np.concatenate([[observed[:cut].sum()], observed[cut:]])
+        expected = np.concatenate([[expected[:cut].sum()], expected[cut:]])
+        _, p = stats.chisquare(observed, expected)
+        assert p > 0.001
 
 
 def test_pair_conditional_means_match_exact_variance():
