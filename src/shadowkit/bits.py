@@ -63,21 +63,6 @@ def kernel_f2(m):
     return basis
 
 
-def solve_f2(a, b):
-    """One solution x of a @ x = b over F2, or None if inconsistent."""
-    a = np.asarray(a, dtype=np.uint8) & 1
-    b = np.asarray(b, dtype=np.uint8) & 1
-    rows, cols = a.shape
-    aug = np.concatenate([a, b.reshape(rows, 1)], axis=1)
-    rr, pivots = rref_f2(aug)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for row, p in zip(rr, pivots):
-        x[p] = row[cols]
-    return x
-
-
 def mat_mul_f2(a, b):
     return (np.asarray(a, dtype=np.uint8).astype(np.int64) @
             np.asarray(b, dtype=np.uint8).astype(np.int64)) % 2

@@ -120,9 +120,13 @@ def config_from_args(args):
 
 
 def main(argv=None):
+    """Run one subcommand; returns the exit status (2 for a bad config)."""
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    result = run_experiment(cfg, threads=args.threads)
+    try:
+        result = run_experiment(config_from_args(args), threads=args.threads)
+    except ValueError as exc:
+        sys.stderr.write(f"shadowkit {args.experiment}: error: {exc}\n")
+        return 2
     fmt = "json" if args.experiment in JSON_ONLY else args.format
     text = emit(result, fmt, path=args.out)
     if not args.out:

@@ -228,9 +228,6 @@ class CliffordElement:
         alpha = (np.asarray(phases) // 2) % 2
         return CliffordElement(s_inv, alpha.astype(np.uint8))
 
-    def apply_to(self, tab):
-        return tab.apply_clifford(self)
-
     def to_dense(self):
         """A unitary realizing this element (global phase arbitrary).
 
@@ -269,11 +266,15 @@ class CliffordElement:
 
     @classmethod
     def from_hex(cls, n, hexstr):
-        raw = np.unpackbits(np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8))
+        """Inverse of ``to_hex``; rejects any payload ``to_hex`` cannot produce."""
         need = 4 * n * n + 2 * n
-        bits = raw[:need]
-        s = bits[:4 * n * n].reshape(2 * n, 2 * n)
-        return cls(s, bits[4 * n * n:])
+        raw = np.unpackbits(np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8))
+        if len(raw) != 8 * ((need + 7) // 8) or raw[need:].any():
+            raise ValueError(f"hex payload {hexstr!r} is not an n={n} Clifford element")
+        s = raw[:4 * n * n].reshape(2 * n, 2 * n)
+        if not is_symplectic(s):
+            raise ValueError(f"hex payload {hexstr!r} is not symplectic")
+        return cls(s, raw[4 * n * n:need])
 
     def __repr__(self):
         return f"CliffordElement(n={self.n}, {self.to_hex()[:16]}...)"

@@ -21,6 +21,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError(f"ensemble n must be at least 1, got {self.n}")
         if self.k < 0:
             raise ValueError("T-gate count must be >= 0")
         if self.k and self.kind != "homeopathic":

@@ -19,8 +19,9 @@ import numpy as np
 from . import moments as mo
 from . import tails as tl
 from .ensembles import EnsembleSpec
-from .protocol import RunConfig, acquire, estimate, record_values, \
+from .protocol import ObservableSpec, RunConfig, acquire, estimate, record_values, \
     median_of_means, stabilizer_pair, substream, write_records
+from .stabilizer import PauliString
 
 SCHEMA_VERSION = 1
 CHUNK = 512
@@ -57,6 +58,16 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def _validate_observable(o_cfg, n):
+    if o_cfg["type"] == "pauli":
+        size = PauliString.from_label(o_cfg["label"]).n
+        if size != n:
+            raise ValueError(f"Pauli label {o_cfg['label']!r} acts on {size} qubits, "
+                             f"the ensemble on {n}")
+    elif o_cfg["type"] != "pair":
+        raise ValueError(f"unknown observable type {o_cfg['type']!r}")
+
+
 def validate_config(cfg):
     if cfg.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {cfg.get('schema')!r}")
@@ -69,6 +80,8 @@ def validate_config(cfg):
             _require_positive(key, cfg[key])
         if cfg["measurements"] % (cfg["reuse"] * cfg["batches"]):
             raise ValueError("measurements must be a multiple of reuse*batches")
+        _validate_observable(cfg.get("observable", {"type": "pair"}),
+                             EnsembleSpec.from_json(cfg["ensemble"]).n)
     elif name == "variance-scan":
         _require(cfg, "ensemble", "measurements", "reuse_list", "vstar_circuits", "seed")
         _require_positive("measurements", cfg["measurements"])
@@ -140,11 +153,7 @@ def run_estimate(cfg, threads=1):
     state, obs = stabilizer_pair(spec.n)
     o_cfg = cfg.get("observable", {"type": "pair"})
     if o_cfg["type"] == "pauli":
-        from .protocol import ObservableSpec
-        from .stabilizer import PauliString
         obs = ObservableSpec.pauli(PauliString.from_label(o_cfg["label"]))
-    elif o_cfg["type"] != "pair":
-        raise ValueError(f"unknown observable type {o_cfg['type']!r}")
     if cfg.get("records_out"):
         records = acquire(run, state)
         write_records(records, cfg["records_out"])

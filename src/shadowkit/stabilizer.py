@@ -4,7 +4,10 @@ A Pauli is stored as ``i**phase * X^x Z^z`` with ``x, z`` bit vectors over
 the qubits (qubit 0 leftmost) and ``phase`` an exponent mod 4.  A tableau
 holds n destabilizer rows followed by n stabilizer rows, in the usual
 Aaronson-Gottesman layout, with full mod-4 phase tracking so overlaps and
-estimator values come out as exact dyadic rationals.
+estimator values come out as exact dyadic rationals.  A tableau's Z-basis
+outcomes are uniform on an affine subspace x0 + span(B), derived once
+(``z_support``) and read by shot sampling, Born probabilities and the dense
+statevector.
 """
 
 from fractions import Fraction
@@ -46,6 +49,8 @@ class PauliString:
         x = np.zeros(len(label), dtype=np.uint8)
         z = np.zeros(len(label), dtype=np.uint8)
         for j, ch in enumerate(label):
+            if ch not in _PAULI_BITS:
+                raise ValueError(f"unknown Pauli letter {ch!r} in {label!r}")
             xj, zj, pj = _PAULI_BITS[ch]
             x[j], z[j] = xj, zj
             phase += pj
@@ -136,6 +141,7 @@ class StabilizerTableau:
         self.n = self.xs.shape[1]
         if self.xs.shape != (2 * self.n, self.n):
             raise ValueError("tableau must have 2n rows")
+        self._z_support = None
 
     @classmethod
     def zero_state(cls, n):
@@ -150,27 +156,11 @@ class StabilizerTableau:
     @classmethod
     def basis_state(cls, x):
         """|x> for a bitstring like '010'."""
-        tab = cls.zero_state(len(x))
-        for j, b in enumerate(x):
-            if b == "1":
-                tab.phases[len(x) + j] = 2
-        return tab
-
-    def copy(self):
-        return StabilizerTableau(self.xs.copy(), self.zs.copy(), self.phases.copy())
+        zero = cls.zero_state(len(x))
+        return cls(zero.xs, zero.zs, [0] * len(x) + [2 * int(b) for b in x])
 
     def row(self, i):
         return PauliString(self.xs[i], self.zs[i], self.phases[i])
-
-    def stabilizer_generators(self):
-        return [self.row(self.n + j) for j in range(self.n)]
-
-    def _row_mul(self, h, i):
-        """row_h <- row_h * row_i with exact phase tracking."""
-        self.phases[h] = (self.phases[h] + self.phases[i]
-                          + 2 * int(np.dot(self.zs[h], self.xs[i]))) % 4
-        self.xs[h] ^= self.xs[i]
-        self.zs[h] ^= self.zs[i]
 
     def apply_clifford(self, c):
         """Return the tableau of C|S>; delegates phase algebra to c."""
@@ -179,83 +169,68 @@ class StabilizerTableau:
         xs, zs, phases = c.conjugate_rows(self.xs, self.zs, self.phases)
         return StabilizerTableau(xs, zs, phases)
 
-    def measure_z(self, q, rng):
-        """Measure qubit q in the Z basis, collapsing in place; returns 0/1."""
-        n = self.n
-        anti = np.nonzero(self.xs[n:, q])[0]
-        if anti.size:
-            p = n + int(anti[0])
-            hits = [i for i in np.nonzero(self.xs[:, q])[0] if i != p]
-            for i in hits:
-                self._row_mul(i, p)
-            self.xs[p - n] = self.xs[p]
-            self.zs[p - n] = self.zs[p]
-            self.phases[p - n] = self.phases[p]
-            outcome = int(rng.integers(2))
-            self.xs[p] = 0
-            self.zs[p] = 0
-            self.zs[p, q] = 1
-            self.phases[p] = 2 * outcome
-            return outcome
-        # deterministic outcome: express Z_q in terms of the stabilizer rows
-        acc = PauliString.identity(n)
-        for j in np.nonzero(self.xs[:n, q])[0]:
-            acc = acc * self.row(n + int(j))
-        return 0 if acc.hermitian_sign() == 1 else 1
+    def z_support(self):
+        """(x0, basis, pivots), computed once: Z-basis outcomes are x0 + span(basis).
+
+        ``basis`` is the stabilizer X-parts in reduced row-echelon form, with pivot
+        columns ``pivots``; ``x0`` is 0 on every pivot.  Bit vectors are ints, qubit
+        0 the most significant bit.  Cached: no method changes a tableau once built.
+        """
+        if self._z_support is None:
+            n = self.n
+            packed = np.packbits(np.hstack([self.xs[n:], self.zs[n:]]), axis=1)
+            rows = [int.from_bytes(r.tobytes(), "big") >> (-2 * n % 8) for r in packed]
+            phases = self.phases[n:].tolist()
+            # Gauss-Jordan on the 2n-bit rows (x|z), multiplied as Paulis so phases
+            # stay exact: X-parts end in RREF, and the pure-Z rows (which commute
+            # with them) pivot on the other qubits, so x0 is 0 on the X pivots.
+            pivots = []
+            for col in range(2 * n):
+                bit, r = 1 << (2 * n - 1 - col), len(pivots)
+                p = next((i for i in range(r, n) if rows[i] & bit), None)
+                if p is None or col - n in pivots:
+                    continue
+                for m in (rows, phases):
+                    m[r], m[p] = m[p], m[r]
+                for i in range(n):
+                    if i != r and rows[i] & bit:
+                        phases[i] += phases[r] + 2 * (rows[i] & rows[r] >> n).bit_count()
+                        rows[i] ^= rows[r]
+                pivots.append(col)
+            # a pure-Z row Z^a with sign (-1)^b asks a.x = b: x = b on its pivot
+            x0 = sum((s >> 1 & 1) << (2 * n - 1 - c)
+                     for s, c in zip(phases, pivots) if c >= n)
+            d = sum(c < n for c in pivots)
+            self._z_support = x0, [row >> n for row in rows[:d]], pivots[:d]
+        return self._z_support
 
     def sample_z_basis(self, rng):
-        """One computational-basis outcome, drawn from |<x|S>|^2."""
-        work = self.copy()
-        return "".join(str(work.measure_z(q, rng)) for q in range(self.n))
+        """One Z-basis outcome drawn from |<x|S>|^2: one fair bit per pivot, in
+        qubit order, as qubit-by-qubit collapse draws them (q random iff a pivot)."""
+        x, basis, _ = self.z_support()
+        for row in basis:
+            if rng.integers(2):
+                x ^= row
+        return format(x, f"0{self.n}b")
 
     def z_support_dim(self):
         """Dimension of the affine support of the Z-basis distribution."""
-        return f2.rank_f2(self.xs[self.n:])
-
-    def z_constraints(self):
-        """(A, b) with support = {x : A x = b over F2}; A has n-d rows."""
-        n = self.n
-        rows = [self.row(n + j) for j in range(n)]
-        # eliminate x-parts to isolate the pure-Z subgroup, tracking phases
-        r = 0
-        for col in range(n):
-            piv = next((i for i in range(r, n) if rows[i].x[col]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(n):
-                if i != r and rows[i].x[col]:
-                    rows[i] = rows[i] * rows[r]
-            r += 1
-        a_rows, b_vals = [], []
-        for row in rows[r:]:
-            a_rows.append(row.z.copy())
-            b_vals.append(0 if row.hermitian_sign() == 1 else 1)
-        a = np.array(a_rows, dtype=np.uint8).reshape(len(a_rows), n)
-        return a, np.array(b_vals, dtype=np.uint8)
+        return len(self.z_support()[2])
 
     def z_probability(self, x):
         """Exact Born probability of bitstring x as a Fraction."""
-        xv = np.array([int(b) for b in x], dtype=np.uint8)
-        a, b = self.z_constraints()
-        if len(b) and ((a @ xv.astype(np.int64)) % 2 != b).any():
-            return Fraction(0)
-        return Fraction(1, 2 ** self.z_support_dim())
+        x0, basis, pivots = self.z_support()
+        y = x0 ^ int(x, 2)
+        for row, c in zip(basis, pivots):
+            if y >> (self.n - 1 - c) & 1:
+                y ^= row
+        return Fraction(0) if y else Fraction(1, 2 ** len(pivots))
 
     def statevector(self):
         """Dense statevector (oracle path; arbitrary global phase)."""
-        a, b = self.z_constraints()
-        if len(b):
-            sol = f2.solve_f2(a, b)
-            if sol is None:
-                raise RuntimeError("invalid tableau: inconsistent sign constraints")
-            start = int("".join(map(str, sol)), 2)
-        else:
-            start = 0
-        dim = 2 ** self.n
-        v = np.zeros(dim, dtype=complex)
-        v[start] = 1.0
-        for g in self.stabilizer_generators():
+        v = np.zeros(2 ** self.n, dtype=complex)
+        v[self.z_support()[0]] = 1.0
+        for g in map(self.row, range(self.n, 2 * self.n)):
             v = (v + g.apply(v)) / 2
         norm = np.linalg.norm(v)
         if norm < 1e-9:

@@ -26,16 +26,6 @@ def test_rref_and_kernel(m):
         assert (f2.mat_mul_f2(m, ker.T) == 0).all()
 
 
-@given(arrays(np.uint8, (6, 4), elements=st.integers(0, 1)),
-       arrays(np.uint8, (4,), elements=st.integers(0, 1)))
-@settings(max_examples=60, deadline=None)
-def test_solve(m, x):
-    b = f2.mat_mul_f2(m, x).astype(np.uint8)
-    sol = f2.solve_f2(m, b)
-    assert sol is not None
-    assert (f2.mat_mul_f2(m, sol) == b).all()
-
-
 def test_batch_rank_matches_scalar():
     rng = np.random.default_rng(0)
     mats = rng.integers(2, size=(50, 6, 6), dtype=np.uint8)

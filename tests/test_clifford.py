@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from shadowkit import bits as f2
 from shadowkit import clifford as cl
 from shadowkit import dense
 from shadowkit.stabilizer import PauliString
@@ -89,22 +88,6 @@ def test_uniformity_n2_chi_square_batched():
         done += b
     assert len(counts) == 11520
     _, p = stats.chisquare(list(counts.values()))
-    assert p > 0.001
-
-
-def test_batch_sampler_matches_scalar_distribution():
-    """Support-dimension statistic of batch vs scalar sampling, n=3."""
-    rng = np.random.default_rng(4)
-    batch = cl.sample_symplectic_batch(3, rng, 4000)
-    d_batch = f2.rank_f2_batch(batch[:, :3, 3:])
-    d_scalar = np.array([f2.rank_f2(cl.sample_uniform(3, rng).symplectic[:3, 3:])
-                         for _ in range(4000)])
-    table = np.zeros((2, 4))
-    for j in range(4):
-        table[0, j] = np.sum(d_batch == j)
-        table[1, j] = np.sum(d_scalar == j)
-    keep = table.sum(axis=0) > 0
-    _, p, _, _ = stats.chi2_contingency(table[:, keep])
     assert p > 0.001
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from shadowkit import clifford as cl
 from shadowkit import dense
 from shadowkit import ensembles as en
 from shadowkit import tails as tl
@@ -16,6 +17,9 @@ def test_spec_validation():
         en.EnsembleSpec("clifford", 3, k=2)
     with pytest.raises(ValueError):
         en.EnsembleSpec("homeopathic", 3, k=-1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            en.EnsembleSpec("clifford", n)
 
 
 def test_spec_json_round_trip():
@@ -136,3 +140,12 @@ def test_descriptor_round_trips():
         c = en.sample_circuit(spec, rng)
         c2 = en.SampledCircuit.from_descriptor(c.descriptor())
         assert np.allclose(c.dense(), c2.dense(), atol=1e-12)
+    good = cl.sample_uniform(1, rng).to_hex()
+    padded = format(int(good, 16) | 1, "02x")
+    for n, payload in ((1, "00"), (1, "ffffff"), (1, good + "00"), (1, padded),
+                       (2, good), (1, "0")):
+        with pytest.raises(ValueError):
+            cl.CliffordElement.from_hex(n, payload)
+    for desc in ("clifford:1:00", f"homeopathic:1:1:{good};00"):
+        with pytest.raises(ValueError):
+            en.SampledCircuit.from_descriptor(desc)

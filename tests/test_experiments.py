@@ -44,6 +44,16 @@ def test_config_validation_errors():
         ex.validate_config({**scan, "measurements": 0})
     with pytest.raises(ValueError, match="reuse_list"):
         ex.validate_config({**scan, "reuse_list": [1, 0]})
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        ex.validate_config({**estimate, "ensemble": {"kind": "clifford", "n": 0}})
+    with pytest.raises(ValueError, match="acts on 2 qubits"):
+        ex.validate_config({**estimate, "ensemble": {"kind": "clifford", "n": 3},
+                            "observable": {"type": "pauli", "label": "ZZ"}})
+    with pytest.raises(ValueError, match="unknown Pauli letter"):
+        ex.validate_config({**estimate, "observable": {"type": "pauli", "label": "ZQ"}})
+    with pytest.raises(ValueError, match="unknown observable type"):
+        ex.validate_config({**estimate, "observable": {"type": "projector"}})
+    ex.validate_config({**estimate, "observable": {"type": "pauli", "label": "-XY"}})
 
 
 def test_emit_empty_rows_header_only():
@@ -165,6 +175,15 @@ def test_cli_overrides_and_output(tmp_path, capsys):
               "--max-reuse", "16", "--format", "json"])
     captured = capsys.readouterr().out
     assert json.loads(captured)[0]["best_reuse"] == 16
+
+
+def test_cli_bad_config_is_one_line_error(capsys):
+    status = cli.main(["estimate", "--kind", "clifford", "--n", "2", "--measurements", "12",
+                       "--reuse", "0", "--batches", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "shadowkit estimate: error: reuse must be at least 1, got 0\n"
 
 
 def test_cli_config_plus_seed_override(tmp_path):

@@ -19,6 +19,8 @@ def test_pauli_labels_and_signs():
     assert (PauliString.from_label("Z") * PauliString.from_label("X")).label() == "+iY"
     p = PauliString.from_label("-XZ")
     assert p.hermitian_sign() == -1
+    with pytest.raises(ValueError, match="unknown Pauli letter"):
+        PauliString.from_label("XW")
 
 
 @given(st.integers(0, 3), st.data())

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from shadowkit import bits as f2
+from shadowkit import clifford as cl
 from shadowkit import moments as mo
 from shadowkit import tails as tl
 from shadowkit.ensembles import EnsembleSpec
@@ -117,17 +119,23 @@ def support_dim_law(n):
 
 def test_support_dims_match_exact_law():
     """Uniformity oracle beyond exhaustive enumeration: chi-square of the
-    sampled support dimension against its exact law, at n = 10 and 31."""
-    for n, count in ((10, 20_000), (31, 4_000)):
+    sampled support dimension against its exact law, for the batched
+    sampler at n = 10 and 31 and for single draws (``sample_uniform``) at
+    n = 3."""
+    rng3 = np.random.default_rng(4)
+    single = np.array([f2.rank_f2(cl.sample_uniform(3, rng3).symplectic[:3, 3:])
+                       for _ in range(4000)])
+    inputs = [(n, tl.sample_pair_support_dims(n, np.random.default_rng(n), count))
+              for n, count in ((10, 20_000), (31, 4_000))] + [(3, single)]
+    for n, dims in inputs:
         law = support_dim_law(n)
         assert sum(law) == 1
         for m in range(1, 5):
             moment = sum(p * ((2 ** n + 1) * (Fraction(1, 2 ** k) - Fraction(1, 2 ** n))) ** m
                          for k, p in enumerate(law))
             assert moment == tl.clifford_moment(n, m)
-        dims = tl.sample_pair_support_dims(n, np.random.default_rng(n), count)
         observed = np.bincount(dims, minlength=n + 1)
-        expected = count * np.array([float(p) for p in law])
+        expected = len(dims) * np.array([float(p) for p in law])
         # pool the rare small-d bins until the pooled expectation reaches 5
         cut = int(np.argmax(np.cumsum(expected) >= 5)) + 1
         observed = np.concatenate([[observed[:cut].sum()], observed[cut:]])
