@@ -120,15 +120,15 @@ def config_from_args(args):
 
 
 def main(argv=None):
-    """Run one subcommand; returns the exit status (2 for a bad config)."""
+    """Run one subcommand; returns the exit status (2 for bad input or a file error)."""
     args = build_parser().parse_args(argv)
+    fmt = "json" if args.experiment in JSON_ONLY else args.format
     try:
         result = run_experiment(config_from_args(args), threads=args.threads)
-    except ValueError as exc:
+        text = emit(result, fmt, path=args.out)
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"shadowkit {args.experiment}: error: {exc}\n")
         return 2
-    fmt = "json" if args.experiment in JSON_ONLY else args.format
-    text = emit(result, fmt, path=args.out)
     if not args.out:
         sys.stdout.write(text)
     return 0

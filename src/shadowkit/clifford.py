@@ -19,6 +19,7 @@ group without repetition.
 import numpy as np
 
 from . import bits as f2
+from . import dense
 from .stabilizer import PauliString, StabilizerTableau
 
 
@@ -141,6 +142,10 @@ def _components_from_index(index, n):
     return k, free
 
 
+# Level l draws k_l below 4**l as an int64, so sampling stops at n = 31.
+MAX_SAMPLED_N = 31
+
+
 def sample_symplectic_batch(n, rng, count):
     """count standard-convention symplectic matrices, exactly uniform."""
     k = np.empty((n, count), dtype=np.int64)
@@ -235,8 +240,7 @@ class CliffordElement:
         U|x> = (U X^x U^dag) U|0^n>.
         """
         n = self.n
-        if n > 6:
-            raise ValueError("dense Clifford capped at n <= 6")
+        dense.check_entries(4 ** n, f"a dense Clifford on {n} qubits")
         psi0 = StabilizerTableau.zero_state(n).apply_clifford(self).statevector()
         dim = 2 ** n
         idx = np.arange(dim)

@@ -22,7 +22,15 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
+# The one dense-size budget (256 MiB as complex128), checked by check_entries.
 MAX_ENTRIES = 2 ** 24
+
+
+def check_entries(entries, what):
+    """Refuse, before allocating, a dense array of more than MAX_ENTRIES entries."""
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"{what} needs {entries} dense entries, over the "
+                         f"budget of 2^24 = {MAX_ENTRIES}")
 
 
 def num_qubits(op):
@@ -77,8 +85,7 @@ def tensor_power(x, t):
     if t < 1:
         raise ValueError("tensor power needs t >= 1")
     d = x.shape[0]
-    if (d ** t) ** 2 > MAX_ENTRIES:
-        raise MemoryError(f"tensor power {d}^{t} exceeds dense budget")
+    check_entries((d ** t) ** 2, f"tensor power {d}^{t}")
     out = x
     for _ in range(t - 1):
         out = np.kron(out, x)

@@ -27,6 +27,12 @@ class EnsembleSpec:
             raise ValueError("T-gate count must be >= 0")
         if self.k and self.kind != "homeopathic":
             raise ValueError("only the homeopathic ensemble takes a T-gate count")
+        # largest n: the tableau sampler's, or one 2^n x 2^n unitary's budget
+        if self.kind == "clifford" and self.n > cl.MAX_SAMPLED_N:
+            raise ValueError(f"clifford circuits are sampled for n <= "
+                             f"{cl.MAX_SAMPLED_N}, got n = {self.n}")
+        if self.kind in ("haar", "homeopathic"):
+            dense.check_entries(4 ** self.n, f"a {self.kind} circuit on {self.n} qubits")
 
     def to_json(self):
         return {"kind": self.kind, "n": self.n, "k": self.k}
@@ -46,6 +52,7 @@ def t_gate_dense(n):
 def haar_unitary(dim, rng):
     """Exactly Haar-distributed unitary: QR of a complex Gaussian matrix
     with the R-diagonal phase correction."""
+    dense.check_entries(dim * dim, f"a {dim}x{dim} Haar unitary")
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
@@ -102,18 +109,17 @@ class SampledCircuit:
     def from_descriptor(cls, desc):
         parts = desc.split(":")
         kind, n = parts[0], int(parts[1])
+        spec = EnsembleSpec(kind, n, k=int(parts[2]) if kind == "homeopathic" else 0)
         if kind == "identity":
             return cls(kind, n)
         if kind == "clifford":
             return cls(kind, n, element=cl.CliffordElement.from_hex(n, parts[2]))
         if kind == "haar":
             return cls(kind, n, haar_seed=int(parts[2], 16))
-        if kind == "homeopathic":
-            segs = [cl.CliffordElement.from_hex(n, h) for h in parts[3].split(";")]
-            if len(segs) != int(parts[2]) + 1:
-                raise ValueError("segment count does not match T-gate count")
-            return cls(kind, n, segments=segs)
-        raise ValueError(f"bad circuit descriptor {desc!r}")
+        segs = [cl.CliffordElement.from_hex(n, h) for h in parts[3].split(";")]
+        if len(segs) != spec.k + 1:
+            raise ValueError("segment count does not match T-gate count")
+        return cls(kind, n, segments=segs)
 
 
 def sample_circuit(spec, rng):
@@ -142,8 +148,7 @@ def _frame_contribution(u, out):
 
 def frame_operator_empirical(spec, samples, rng):
     """Monte-Carlo estimate of the frame operator, 4^n x 4^n."""
-    if spec.n > 4:
-        raise MemoryError("empirical frame operator capped at n <= 4")
+    dense.check_entries(16 ** spec.n, f"the frame operator on {spec.n} qubits")
     dim = 2 ** spec.n
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     for _ in range(samples):

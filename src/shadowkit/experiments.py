@@ -19,8 +19,7 @@ import numpy as np
 from . import moments as mo
 from . import tails as tl
 from .ensembles import EnsembleSpec
-from .protocol import ObservableSpec, RunConfig, acquire, estimate, record_values, \
-    median_of_means, stabilizer_pair, substream, write_records
+from .protocol import ObservableSpec, RunConfig, estimate, stabilizer_pair, substream
 from .stabilizer import PauliString
 
 SCHEMA_VERSION = 1
@@ -53,9 +52,9 @@ def _require(cfg, *keys):
         raise ValueError(f"config for {cfg.get('experiment')!r} is missing {missing}")
 
 
-def _require_positive(name, value):
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+def _require_at_least(name, value, low=1):
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 def _validate_observable(o_cfg, n):
@@ -77,24 +76,34 @@ def validate_config(cfg):
     if name == "estimate":
         _require(cfg, "ensemble", "measurements", "reuse", "batches", "seed")
         for key in ("measurements", "reuse", "batches"):
-            _require_positive(key, cfg[key])
+            _require_at_least(key, cfg[key])
         if cfg["measurements"] % (cfg["reuse"] * cfg["batches"]):
             raise ValueError("measurements must be a multiple of reuse*batches")
         _validate_observable(cfg.get("observable", {"type": "pair"}),
                              EnsembleSpec.from_json(cfg["ensemble"]).n)
     elif name == "variance-scan":
         _require(cfg, "ensemble", "measurements", "reuse_list", "vstar_circuits", "seed")
-        _require_positive("measurements", cfg["measurements"])
+        EnsembleSpec.from_json(cfg["ensemble"])
+        _require_at_least("measurements", cfg["measurements"])
+        # V* is a sample variance over circuits, so it needs two of them
+        _require_at_least("vstar_circuits", cfg["vstar_circuits"], 2)
         for r in cfg["reuse_list"]:
-            _require_positive("reuse_list entry", r)
+            _require_at_least("reuse_list entry", r)
             if cfg["measurements"] % r:
                 raise ValueError(f"measurements not divisible by reuse {r}")
     elif name == "homeopathic-scan":
         _require(cfg, "n", "k_list", "circuits", "seed")
+        for k in cfg["k_list"]:
+            EnsembleSpec("homeopathic", cfg["n"], k=k)
+        _require_at_least("circuits", cfg["circuits"], 2)
     elif name == "moment-table":
         _require(cfg, "n_list", "max_m")
     elif name == "tail-experiment":
         _require(cfg, "ensemble", "samples", "seed")
+        EnsembleSpec.from_json(cfg["ensemble"])
+        for key in ("samples", "budget", "batches"):
+            if key in cfg:
+                _require_at_least(key, cfg[key])
     elif name == "weingarten":
         _require(cfg, "t", "n", "group")
     elif name == "optimal-reuse":
@@ -154,13 +163,7 @@ def run_estimate(cfg, threads=1):
     o_cfg = cfg.get("observable", {"type": "pair"})
     if o_cfg["type"] == "pauli":
         obs = ObservableSpec.pauli(PauliString.from_label(o_cfg["label"]))
-    if cfg.get("records_out"):
-        records = acquire(run, state)
-        write_records(records, cfg["records_out"])
-        est = median_of_means(record_values(records, obs), run.batches)
-        return {"estimate": est, "K": run.batches, "R": run.reuse,
-                "N": run.measurements, "seed": run.seed}
-    return estimate(run, state, obs)
+    return estimate(run, state, obs, records_out=cfg.get("records_out"))
 
 
 def run_variance_scan(cfg, threads=1):
@@ -235,10 +238,7 @@ def run_weingarten(cfg, threads=1):
     t, n, group = cfg["t"], cfg["n"], cfg["group"]
     gram = mo.gram_matrix(t, n, group)
     wg = mo.weingarten_matrix(t, n, group)
-    if group == "clifford" and t == 4:
-        names = [lab.name() for lab in mo.commutant_labels(t)]
-    else:
-        names = [pi.cycle_label() for pi in mo.symmetric_group(t)]
+    names = [lab.name() for lab in mo.group_labels(t, group)]
     rows = []
     for matrix_name, matrix in (("gram", gram), ("weingarten", wg)):
         for i, ri in enumerate(names):
@@ -257,7 +257,6 @@ def run_optimal_reuse(cfg, threads=1):
         vstar = 30.0 * 0.75 ** cfg["k"]
     model = tl.CostModel(alpha=cfg["alpha"], budget=cfg.get("budget", 1.0),
                          v1=cfg["v1"], k=cfg.get("k", 0),
-                         batches=cfg.get("batches", 1),
                          max_reuse=cfg.get("max_reuse", 1024))
     best = tl.optimal_reuse(model, vstar)
     objective = tl.reuse_objective(model, vstar, best)

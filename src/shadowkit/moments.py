@@ -23,10 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import bits as f2
+from . import dense as dn
 from . import exact
 from .stabilizer import StabilizerTableau
-
-DENSE_COPY_BUDGET = 2 ** 24
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +233,8 @@ class CommutantLabel:
 
 def commutant_labels(t):
     """Labels for the Clifford commutant basis; 30 entries at t = 4."""
+    if t > 4:
+        raise ValueError("Clifford commutant machinery implemented for t <= 4")
     labels = [CommutantLabel(pi) for pi in symmetric_group(t)]
     if t == 4:
         labels += [CommutantLabel(Permutation(list(pi.images) + [3]), hat=True)
@@ -247,11 +248,6 @@ def hat_labels():
 
 # ---------------------------------------------------------------------------
 # Dense (sparse-backed) realizations, for small n.
-
-def _check_copy_budget(t, n):
-    if (2 ** (t * n)) ** 2 > DENSE_COPY_BUDGET:
-        raise MemoryError(f"t={t}, n={n} exceeds the dense commutant budget")
-
 
 def _bit_index(bits):
     out = 0
@@ -299,7 +295,7 @@ def _interleave_table(t, n):
 
 def r_T_matrix(sub, n, dense=False):
     """R_T = r_T^{(x) n} on t copies of n qubits, in copy-major ordering."""
-    _check_copy_budget(sub.t, n)
+    dn.check_entries(4 ** (sub.t * n), f"R_T on t={sub.t} copies of n={n} qubits")
     out = _kron_power(r_single_copy(sub), n).tocoo()
     if n > 1:
         table = _interleave_table(sub.t, n)
@@ -316,7 +312,7 @@ def r_pi_matrix(pi, n, dense=False):
 
 def pi4_matrix(n, dense=False):
     """2^-n sum_P P^{(x)4} over all 4^n unsigned Paulis; equals R_{T4}."""
-    _check_copy_budget(4, n)
+    dn.check_entries(4 ** (4 * n), f"Pi4 on n={n} qubits")
     dim = 2 ** n
     idx = np.arange(dim)
     total = None
@@ -356,19 +352,19 @@ def rt_inner(sub, ops, matrix=None):
 # ---------------------------------------------------------------------------
 # Gram and Weingarten matrices, exact.
 
-def _group_subspaces(t, group):
+def group_labels(t, group):
+    """The commutant basis of the t-th moment: permutations for the unitary
+    group, ``commutant_labels(t)`` (t <= 4) for the Clifford group."""
     if group == "unitary":
-        return [perm_subspace(pi) for pi in symmetric_group(t)]
+        return [CommutantLabel(pi) for pi in symmetric_group(t)]
     if group == "clifford":
-        if t <= 3:
-            return [perm_subspace(pi) for pi in symmetric_group(t)]
-        return [lab.subspace() for lab in commutant_labels(t)]
+        return commutant_labels(t)
     raise ValueError(f"unknown group {group!r}")
 
 
 def gram_matrix(t, n, group):
     """G[T,T'] = 2^(dim(T cap T') n), an exact integer matrix."""
-    subs = _group_subspaces(t, group)
+    subs = [lab.subspace() for lab in group_labels(t, group)]
     size = len(subs)
     g = np.empty((size, size), dtype=object)
     for i in range(size):
@@ -412,11 +408,7 @@ def state_average(t, n, group, state=None):
         if not isinstance(state, StabilizerTableau):
             raise TypeError("Clifford state averages hold for stabilizer states only")
     coeff = state_average_coefficient(t, n, group)
-    if group == "unitary" or t <= 3:
-        labels = [CommutantLabel(pi) for pi in symmetric_group(t)]
-    else:
-        labels = commutant_labels(t)
-    return {lab: coeff for lab in labels}
+    return {lab: coeff for lab in group_labels(t, group)}
 
 
 # ---------------------------------------------------------------------------
@@ -460,35 +452,19 @@ def thrifty_variance_predict(v1, vstar, reuse):
     return v1 / reuse + (reuse - 1) / reuse * vstar
 
 
-@dataclass(frozen=True)
-class ExpansionConstants:
-    """Documented slack for the suppressed O(2^-n) terms in the reuse bound.
-
-    ``first_term`` multiplies the 2^-n tr(O^2) residual; ``gram_slack`` and
-    ``rate_slack`` are the coefficients of the 2^-n corrections inside the
-    (1 + ...) prefactor and the (3/4 + ...)^k decay rate.
-    """
-    first_term: float = 32.0
-    gram_slack: float = 2.0
-    rate_slack: float = 2.0
-
-
-DEFAULT_CONSTANTS = ExpansionConstants()
-
-
-def vstar_interpolation_bound(tr_o2, k, n, consts=DEFAULT_CONSTANTS):
-    """Upper bound on V* for the k-T-gate interpolating ensemble."""
+def vstar_interpolation_bound(tr_o2, k, n):
+    """Upper bound on V* for the k-T-gate interpolating ensemble; 32 and the
+    two 2s are the slack on its suppressed O(2^-n) terms."""
     eps = 2.0 ** -n
-    return (consts.first_term * eps * tr_o2
-            + 30.0 * tr_o2 * (1.0 + consts.gram_slack * eps)
-            * (0.75 + consts.rate_slack * eps) ** k)
+    return (32.0 * eps * tr_o2
+            + 30.0 * tr_o2 * (1.0 + 2.0 * eps) * (0.75 + 2.0 * eps) ** k)
 
 
-def reuse_excess_bound(tr_o2, reuse, k, n, consts=DEFAULT_CONSTANTS):
+def reuse_excess_bound(tr_o2, reuse, k, n):
     """Bound on V_R - V1/R for the interpolating ensemble; 0 at R = 1."""
     if reuse < 1:
         raise ValueError("reuse count must be >= 1")
-    return (reuse - 1) / reuse * vstar_interpolation_bound(tr_o2, k, n, consts)
+    return (reuse - 1) / reuse * vstar_interpolation_bound(tr_o2, k, n)
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,12 @@ def record_values(records, o):
     return out
 
 
-def estimate(cfg, state, o):
-    """Full protocol: acquire, evaluate, median of K batch means."""
+def estimate(cfg, state, o, records_out=None):
+    """Full protocol: acquire, evaluate, median of K batch means; the
+    records are also written to the ``records_out`` path when one is given."""
     records = acquire(cfg, state)
+    if records_out:
+        write_records(records, records_out)
     values = record_values(records, o)
     est = median_of_means(values, cfg.batches)
     return {"estimate": est, "K": cfg.batches, "R": cfg.reuse,

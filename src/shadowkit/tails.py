@@ -284,7 +284,6 @@ class CostModel:
     budget: float = 1.0
     v1: float = 1.0
     k: int = 0
-    batches: int = 1
     max_reuse: int = 1024
 
     def __post_init__(self):

@@ -132,6 +132,11 @@ def test_identity_and_hadamard_dense():
     assert np.allclose(h, phase * dense.H, atol=1e-10)
 
 
+def test_to_dense_at_n7_is_unitary():
+    u = cl.sample_uniform(7, np.random.default_rng(9)).to_dense()
+    assert u.shape == (128, 128) and dense.is_unitary(u)
+
+
 def test_compose_against_dense_product():
     rng = np.random.default_rng(6)
     for n in (1, 2, 3):

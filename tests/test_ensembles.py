@@ -20,6 +20,22 @@ def test_spec_validation():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be at least 1"):
             en.EnsembleSpec("clifford", n)
+    en.EnsembleSpec("clifford", 31)
+    en.EnsembleSpec("haar", 12)
+    en.EnsembleSpec("homeopathic", 7, k=1)
+    with pytest.raises(ValueError, match="n <= 31"):
+        en.EnsembleSpec("clifford", 32)
+    for kind in ("haar", "homeopathic"):
+        with pytest.raises(ValueError, match="over the budget"):
+            en.EnsembleSpec(kind, 13)
+
+
+def test_dense_paths_refuse_before_allocating():
+    with pytest.raises(ValueError, match="over the budget"):
+        en.haar_unitary(2 ** 13, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="over the budget"):
+        en.frame_operator_empirical(en.EnsembleSpec("clifford", 7), 1,
+                                    np.random.default_rng(0))
 
 
 def test_spec_json_round_trip():
@@ -149,3 +165,8 @@ def test_descriptor_round_trips():
     for desc in ("clifford:1:00", f"homeopathic:1:1:{good};00"):
         with pytest.raises(ValueError):
             en.SampledCircuit.from_descriptor(desc)
+    with pytest.raises(ValueError, match="over the budget"):
+        en.SampledCircuit.from_descriptor("haar:14:0000000000000001")
+    with pytest.raises(ValueError, match="n <= 31"):
+        en.SampledCircuit.from_descriptor(
+            "clifford:32:" + cl.CliffordElement.identity(32).to_hex())

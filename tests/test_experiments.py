@@ -8,6 +8,7 @@ import pytest
 
 from shadowkit import cli
 from shadowkit import experiments as ex
+from shadowkit import protocol as pr
 
 
 def shipped_configs():
@@ -53,6 +54,23 @@ def test_config_validation_errors():
         ex.validate_config({**estimate, "observable": {"type": "pauli", "label": "ZQ"}})
     with pytest.raises(ValueError, match="unknown observable type"):
         ex.validate_config({**estimate, "observable": {"type": "projector"}})
+    with pytest.raises(ValueError, match="vstar_circuits must be at least 2"):
+        ex.validate_config({**scan, "vstar_circuits": 1})
+    tail = {"schema": 1, "experiment": "tail-experiment",
+            "ensemble": {"kind": "clifford", "n": 6}, "samples": 10, "budget": 5,
+            "batches": 5, "seed": 0}
+    for key in ("samples", "budget", "batches"):
+        with pytest.raises(ValueError, match=f"{key} must be at least 1"):
+            ex.validate_config({**tail, key: 0})
+    with pytest.raises(ValueError, match="n <= 31"):
+        ex.validate_config({**tail, "ensemble": {"kind": "clifford", "n": 32}})
+    homeo = {"schema": 1, "experiment": "homeopathic-scan", "n": 3, "k_list": [0, 1],
+             "circuits": 2, "seed": 0}
+    ex.validate_config(homeo)
+    with pytest.raises(ValueError, match="circuits must be at least 2"):
+        ex.validate_config({**homeo, "circuits": 1})
+    with pytest.raises(ValueError, match="T-gate count"):
+        ex.validate_config({**homeo, "k_list": [0, -1]})
     ex.validate_config({**estimate, "observable": {"type": "pauli", "label": "-XY"}})
 
 
@@ -177,13 +195,33 @@ def test_cli_overrides_and_output(tmp_path, capsys):
     assert json.loads(captured)[0]["best_reuse"] == 16
 
 
-def test_cli_bad_config_is_one_line_error(capsys):
+def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
     status = cli.main(["estimate", "--kind", "clifford", "--n", "2", "--measurements", "12",
                        "--reuse", "0", "--batches", "1", "--seed", "1"])
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
     assert captured.err == "shadowkit estimate: error: reuse must be at least 1, got 0\n"
+    missing = tmp_path / "missing.json"
+    assert cli.main(["estimate", "--config", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"shadowkit estimate: error: [Errno 2] No such file or "
+                            f"directory: '{missing}'\n")
+
+
+def test_cli_refuses_oversized_ensembles_before_allocating(capsys, monkeypatch):
+    def no_acquisition(*args):
+        raise AssertionError("acquisition started")
+    monkeypatch.setattr(pr, "acquire", no_acquisition)
+    for kind, n in (("haar", "14"), ("clifford", "32")):
+        status = cli.main(["estimate", "--kind", kind, "--n", n, "--measurements", "12",
+                           "--reuse", "2", "--batches", "2", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("shadowkit estimate: error: ")
 
 
 def test_cli_config_plus_seed_override(tmp_path):

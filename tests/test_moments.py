@@ -19,9 +19,9 @@ def test_sigma_counts():
 
 
 def test_dense_copy_budget_enforced():
-    with pytest.raises(MemoryError):
+    with pytest.raises(ValueError, match="over the budget"):
         mo.pi4_matrix(4)
-    with pytest.raises(MemoryError):
+    with pytest.raises(ValueError, match="over the budget"):
         mo.r_pi_matrix(mo.Permutation((1, 0, 2, 3)), 4)
 
 
@@ -133,6 +133,17 @@ def test_weingarten_inverse_identities():
                 assert exact.equals(g @ w, ident)
                 assert exact.equals(w @ g @ w, w)
     assert mo.weingarten_matrix(1, 2, "clifford")[0, 0] == Fraction(1, 4)
+
+
+def test_clifford_commutant_stops_at_t4():
+    for call in (lambda: mo.gram_matrix(5, 5, "clifford"),
+                 lambda: mo.state_average(5, 5, "clifford"),
+                 lambda: mo.commutant_labels(5)):
+        with pytest.raises(ValueError, match="t <= 4"):
+            call()
+    assert len(mo.group_labels(5, "unitary")) == 120
+    for t in (1, 2, 3):
+        assert mo.group_labels(t, "clifford") == mo.group_labels(t, "unitary")
 
 
 def test_weingarten_singular_below_threshold():
