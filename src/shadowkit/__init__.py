@@ -6,8 +6,8 @@ The package has three layers:
   (symplectic group elements, exactly uniform sampling, enumeration for
   n <= 2), ``dense`` (statevector oracle paths), ``ensembles`` (Haar,
   Clifford, and T-gate-interpolated circuit families);
-* estimation: ``protocol`` (single-shot estimator, acquisition with reuse,
-  median of means, conditional-mean variances);
+* estimation: ``protocol`` (single-shot estimator evaluated once per circuit,
+  acquisition with reuse, median of means, conditional-mean variances);
 * analysis: ``moments`` (commutant bases, exact Gram/Weingarten matrices,
   closed-form variances), ``tails`` (exact estimator moments, tail bounds,
   reuse-cost optimizer), ``experiments``/``cli`` (reproducible runs).

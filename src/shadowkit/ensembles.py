@@ -1,5 +1,7 @@
 """Circuit ensembles: Haar unitaries, uniform Cliffords, and the family of
 Clifford circuits interleaved with k T-gates, behind one sampling interface.
+The ``identity`` control ensemble draws the identity Clifford, so its
+circuits run on the tableau path and serialize as ``clifford:n:<hex>``.
 """
 
 from dataclasses import dataclass, field
@@ -28,8 +30,8 @@ class EnsembleSpec:
         if self.k and self.kind != "homeopathic":
             raise ValueError("only the homeopathic ensemble takes a T-gate count")
         # largest n: the tableau sampler's, or one 2^n x 2^n unitary's budget
-        if self.kind == "clifford" and self.n > cl.MAX_SAMPLED_N:
-            raise ValueError(f"clifford circuits are sampled for n <= "
+        if self.kind in ("clifford", "identity") and self.n > cl.MAX_SAMPLED_N:
+            raise ValueError(f"{self.kind} circuits are sampled for n <= "
                              f"{cl.MAX_SAMPLED_N}, got n = {self.n}")
         if self.kind in ("haar", "homeopathic"):
             dense.check_entries(4 ** self.n, f"a {self.kind} circuit on {self.n} qubits")
@@ -39,6 +41,9 @@ class EnsembleSpec:
 
     @classmethod
     def from_json(cls, obj):
+        missing = [key for key in ("kind", "n") if key not in obj]
+        if missing:
+            raise ValueError(f"ensemble is missing {missing}")
         return cls(kind=obj["kind"], n=int(obj["n"]), k=int(obj.get("k", 0)))
 
 
@@ -57,6 +62,9 @@ def haar_unitary(dim, rng):
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+_DESCRIPTOR_PARTS = {"identity": 2, "clifford": 3, "haar": 3, "homeopathic": 4}
 
 
 @dataclass
@@ -80,9 +88,7 @@ class SampledCircuit:
 
     def dense(self):
         if self._dense is None:
-            if self.kind == "identity":
-                self._dense = np.eye(2 ** self.n, dtype=complex)
-            elif self.kind == "clifford":
+            if self.kind == "clifford":
                 self._dense = self.element.to_dense()
             elif self.kind == "haar":
                 sub = np.random.default_rng(np.random.SeedSequence(self.haar_seed))
@@ -96,8 +102,6 @@ class SampledCircuit:
         return self._dense
 
     def descriptor(self):
-        if self.kind == "identity":
-            return f"identity:{self.n}"
         if self.kind == "clifford":
             return f"clifford:{self.n}:{self.element.to_hex()}"
         if self.kind == "haar":
@@ -107,11 +111,14 @@ class SampledCircuit:
 
     @classmethod
     def from_descriptor(cls, desc):
+        """Inverse of ``descriptor``; also reads the ``identity:n`` of older records."""
         parts = desc.split(":")
+        if len(parts) != _DESCRIPTOR_PARTS.get(parts[0]):
+            raise ValueError(f"malformed circuit descriptor {desc!r}")
         kind, n = parts[0], int(parts[1])
         spec = EnsembleSpec(kind, n, k=int(parts[2]) if kind == "homeopathic" else 0)
         if kind == "identity":
-            return cls(kind, n)
+            return sample_circuit(spec, None)
         if kind == "clifford":
             return cls(kind, n, element=cl.CliffordElement.from_hex(n, parts[2]))
         if kind == "haar":
@@ -124,7 +131,7 @@ class SampledCircuit:
 
 def sample_circuit(spec, rng):
     if spec.kind == "identity":
-        return SampledCircuit("identity", spec.n)
+        return SampledCircuit("clifford", spec.n, element=cl.CliffordElement.identity(spec.n))
     if spec.kind == "clifford":
         return SampledCircuit("clifford", spec.n, element=cl.sample_uniform(spec.n, rng))
     if spec.kind == "haar":

@@ -284,6 +284,7 @@ JSON_ONLY = ("estimate", "tail-experiment")
 
 
 def run_experiment(cfg, threads=1):
+    _require_at_least("threads", threads)
     validate_config(cfg)
     return _RUNNERS[cfg["experiment"]](cfg, threads=threads)
 

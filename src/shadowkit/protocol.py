@@ -5,10 +5,14 @@ The single-shot estimator for a circuit U and outcome x is
     X = (2^n + 1) <x| U O U^dag |x> - tr(O),
 
 which is the inverse-frame-operator estimator for any of the supported
-ensembles (all have the 2-design frame operator).  When the circuit is a
-Clifford and the observable is a stabilizer projector or a Pauli, the value
-is computed through the tableau machinery as an exact dyadic rational; the
-dense path exists for everything else and the two agree exactly.
+ensembles (all have the 2-design frame operator).  A record holds one
+circuit and its R outcomes, so X is evaluated per circuit: ``shot_evaluator``
+does the circuit's work once and returns x -> X.  When the circuit is a
+Clifford and the observable a stabilizer projector, X is read off the rotated
+tableau's Z-basis support (``z_support``): (2^n + 1)(2^-d - 2^-n) on the
+support and -(2^n + 1) 2^-n off it.  For a Pauli it is one parity of the
+conjugated Pauli.  Both are exact dyadic rationals; the dense path serves
+every other pair, and the two agree exactly.
 
 Acquisition draws N/R circuits and measures each one R times; records are
 grouped into K batches and estimates are medians of batch means.  Every
@@ -23,9 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import dense
-from .clifford import CliffordElement
 from .ensembles import EnsembleSpec, SampledCircuit, sample_circuit
-from .stabilizer import StabilizerTableau, overlap_sq
+from .stabilizer import StabilizerTableau
 
 
 @dataclass(frozen=True)
@@ -133,50 +136,55 @@ def substream(seed, index):
 
 
 # ---------------------------------------------------------------------------
-# Single-shot estimator.
+# Single-shot estimator, evaluated once per circuit.
 
-def _pauli_z_expectation(p, x_index):
-    """<x|P|x> for a signed Pauli: 0 unless P is Z-type."""
-    if p.x.any():
-        return Fraction(0)
-    parity = int(np.bitwise_count(np.int64(p.z_int() & x_index)) & 1)
-    return Fraction(p.hermitian_sign() * (1 - 2 * parity))
+def shot_evaluator(o, circuit):
+    """The map x -> X for one circuit, with the per-circuit work done once.
+
+    On a Clifford circuit a stabilizer projector's value depends on x only
+    through the rotated state's Z-basis support and a Pauli's through one
+    parity of its conjugated image; both are exact Fractions.  Every other
+    pair takes the dense path and gives floats.
+    """
+    if circuit.n != o.n:
+        raise ValueError("circuit and observable act on different qubit counts")
+    d = 2 ** o.n
+    if circuit.kind == "clifford" and o.kind == "stab_projector":
+        rotated = o.payload.apply_clifford(circuit.element)
+        return lambda x: (d + 1) * (rotated.z_probability(x) - Fraction(1, d))
+    if circuit.kind == "clifford" and o.kind == "pauli":
+        img = circuit.element.conjugate_pauli(o.payload)
+        tr = o.trace()
+        sign = 0 if img.x.any() else img.hermitian_sign()  # <x|P|x> = 0 unless Z-type
+        z = img.z_int()
+        return lambda x: (d + 1) * Fraction(sign * (-1) ** (z & int(x, 2)).bit_count()) - tr
+    return _dense_evaluator(o, circuit)
 
 
-def single_shot_exact(o, circuit, x):
-    """Exact Fraction value on the tableau fast path (Clifford circuits)."""
-    n = o.n
-    d = 2 ** n
-    x_index = int(x, 2)
-    c = circuit.element
-    if o.kind == "stab_projector":
-        rotated = o.payload.apply_clifford(c)
-        p = overlap_sq(rotated, StabilizerTableau.basis_state(x))
-        return (d + 1) * (p - Fraction(1, d))
-    if o.kind == "pauli":
-        img = c.conjugate_pauli(o.payload)
-        return (d + 1) * _pauli_z_expectation(img, x_index) - o.trace()
-    raise TypeError("exact path needs a stabilizer projector or Pauli observable")
+def _dense_evaluator(o, circuit):
+    u, mat = circuit.dense(), o.dense()
+    tr = float(np.real(o.trace()))
+
+    def value(x):
+        row = u[int(x, 2), :]
+        return (2 ** o.n + 1) * float(np.real(row @ mat @ row.conj())) - tr
+    return value
 
 
 def single_shot_dense(o, circuit, x):
-    n = o.n
-    u = circuit.dense()
-    row = u[int(x, 2), :]
-    val = float(np.real(row @ o.dense() @ row.conj()))
-    return (2 ** n + 1) * val - float(np.real(o.trace()))
+    """Dense-matrix value of X for any circuit: the oracle for the exact paths."""
+    return _dense_evaluator(o, circuit)(x)
+
+
+def _check_outcomes(o, outcomes):
+    if any(len(x) != o.n for x in outcomes):
+        raise ValueError("outcome length does not match observable qubits")
 
 
 def single_shot(o, circuit, x):
     """The estimator value X for one classical shadow (circuit, x)."""
-    if len(x) != o.n:
-        raise ValueError("outcome length does not match observable qubits")
-    if circuit.kind == "clifford" and o.kind in ("stab_projector", "pauli"):
-        return float(single_shot_exact(o, circuit, x))
-    if circuit.kind == "identity" and o.kind in ("stab_projector", "pauli"):
-        ident = SampledCircuit("clifford", o.n, element=CliffordElement.identity(o.n))
-        return float(single_shot_exact(o, ident, x))
-    return single_shot_dense(o, circuit, x)
+    _check_outcomes(o, [x])
+    return float(shot_evaluator(o, circuit)(x))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +232,9 @@ def record_values(records, o):
     """Per-record means of the single-shot estimator."""
     out = np.empty(len(records))
     for i, rec in enumerate(records):
-        circuit = SampledCircuit.from_descriptor(rec.circuit)
-        out[i] = np.mean([single_shot(o, circuit, x) for x in rec.outcomes])
+        _check_outcomes(o, rec.outcomes)
+        value = shot_evaluator(o, SampledCircuit.from_descriptor(rec.circuit))
+        out[i] = np.mean([float(value(x)) for x in rec.outcomes])
     return out
 
 

@@ -153,12 +153,6 @@ class StabilizerTableau:
             zs[n + j, j] = 1
         return cls(xs, zs, np.zeros(2 * n, dtype=np.int64))
 
-    @classmethod
-    def basis_state(cls, x):
-        """|x> for a bitstring like '010'."""
-        zero = cls.zero_state(len(x))
-        return cls(zero.xs, zero.zs, [0] * len(x) + [2 * int(b) for b in x])
-
     def row(self, i):
         return PauliString(self.xs[i], self.zs[i], self.phases[i])
 

@@ -39,13 +39,13 @@ def test_criterion_1_exact_n2_oracle():
     e2 = Fraction(0)
     count = 0
     for c in cl.enumerate_group(n):
-        circuit = SampledCircuit("clifford", n, element=c)
+        evaluate = pr.shot_evaluator(obs, SampledCircuit("clifford", n, element=c))
         rotated = state.apply_clifford(c)
         for xi in range(2 ** n):
             x = format(xi, f"0{n}b")
             p = rotated.z_probability(x)
             if p:
-                value = pr.single_shot_exact(obs, circuit, x)
+                value = evaluate(x)
                 e1 += p * value
                 e2 += p * value * value
         count += 1

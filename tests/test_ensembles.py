@@ -21,10 +21,15 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="n must be at least 1"):
             en.EnsembleSpec("clifford", n)
     en.EnsembleSpec("clifford", 31)
+    en.EnsembleSpec("identity", 31)
     en.EnsembleSpec("haar", 12)
     en.EnsembleSpec("homeopathic", 7, k=1)
-    with pytest.raises(ValueError, match="n <= 31"):
-        en.EnsembleSpec("clifford", 32)
+    for kind in ("clifford", "identity"):
+        with pytest.raises(ValueError, match="n <= 31"):
+            en.EnsembleSpec(kind, 32)
+    for obj in ({"n": 3}, {"kind": "clifford"}, {"k": 0}):
+        with pytest.raises(ValueError, match="ensemble is missing"):
+            en.EnsembleSpec.from_json(obj)
     for kind in ("haar", "homeopathic"):
         with pytest.raises(ValueError, match="over the budget"):
             en.EnsembleSpec(kind, 13)
@@ -162,7 +167,8 @@ def test_descriptor_round_trips():
                        (2, good), (1, "0")):
         with pytest.raises(ValueError):
             cl.CliffordElement.from_hex(n, payload)
-    for desc in ("clifford:1:00", f"homeopathic:1:1:{good};00"):
+    for desc in ("clifford:1:00", f"homeopathic:1:1:{good};00",
+                 "clifford", "homeopathic:2:1", "haar:3", ""):
         with pytest.raises(ValueError):
             en.SampledCircuit.from_descriptor(desc)
     with pytest.raises(ValueError, match="over the budget"):

@@ -208,6 +208,20 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err == (f"shadowkit estimate: error: [Errno 2] No such file or "
                             f"directory: '{missing}'\n")
+    sizes = ["--measurements", "12", "--reuse", "1", "--batches", "1", "--seed", "1"]
+    for argv, message in (
+            (["estimate"] + sizes, "ensemble is missing ['kind', 'n']"),
+            (["estimate", "--kind", "clifford"] + sizes, "ensemble is missing ['n']"),
+            (["tail-experiment", "--n", "3", "--samples", "10", "--seed", "1"],
+             "ensemble is missing ['kind']"),
+            (["estimate", "--kind", "clifford", "--n", "2", "--threads", "0"] + sizes,
+             "threads must be at least 1, got 0"),
+            (["estimate", "--kind", "clifford", "--n", "2", "--threads", "-3"] + sizes,
+             "threads must be at least 1, got -3")):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"shadowkit {argv[0]}: error: {message}\n"
 
 
 def test_cli_refuses_oversized_ensembles_before_allocating(capsys, monkeypatch):

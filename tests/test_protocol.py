@@ -31,21 +31,26 @@ def test_single_shot_worked_examples():
 
 
 def test_fast_path_equals_dense_path_exactly():
+    """Every outcome x, on and off the support, for random Cliffords and the
+    identity ensemble's circuit."""
     rng = np.random.default_rng(1)
     cases = 0
     for n in (1, 2, 3, 4):
-        for _ in range(250):
+        for i in range(251):
             tab = cl.random_stabilizer_tableau(n, rng)
             o = pr.ObservableSpec.stabilizer_projector(tab)
             c = SampledCircuit("clifford", n, element=cl.sample_uniform(n, rng))
-            x = format(rng.integers(2 ** n), f"0{n}b")
-            assert pr.single_shot(o, c, x) == pytest.approx(
-                pr.single_shot_dense(o, c, x), abs=1e-9)
+            if i == 250:
+                c = sample_circuit(EnsembleSpec("identity", n), rng)
             p = pr.ObservableSpec.pauli(PauliString.random(n, rng))
-            assert pr.single_shot(p, c, x) == pytest.approx(
-                pr.single_shot_dense(p, c, x), abs=1e-9)
+            for xi in range(2 ** n):
+                x = format(xi, f"0{n}b")
+                assert pr.single_shot(o, c, x) == pytest.approx(
+                    pr.single_shot_dense(o, c, x), abs=1e-9)
+                assert pr.single_shot(p, c, x) == pytest.approx(
+                    pr.single_shot_dense(p, c, x), abs=1e-9)
             cases += 1
-    assert cases == 1000
+    assert cases == 1004
 
 
 def test_observable_traces():
@@ -105,10 +110,48 @@ def test_acquire_records_bytes_are_pinned():
     assert h.hexdigest() == "0d7f4cda3742b28ab67dcab3a6200b8c52406a956c24399fad76fa8bb1c78367"
 
 
+def test_record_values_bytes_are_pinned():
+    """Exact evaluated values for fixed records: the projector, an X-containing
+    and a Z-type signed Pauli on Clifford circuits, and the dense path for the
+    T-gate and Haar ensembles."""
+    cases = []
+    for n in (1, 2, 3, 10):
+        rng = np.random.default_rng(n)
+        state = cl.random_stabilizer_tableau(n, rng)
+        obs = pr.ObservableSpec.stabilizer_projector(cl.random_stabilizer_tableau(n, rng))
+        cases.append((EnsembleSpec("clifford", n), state, obs))
+    state = cl.random_stabilizer_tableau(5, np.random.default_rng(5))
+    for label in ("-XZZYI", "-ZIZZI"):
+        obs = pr.ObservableSpec.pauli(PauliString.from_label(label))
+        cases.append((EnsembleSpec("clifford", 5), state, obs))
+    state, obs = pr.stabilizer_pair(3, scramble=cl.sample_uniform(3, np.random.default_rng(3)))
+    cases.append((EnsembleSpec("homeopathic", 3, k=2), state, obs))
+    cases.append((EnsembleSpec("haar", 3), state, obs))
+    h = hashlib.sha256()
+    for spec, state, obs in cases:
+        cfg = pr.RunConfig(spec, measurements=64, reuse=4, batches=1, seed=2212)
+        h.update(pr.record_values(pr.acquire(cfg, state), obs).tobytes())
+    assert h.hexdigest() == "6ce35198c2461ccb8610d71820bfd8d80908b3a10b55920e78668bfff4a14c23"
+
+
 def test_acquire_identity_stub_all_zero():
     cfg = pr.RunConfig(EnsembleSpec("identity", 3), 12, 3, 1, seed=1)
     recs = pr.acquire(cfg, StabilizerTableau.zero_state(3))
     assert all(x == "000" for r in recs for x in r.outcomes)
+    assert {r.circuit for r in recs} == {"clifford:3:" + cl.CliffordElement.identity(3).to_hex()}
+    legacy = SampledCircuit.from_descriptor("identity:3")
+    assert legacy.descriptor() == recs[0].circuit
+
+
+def test_identity_estimate_stays_on_the_tableau_path(monkeypatch):
+    def no_dense(state):
+        raise AssertionError("dense path reached")
+    monkeypatch.setattr(pr, "state_density", no_dense)
+    n = 20
+    state, o = pr.stabilizer_pair(n)
+    cfg = pr.RunConfig(EnsembleSpec("identity", n), 24, 3, 2, seed=1)
+    out = pr.estimate(cfg, state, o)
+    assert out["estimate"] == float((2 ** n + 1) * (1 - Fraction(1, 2 ** n)))
 
 
 def test_records_file_round_trip(tmp_path):
@@ -134,13 +177,13 @@ def test_estimate_output_and_unbiasedness_n1_exact():
     total = Fraction(0)
     count = 0
     for c in cl.enumerate_group(1):
-        circ = SampledCircuit("clifford", 1, element=c)
+        value = pr.shot_evaluator(o, SampledCircuit("clifford", 1, element=c))
         rotated = state.apply_clifford(c)
         for xi in range(2):
             x = format(xi, "01b")
             p = rotated.z_probability(x)
             if p:
-                total += p * pr.single_shot_exact(o, circ, x)
+                total += p * value(x)
         count += 1
     from shadowkit.stabilizer import overlap_sq
     want = overlap_sq(otab, state) - Fraction(1, 2)
@@ -257,14 +300,14 @@ def test_stabilizer_pair_collapse_matches_protocol_exactly():
     state, o = pr.stabilizer_pair(n)
     d_total = 2 ** n
     for c in cl.enumerate_group(n):
-        circ = SampledCircuit("clifford", n, element=c)
+        value = pr.shot_evaluator(o, SampledCircuit("clifford", n, element=c))
         rotated = state.apply_clifford(c)
         dim = rotated.z_support_dim()
         collapsed = Fraction(d_total + 1) * (Fraction(1, 2 ** dim) - Fraction(1, d_total))
         for xi in range(d_total):
             x = format(xi, f"0{n}b")
             if rotated.z_probability(x):
-                assert pr.single_shot_exact(o, circ, x) == collapsed
+                assert value(x) == collapsed
 
 
 def test_reuse_variance_identity_clifford_and_haar():

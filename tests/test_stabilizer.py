@@ -108,8 +108,8 @@ def test_measurement_transcript_is_seed_deterministic():
 
 
 def test_overlap_examples():
-    zero = StabilizerTableau.basis_state("0")
-    one = StabilizerTableau.basis_state("1")
+    zero = StabilizerTableau.zero_state(1)
+    one = StabilizerTableau(zero.xs, zero.zs, [0, 2])      # stabilizer -Z
     plus = StabilizerTableau.zero_state(1).apply_clifford(HADAMARD)
     assert overlap_sq(zero, zero) == 1
     assert overlap_sq(zero, one) == 0
