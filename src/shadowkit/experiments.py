@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import dense
 from . import moments as mo
 from . import tails as tl
 from .ensembles import EnsembleSpec
@@ -106,6 +107,12 @@ def validate_config(cfg):
                 _require_at_least(key, cfg[key])
     elif name == "weingarten":
         _require(cfg, "t", "n", "group")
+        t, n, group = cfg["t"], cfg["n"], cfg["group"]
+        _require_at_least("t", t)
+        if n < t - 1:
+            raise ValueError(f"the Gram matrix is singular for n = {n} < t - 1 = {t - 1}")
+        size = mo.commutant_size(t, group)
+        dense.check_entries(size ** 2, f"the {size}x{size} Gram matrix at t = {t}")
     elif name == "optimal-reuse":
         _require(cfg, "alpha", "v1")
         if "vstar" not in cfg and "k" not in cfg:

@@ -15,12 +15,13 @@ variance/moment predictions are evaluated in Fraction arithmetic with a
 float conversion only at the API boundary.
 """
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import bits as f2
 from . import dense as dn
@@ -247,7 +248,8 @@ def hat_labels():
 
 
 # ---------------------------------------------------------------------------
-# Dense (sparse-backed) realizations, for small n.
+# Dense (sparse-backed) realizations, for small n.  They are test oracles,
+# so scipy is imported inside them and not when the package loads.
 
 def _bit_index(bits):
     out = 0
@@ -258,6 +260,7 @@ def _bit_index(bits):
 
 def r_single_copy(sub):
     """r_T = sum_{(x,y) in T} |x><y| on t qubits (one copy of each)."""
+    import scipy.sparse as sp
     t = sub.t
     dim = 2 ** t
     rows, cols = [], []
@@ -269,6 +272,7 @@ def r_single_copy(sub):
 
 
 def _kron_power(m, n):
+    import scipy.sparse as sp
     out = m
     for _ in range(n - 1):
         out = sp.kron(out, m, format="csr")
@@ -295,6 +299,7 @@ def _interleave_table(t, n):
 
 def r_T_matrix(sub, n, dense=False):
     """R_T = r_T^{(x) n} on t copies of n qubits, in copy-major ordering."""
+    import scipy.sparse as sp
     dn.check_entries(4 ** (sub.t * n), f"R_T on t={sub.t} copies of n={n} qubits")
     out = _kron_power(r_single_copy(sub), n).tocoo()
     if n > 1:
@@ -312,6 +317,7 @@ def r_pi_matrix(pi, n, dense=False):
 
 def pi4_matrix(n, dense=False):
     """2^-n sum_P P^{(x)4} over all 4^n unsigned Paulis; equals R_{T4}."""
+    import scipy.sparse as sp
     dn.check_entries(4 ** (4 * n), f"Pi4 on n={n} qubits")
     dim = 2 ** n
     idx = np.arange(dim)
@@ -362,23 +368,33 @@ def group_labels(t, group):
     raise ValueError(f"unknown group {group!r}")
 
 
+def commutant_size(t, group):
+    """len(group_labels(t, group)), without enumerating S_t for the unitary
+    group; raises for an unknown group and for Clifford t > 4."""
+    if group == "unitary":
+        return math.factorial(t)
+    return len(group_labels(t, group))
+
+
+@functools.cache
+def _intersection_dims(t, group):
+    """dim(T cap T') for every pair of commutant labels; it does not depend on n."""
+    subs = [lab.subspace() for lab in group_labels(t, group)]
+    dims = [[t] * len(subs) for _ in subs]
+    for i, j in itertools.combinations(range(len(subs)), 2):
+        dims[i][j] = dims[j][i] = intersection_dim(subs[i], subs[j])
+    return tuple(map(tuple, dims))
+
+
 def gram_matrix(t, n, group):
     """G[T,T'] = 2^(dim(T cap T') n), an exact integer matrix."""
-    subs = [lab.subspace() for lab in group_labels(t, group)]
-    size = len(subs)
-    g = np.empty((size, size), dtype=object)
-    for i in range(size):
-        g[i, i] = Fraction(2 ** (t * n))
-        for j in range(i + 1, size):
-            d = intersection_dim(subs[i], subs[j])
-            g[i, j] = g[j, i] = Fraction(2 ** (d * n))
-    return g
+    return np.array([[2 ** (d * n) for d in row] for row in _intersection_dims(t, group)],
+                    dtype=object)
 
 
 def weingarten_matrix(t, n, group):
-    """Exact rational inverse of the Gram matrix (needs n >= t-1)."""
-    if n < t - 1:
-        raise ValueError(f"Gram matrix is singular for n={n} < t-1={t - 1}")
+    """Exact rational inverse of the Gram matrix; the Gram matrix is singular
+    (ZeroDivisionError) for n < t-1, which ``validate_config`` refuses."""
     return exact.inverse(gram_matrix(t, n, group))
 
 

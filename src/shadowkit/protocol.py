@@ -15,11 +15,14 @@ conjugated Pauli.  Both are exact dyadic rationals; the dense path serves
 every other pair, and the two agree exactly.
 
 Acquisition draws N/R circuits and measures each one R times; records are
-grouped into K batches and estimates are medians of batch means.  Every
+grouped into K batches and estimates are medians of batch means.
+``estimate`` evaluates each circuit while it is in memory; ``record_values``
+evaluates records read back from their descriptors, to the same values.  Every
 circuit index owns a deterministic rng substream derived from (seed, index),
 so transcripts are reproducible bit for bit regardless of evaluation order.
 """
 
+import contextlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,15 +211,18 @@ def state_density(state):
     return np.asarray(state, dtype=complex)
 
 
-def acquire(cfg, state):
-    """Run the data-acquisition loop: N/R records of R outcomes each."""
-    records = []
+def _circuit_shots(cfg, state):
+    """Yield each of the N/R circuits of a run with its R outcomes, in order."""
     for t in range(cfg.circuits):
         rng = substream(cfg.seed, t)
         circuit = sample_circuit(cfg.ensemble, rng)
-        outcomes = _measure_circuit(circuit, state, cfg.reuse, rng)
-        records.append(ShadowRecord(circuit.descriptor(), outcomes))
-    return records
+        yield circuit, _measure_circuit(circuit, state, cfg.reuse, rng)
+
+
+def acquire(cfg, state):
+    """Run the data-acquisition loop: N/R records of R outcomes each."""
+    return [ShadowRecord(circuit.descriptor(), outcomes)
+            for circuit, outcomes in _circuit_shots(cfg, state)]
 
 
 def median_of_means(values, batches):
@@ -228,23 +234,31 @@ def median_of_means(values, batches):
     return float(np.sort(means)[(batches - 1) // 2])
 
 
+def _mean_value(o, circuit, outcomes):
+    _check_outcomes(o, outcomes)
+    value = shot_evaluator(o, circuit)
+    return np.mean([float(value(x)) for x in outcomes])
+
+
 def record_values(records, o):
     """Per-record means of the single-shot estimator."""
     out = np.empty(len(records))
     for i, rec in enumerate(records):
-        _check_outcomes(o, rec.outcomes)
-        value = shot_evaluator(o, SampledCircuit.from_descriptor(rec.circuit))
-        out[i] = np.mean([float(value(x)) for x in rec.outcomes])
+        out[i] = _mean_value(o, SampledCircuit.from_descriptor(rec.circuit), rec.outcomes)
     return out
 
 
 def estimate(cfg, state, o, records_out=None):
     """Full protocol: acquire, evaluate, median of K batch means; the
-    records are also written to the ``records_out`` path when one is given."""
-    records = acquire(cfg, state)
-    if records_out:
-        write_records(records, records_out)
-    values = record_values(records, o)
+    records are also written to the ``records_out`` path when one is given.
+    Each circuit is evaluated as sampled and then dropped, so no dense
+    matrix outlives its circuit."""
+    values = np.empty(cfg.circuits)
+    with (open(records_out, "w") if records_out else contextlib.nullcontext()) as sink:
+        for i, (circuit, outcomes) in enumerate(_circuit_shots(cfg, state)):
+            if sink:
+                sink.write(ShadowRecord(circuit.descriptor(), outcomes).to_json() + "\n")
+            values[i] = _mean_value(o, circuit, outcomes)
     est = median_of_means(values, cfg.batches)
     return {"estimate": est, "K": cfg.batches, "R": cfg.reuse,
             "N": cfg.measurements, "seed": cfg.seed}

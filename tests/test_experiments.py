@@ -1,7 +1,13 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +78,18 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="T-gate count"):
         ex.validate_config({**homeo, "k_list": [0, -1]})
     ex.validate_config({**estimate, "observable": {"type": "pauli", "label": "-XY"}})
+    wg = {"schema": 1, "experiment": "weingarten", "t": 4, "n": 3, "group": "clifford"}
+    ex.validate_config(wg)
+    ex.validate_config({**wg, "t": 6, "n": 5, "group": "unitary"})
+    for bad, message in (({"t": 0}, "t must be at least 1, got 0"),
+                         ({"t": -1}, "t must be at least 1, got -1"),
+                         ({"n": 2}, "singular for n = 2 < t - 1 = 3"),
+                         ({"group": "orthogonal"}, "unknown group 'orthogonal'"),
+                         ({"t": 5, "n": 5}, "t <= 4"),
+                         ({"t": 7, "n": 6, "group": "unitary"}, "over the budget"),
+                         ({"t": 40, "n": 39, "group": "unitary"}, "over the budget")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ex.validate_config({**wg, **bad})
 
 
 def test_emit_empty_rows_header_only():
@@ -217,7 +235,14 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
             (["estimate", "--kind", "clifford", "--n", "2", "--threads", "0"] + sizes,
              "threads must be at least 1, got 0"),
             (["estimate", "--kind", "clifford", "--n", "2", "--threads", "-3"] + sizes,
-             "threads must be at least 1, got -3")):
+             "threads must be at least 1, got -3"),
+            (["weingarten", "--t", "-1", "--n", "3", "--group", "unitary"],
+             "t must be at least 1, got -1"),
+            (["weingarten", "--t", "3", "--n", "1", "--group", "unitary"],
+             "the Gram matrix is singular for n = 1 < t - 1 = 2"),
+            (["weingarten", "--t", "7", "--n", "6", "--group", "unitary"],
+             "the 5040x5040 Gram matrix at t = 7 needs 25401600 dense entries, "
+             "over the budget of 2^24 = 16777216")):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -228,6 +253,7 @@ def test_cli_refuses_oversized_ensembles_before_allocating(capsys, monkeypatch):
     def no_acquisition(*args):
         raise AssertionError("acquisition started")
     monkeypatch.setattr(pr, "acquire", no_acquisition)
+    monkeypatch.setattr(pr, "_circuit_shots", no_acquisition)
     for kind, n in (("haar", "14"), ("clifford", "32")):
         status = cli.main(["estimate", "--kind", kind, "--n", n, "--measurements", "12",
                            "--reuse", "2", "--batches", "2", "--seed", "1"])
@@ -265,3 +291,22 @@ def test_cli_records_out(tmp_path):
     assert set(rec) == {"circuit", "outcomes"}
     assert len(rec["outcomes"]) == 3
     assert rec["circuit"].startswith("clifford:2:")
+
+
+def test_weingarten_csv_bytes_are_pinned():
+    """Every Gram and Weingarten CSV for t = 1..4, n = t-1..10 and both groups."""
+    h = hashlib.sha256()
+    for t in (1, 2, 3, 4):
+        for n in range(t - 1, 11):
+            for group in ("unitary", "clifford"):
+                cfg = {"t": t, "n": n, "group": group}
+                h.update(ex.emit(ex.run_weingarten(cfg), "csv").encode())
+    assert h.hexdigest() == "a1e7d0b6c50981d3b0d9be3d23dad905120df45664c8f24410242bb99457d9a7"
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(ex.__file__).resolve().parents[1])
+    code = "import sys, shadowkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"

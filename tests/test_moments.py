@@ -123,6 +123,23 @@ def test_gram_unitary_cycle_formula():
             assert g[i, j] == 2 ** (3 * a.inverse().compose(b).cycle_count())
 
 
+def test_gram_dim_table_built_once_per_group(monkeypatch):
+    calls, original = [], mo.intersection_dim
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+    monkeypatch.setattr(mo, "intersection_dim", counted)
+    mo._intersection_dims.cache_clear()
+    try:
+        for n in (3, 4, 10):
+            for group in ("clifford", "unitary"):
+                assert mo.gram_matrix(4, n, group)[0, 0] == 2 ** (4 * n)
+        assert len(calls) == 30 * 29 // 2 + 24 * 23 // 2
+    finally:
+        mo._intersection_dims.cache_clear()
+
+
 def test_weingarten_inverse_identities():
     for t in (1, 2, 3, 4):
         for n in (3, 4):

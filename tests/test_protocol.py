@@ -168,6 +168,21 @@ def test_records_file_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_estimate_equals_estimate_from_its_records(tmp_path):
+    """estimate evaluates the circuits in memory; read-back records give the
+    same number, and the file it writes is acquire's records."""
+    state, pair = pr.stabilizer_pair(3, scramble=cl.sample_uniform(3, np.random.default_rng(8)))
+    pauli = pr.ObservableSpec.pauli(PauliString.from_label("-XZY"))
+    for spec, o in ((EnsembleSpec("clifford", 3), pair), (EnsembleSpec("clifford", 3), pauli),
+                    (EnsembleSpec("homeopathic", 3, k=1), pair), (EnsembleSpec("haar", 3), pair)):
+        cfg = pr.RunConfig(spec, measurements=48, reuse=4, batches=3, seed=31)
+        path, path2 = tmp_path / "records.jsonl", tmp_path / "acquired.jsonl"
+        out = pr.estimate(cfg, state, o, records_out=path)
+        assert out["estimate"] == pr.estimate_from_records(pr.read_records(path), o, 3)
+        pr.write_records(pr.acquire(cfg, state), path2)
+        assert path.read_bytes() == path2.read_bytes()
+
+
 def test_estimate_output_and_unbiasedness_n1_exact():
     """Exhaustive n=1: mean single-shot value over (C, x) equals tr(O rho)."""
     rng = np.random.default_rng(2)
