@@ -13,7 +13,6 @@ Conventions used throughout the package:
 import numpy as np
 
 ATOL_UNITARY = 1e-10
-ATOL_STATE = 1e-8
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -107,27 +106,6 @@ def devectorize(v):
 def conjugation_superop(u):
     """Matrix of rho -> u rho u^dag acting on vectorized operators."""
     return np.kron(u.conj(), u)
-
-
-def born_probabilities(state, atol=ATOL_STATE):
-    p = np.real(np.diag(state)).copy()
-    if p.min() < -atol:
-        raise ValueError(f"diagonal entry {p.min():.3e} below -{atol}")
-    if abs(p.sum() - 1.0) > atol:
-        raise ValueError(f"diagonal sums to {p.sum():.12f}, not 1")
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
-
-
-def born_sample(state, rng, shots=None):
-    """Sample computational-basis outcomes with probability <x|state|x>.
-
-    Returns a single index, or an array of ``shots`` indices.
-    """
-    p = born_probabilities(state)
-    if shots is None:
-        return int(rng.choice(len(p), p=p))
-    return rng.choice(len(p), size=shots, p=p)
 
 
 def index_to_bits(x, n):

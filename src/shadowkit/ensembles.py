@@ -47,6 +47,11 @@ class EnsembleSpec:
         return cls(kind=obj["kind"], n=int(obj["n"]), k=int(obj.get("k", 0)))
 
 
+def substream(seed, *index):
+    """Deterministic rng stream for (seed, index...); no index is the seed's own stream."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=index))
+
+
 def t_gate_dense(n):
     """T on qubit 0 (the leftmost qubit) of n."""
     idx = np.arange(2 ** n)
@@ -91,8 +96,7 @@ class SampledCircuit:
             if self.kind == "clifford":
                 self._dense = self.element.to_dense()
             elif self.kind == "haar":
-                sub = np.random.default_rng(np.random.SeedSequence(self.haar_seed))
-                self._dense = haar_unitary(2 ** self.n, sub)
+                self._dense = haar_unitary(2 ** self.n, substream(self.haar_seed))
             else:
                 tg = t_gate_dense(self.n)
                 u = self.segments[0].to_dense()
@@ -100,6 +104,20 @@ class SampledCircuit:
                     u = seg.to_dense() @ tg @ u
                 self._dense = u
         return self._dense
+
+    def statevector(self, state):
+        """U|S> for a stabilizer tableau S: on the tableau for a Clifford,
+        segment by segment for a T-gate circuit, through ``dense`` for Haar."""
+        if self.kind == "clifford":
+            return state.apply_clifford(self.element).statevector()
+        if self.kind == "haar":
+            return self.dense() @ state.statevector()
+        tg = t_gate_dense(self.n)
+        v = state.apply_clifford(self.segments[0]).statevector()
+        for seg in self.segments[1:]:
+            # matvec, not an elementwise phase: the BLAS product fixes the bytes
+            v = seg.to_dense() @ (tg @ v)
+        return v
 
     def descriptor(self):
         if self.kind == "clifford":

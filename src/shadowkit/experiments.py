@@ -8,6 +8,7 @@ results are byte-identical for any ``--threads`` setting.
 """
 
 import csv
+import functools
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -19,8 +20,8 @@ import numpy as np
 from . import dense
 from . import moments as mo
 from . import tails as tl
-from .ensembles import EnsembleSpec
-from .protocol import ObservableSpec, RunConfig, estimate, stabilizer_pair, substream
+from .ensembles import EnsembleSpec, substream
+from .protocol import ObservableSpec, RunConfig, estimate, stabilizer_pair
 from .stabilizer import PauliString
 
 SCHEMA_VERSION = 1
@@ -109,7 +110,11 @@ def validate_config(cfg):
         _require(cfg, "t", "n", "group")
         t, n, group = cfg["t"], cfg["n"], cfg["group"]
         _require_at_least("t", t)
-        if n < t - 1:
+        # the t! permutations are independent iff 2^n >= t; the Clifford
+        # commutant needs n >= t - 1
+        if group == "unitary" and 2 ** n < t:
+            raise ValueError(f"the unitary Gram matrix is singular for 2^{n} < t = {t}")
+        if group == "clifford" and n < t - 1:
             raise ValueError(f"the Gram matrix is singular for n = {n} < t - 1 = {t - 1}")
         size = mo.commutant_size(t, group)
         dense.check_entries(size ** 2, f"the {size}x{size} Gram matrix at t = {t}")
@@ -121,42 +126,33 @@ def validate_config(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Chunked, thread-safe sampling helpers (top level so they pickle).
+# Chunked sampling over worker processes (top level so it pickles).
 
-def _chunks(total):
-    return [(i, min(CHUNK, total - i * CHUNK))
-            for i in range((total + CHUNK - 1) // CHUNK)]
-
-
-def _vstar_chunk(args):
-    spec_json, seed, chunk_id, count = args
-    spec = EnsembleSpec.from_json(spec_json)
-    return tl.pair_conditional_means(spec, substream(seed, chunk_id), count)
+def _chunk(task):
+    sampler, spec, seed, chunk_id, count = task
+    return sampler(spec, substream(seed, chunk_id), count)
 
 
-def _xr_chunk(args):
-    spec_json, seed, chunk_id, count, reuse = args
-    spec = EnsembleSpec.from_json(spec_json)
-    return tl.sample_pair_xvalues(spec, substream(seed, chunk_id), count, reuse=reuse)
-
-
-def _parallel_concat(fn, tasks, threads):
+def _chunked(sampler, spec, seed, circuits, threads):
+    """sampler(spec, rng, count) over CHUNK-sized chunks, each on its own
+    substream, concatenated in chunk order whatever the thread count."""
+    tasks = [(sampler, spec, seed, i, min(CHUNK, circuits - i * CHUNK))
+             for i in range((circuits + CHUNK - 1) // CHUNK)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, tasks))
+            parts = list(pool.map(_chunk, tasks))
     else:
-        parts = [fn(t) for t in tasks]
+        parts = [_chunk(t) for t in tasks]
     return np.concatenate(parts)
 
 
 def pair_vstar_samples(spec, seed, circuits, threads=1):
-    tasks = [(spec.to_json(), seed, cid, cnt) for cid, cnt in _chunks(circuits)]
-    return _parallel_concat(_vstar_chunk, tasks, threads)
+    return _chunked(tl.pair_conditional_means, spec, seed, circuits, threads)
 
 
 def pair_xr_samples(spec, seed, circuits, reuse, threads=1):
-    tasks = [(spec.to_json(), seed, cid, cnt, reuse) for cid, cnt in _chunks(circuits)]
-    return _parallel_concat(_xr_chunk, tasks, threads)
+    sampler = functools.partial(tl.sample_pair_xvalues, reuse=reuse)
+    return _chunked(sampler, spec, seed, circuits, threads)
 
 
 # ---------------------------------------------------------------------------

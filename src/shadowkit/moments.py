@@ -394,7 +394,8 @@ def gram_matrix(t, n, group):
 
 def weingarten_matrix(t, n, group):
     """Exact rational inverse of the Gram matrix; the Gram matrix is singular
-    (ZeroDivisionError) for n < t-1, which ``validate_config`` refuses."""
+    (ZeroDivisionError) for 2^n < t (unitary) or n < t-1 (Clifford), which
+    ``validate_config`` refuses."""
     return exact.inverse(gram_matrix(t, n, group))
 
 

@@ -14,7 +14,9 @@ support and -(2^n + 1) 2^-n off it.  For a Pauli it is one parity of the
 conjugated Pauli.  Both are exact dyadic rationals; the dense path serves
 every other pair, and the two agree exactly.
 
-Acquisition draws N/R circuits and measures each one R times; records are
+States are stabilizer tableaux.  Acquisition draws N/R circuits and
+measures each one R times: a Clifford circuit samples the rotated tableau,
+any other circuit samples |U psi|^2 from its dense unitary.  Records are
 grouped into K batches and estimates are medians of batch means.
 ``estimate`` evaluates each circuit while it is in memory; ``record_values``
 evaluates records read back from their descriptors, to the same values.  Every
@@ -30,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dense
-from .ensembles import EnsembleSpec, SampledCircuit, sample_circuit
+from .ensembles import EnsembleSpec, SampledCircuit, sample_circuit, substream
 from .stabilizer import StabilizerTableau
 
 
@@ -133,11 +135,6 @@ def read_records(path):
         return [ShadowRecord.from_json(line) for line in fh if line.strip()]
 
 
-def substream(seed, index):
-    """Deterministic per-circuit rng stream."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
 # ---------------------------------------------------------------------------
 # Single-shot estimator, evaluated once per circuit.
 
@@ -194,21 +191,12 @@ def single_shot(o, circuit, x):
 # Acquisition and estimation.
 
 def _measure_circuit(circuit, state, reuse, rng):
-    if circuit.kind == "clifford" and isinstance(state, StabilizerTableau):
+    if circuit.kind == "clifford":
         rotated = state.apply_clifford(circuit.element)
         return [rotated.sample_z_basis(rng) for _ in range(reuse)]
-    rho = state_density(state)
-    evolved = circuit.dense() @ rho @ circuit.dense().conj().T
-    outcomes = dense.born_sample(evolved, rng, shots=reuse)
-    n = circuit.n
-    return [dense.index_to_bits(int(x), n) for x in outcomes]
-
-
-def state_density(state):
-    if isinstance(state, StabilizerTableau):
-        v = state.statevector()
-        return np.outer(v, v.conj())
-    return np.asarray(state, dtype=complex)
+    p = np.abs(circuit.dense() @ state.statevector()) ** 2
+    outcomes = rng.choice(len(p), size=reuse, p=p / p.sum())
+    return [dense.index_to_bits(int(x), circuit.n) for x in outcomes]
 
 
 def _circuit_shots(cfg, state):
@@ -275,8 +263,7 @@ def conditional_mean(o, circuit, state):
     """E_x[X | U], exactly contracted over the 2^n outcomes."""
     n = o.n
     u = circuit.dense()
-    rho = state_density(state)
-    p = np.real(np.diag(u @ rho @ u.conj().T))
+    p = np.abs(u @ state.statevector()) ** 2
     b = np.real(np.diag(u @ o.dense() @ u.conj().T))
     tr_o = float(np.real(o.trace()))
     return float((2 ** n + 1) * np.dot(p, b) - tr_o)

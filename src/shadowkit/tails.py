@@ -24,8 +24,9 @@ import numpy as np
 
 from . import bits as f2
 from . import clifford as cl
-from .ensembles import sample_circuit
+from .ensembles import SampledCircuit, sample_circuit
 from .protocol import median_of_means
+from .stabilizer import StabilizerTableau
 
 
 # ---------------------------------------------------------------------------
@@ -125,26 +126,23 @@ def _circuit_fixed_xvalues(spec, rng, count):
 
 
 def _pair_born_vectors(spec, rng, count):
-    """Rotated Born probability vectors |<x|U|0^n>|^2 for count circuits."""
+    """Rotated Born probability vectors |<x|U|0^n>|^2 for count circuits.
+
+    T-gate circuits draw all their segments in one batch; circuits are made
+    one at a time, so no Haar unitary outlives its circuit.
+    """
     n = spec.n
-    d = 2 ** n
-    out = np.empty((count, d))
     if spec.kind == "homeopathic":
-        from .ensembles import t_gate_dense
-        tg = t_gate_dense(n)
-        segments = cl.sample_uniform_batch(n, rng, count * (spec.k + 1))
-        from .stabilizer import StabilizerTableau
-        zero = StabilizerTableau.zero_state(n)
-        for i in range(count):
-            segs = segments[i * (spec.k + 1):(i + 1) * (spec.k + 1)]
-            v = zero.apply_clifford(segs[0]).statevector()
-            for seg in segs[1:]:
-                v = seg.to_dense() @ (tg @ v)
-            out[i] = np.abs(v) ** 2
+        per = spec.k + 1
+        segments = cl.sample_uniform_batch(n, rng, count * per)
+        circuits = (SampledCircuit("homeopathic", n, segments=segments[i * per:(i + 1) * per])
+                    for i in range(count))
     else:
-        for i in range(count):
-            u = sample_circuit(spec, rng).dense()
-            out[i] = np.abs(u[:, 0]) ** 2
+        circuits = (sample_circuit(spec, rng) for _ in range(count))
+    zero = StabilizerTableau.zero_state(n)
+    out = np.empty((count, 2 ** n))
+    for i, circuit in enumerate(circuits):
+        out[i] = np.abs(circuit.statevector(zero)) ** 2
     return out / out.sum(axis=1, keepdims=True)
 
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import stats
 
 from shadowkit import dense
 
@@ -53,37 +52,3 @@ def test_conjugation_superop_is_conj_kron():
         lhs = dense.vectorize(dense.conjugation_apply(u, x))
         rhs = dense.conjugation_superop(u) @ dense.vectorize(x)
         assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-def test_born_sample_deterministic_state():
-    rng = np.random.default_rng(4)
-    state = dense.basis_state(0, 3)
-    assert all(dense.born_sample(state, rng) == 0 for _ in range(20))
-
-
-def test_born_sample_uniform_chi_square():
-    rng = np.random.default_rng(5)
-    n = 3
-    state = np.eye(2 ** n, dtype=complex) / 2 ** n
-    draws = dense.born_sample(state, rng, shots=100_000)
-    counts = np.bincount(draws, minlength=2 ** n)
-    _, p = stats.chisquare(counts)
-    assert p > 0.001
-
-
-def test_born_sample_bell_pair():
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1 / np.sqrt(2)
-    state = np.outer(v, v.conj())
-    rng = np.random.default_rng(6)
-    draws = dense.born_sample(state, rng, shots=40_000)
-    counts = np.bincount(draws, minlength=4)
-    assert counts[1] == 0 and counts[2] == 0
-    _, p = stats.chisquare(counts[[0, 3]])
-    assert p > 0.001
-
-
-def test_born_sample_rejects_bad_state():
-    bad = np.diag([1.2, -0.2]).astype(complex)
-    with pytest.raises(ValueError):
-        dense.born_sample(bad, np.random.default_rng(0))

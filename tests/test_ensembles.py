@@ -63,6 +63,19 @@ def test_homeopathic_marker_count_and_product():
         assert dense.is_unitary(c.dense())
 
 
+def test_statevector_is_dense_action_up_to_phase():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 4):
+        state = cl.random_stabilizer_tableau(n, rng)
+        psi = state.statevector()
+        for spec in (en.EnsembleSpec("haar", n), en.EnsembleSpec("clifford", n),
+                     en.EnsembleSpec("identity", n), en.EnsembleSpec("homeopathic", n, k=0),
+                     en.EnsembleSpec("homeopathic", n, k=3)):
+            c = en.sample_circuit(spec, rng)
+            got, want = c.statevector(state), c.dense() @ psi
+            assert abs(abs(np.vdot(want, got)) - 1) < 1e-10, (spec, n)
+
+
 def test_homeopathic_k0_matches_clifford_statistics():
     """k=0 interleaving is the Clifford ensemble: compare the support-
     dimension statistic of the estimator distribution."""

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -239,7 +240,11 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
             (["weingarten", "--t", "-1", "--n", "3", "--group", "unitary"],
              "t must be at least 1, got -1"),
             (["weingarten", "--t", "3", "--n", "1", "--group", "unitary"],
-             "the Gram matrix is singular for n = 1 < t - 1 = 2"),
+             "the unitary Gram matrix is singular for 2^1 < t = 3"),
+            (["weingarten", "--t", "4", "--n", "1", "--group", "unitary"],
+             "the unitary Gram matrix is singular for 2^1 < t = 4"),
+            (["weingarten", "--t", "4", "--n", "2", "--group", "clifford"],
+             "the Gram matrix is singular for n = 2 < t - 1 = 3"),
             (["weingarten", "--t", "7", "--n", "6", "--group", "unitary"],
              "the 5040x5040 Gram matrix at t = 7 needs 25401600 dense entries, "
              "over the budget of 2^24 = 16777216")):
@@ -247,6 +252,25 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"shadowkit {argv[0]}: error: {message}\n"
+
+
+def test_cli_weingarten_unitary_needs_only_2n_at_least_t(tmp_path):
+    """The unitary Gram at t = 4 is invertible from n = 2 (2^n >= t), below
+    the Clifford threshold n >= t - 1."""
+    out = tmp_path / "wg.csv"
+    assert cli.main(["weingarten", "--t", "4", "--n", "2", "--group", "unitary",
+                     "--out", str(out)]) == 0
+    entries = {}
+    with open(out) as fh:
+        for row in csv.DictReader(fh):
+            val = Fraction(int(row["numerator"]), int(row["denominator"]))
+            entries[row["matrix"], row["row"], row["col"]] = val
+    names = sorted({key[1] for key in entries})
+    assert len(names) == 24
+    for a in names:
+        for b in names:
+            total = sum(entries["gram", a, c] * entries["weingarten", c, b] for c in names)
+            assert total == (1 if a == b else 0)
 
 
 def test_cli_refuses_oversized_ensembles_before_allocating(capsys, monkeypatch):

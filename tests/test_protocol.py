@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from shadowkit import clifford as cl
 from shadowkit import dense
@@ -134,6 +135,23 @@ def test_record_values_bytes_are_pinned():
     assert h.hexdigest() == "6ce35198c2461ccb8610d71820bfd8d80908b3a10b55920e78668bfff4a14c23"
 
 
+def test_measure_circuit_dense_branch_chi_square():
+    """Non-Clifford shots follow |U psi|^2; outcomes of probability 0 never occur."""
+    rng = np.random.default_rng(12)
+    state = cl.random_stabilizer_tableau(3, rng)
+    shots = 40_000
+    for spec in (EnsembleSpec("haar", 3), EnsembleSpec("homeopathic", 3, k=0),
+                 EnsembleSpec("homeopathic", 3, k=2)):
+        circuit = sample_circuit(spec, rng)
+        p = np.abs(circuit.dense() @ state.statevector()) ** 2
+        outcomes = pr._measure_circuit(circuit, state, shots, rng)
+        counts = np.bincount([int(x, 2) for x in outcomes], minlength=8)
+        live = p > 1e-12
+        assert counts[~live].sum() == 0
+        _, pval = stats.chisquare(counts[live], shots * p[live] / p[live].sum())
+        assert pval > 0.001, spec
+
+
 def test_acquire_identity_stub_all_zero():
     cfg = pr.RunConfig(EnsembleSpec("identity", 3), 12, 3, 1, seed=1)
     recs = pr.acquire(cfg, StabilizerTableau.zero_state(3))
@@ -144,9 +162,9 @@ def test_acquire_identity_stub_all_zero():
 
 
 def test_identity_estimate_stays_on_the_tableau_path(monkeypatch):
-    def no_dense(state):
+    def no_dense(self):
         raise AssertionError("dense path reached")
-    monkeypatch.setattr(pr, "state_density", no_dense)
+    monkeypatch.setattr(SampledCircuit, "dense", no_dense)
     n = 20
     state, o = pr.stabilizer_pair(n)
     cfg = pr.RunConfig(EnsembleSpec("identity", n), 24, 3, 2, seed=1)
@@ -238,7 +256,8 @@ def test_many_observables_against_one_record_set(tmp_path):
     path = tmp_path / "records.jsonl"
     pr.write_records(pr.acquire(cfg, state), path)
     records = pr.read_records(path)
-    rho = pr.state_density(state)
+    v = state.statevector()
+    rho = np.outer(v, v.conj())
     for label in ("ZI", "IZ", "XX", "ZZ", "YX"):
         o = pr.ObservableSpec.pauli(PauliString.from_label(label))
         values = pr.record_values(records, o)
@@ -260,7 +279,8 @@ def test_conditional_mean_matches_brute_force():
             for x in range(4)) if kind == "clifford" else None
         if kind == "haar":
             u = circ.dense()
-            rho = pr.state_density(state)
+            v = state.statevector()
+            rho = np.outer(v, v.conj())
             probs = np.real(np.diag(u @ rho @ u.conj().T))
             total = sum(probs[x] * pr.single_shot(o, circ, format(x, "02b"))
                         for x in range(4))

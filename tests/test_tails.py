@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -151,6 +152,17 @@ def test_pair_conditional_means_match_exact_variance():
     vals = tl.pair_conditional_means(EnsembleSpec("clifford", n), rng, 30_000)
     vstar, se = tl.variance_of_sample_variance(vals)
     assert abs(vstar - float(mo.stabilizer_pair_variance(n))) < 3 * se
+
+
+def test_pair_born_vector_samplers_bytes_are_pinned():
+    """Haar and T-gate conditional means and R = 3 values, to the byte."""
+    h = hashlib.sha256()
+    specs = [EnsembleSpec("haar", 3)] + [EnsembleSpec("homeopathic", 3, k=k) for k in range(4)]
+    for i, spec in enumerate(specs):
+        h.update(tl.pair_conditional_means(spec, np.random.default_rng(100 + i), 40).tobytes())
+        h.update(tl.sample_pair_xvalues(spec, np.random.default_rng(200 + i), 40,
+                                        reuse=3).tobytes())
+    assert h.hexdigest() == "b35b788e15c4069d8d3d0531d5632513f183f3fd45521759cccb7a73b2111955"
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=60),
