@@ -2,6 +2,11 @@
 Clifford circuits interleaved with k T-gates, behind one sampling interface.
 The ``identity`` control ensemble draws the identity Clifford, so its
 circuits run on the tableau path and serialize as ``clifford:n:<hex>``.
+
+A T-gate circuit acts on a stabilizer state by Pauli branches (one
+stabilizer statevector, then k factors cos(pi/8) - i sin(pi/8) P_j; see
+``SampledCircuit.statevector``), O(k 2^n) per circuit.  Its dense unitary is
+built only for the protocol's dense evaluator and as a test oracle.
 """
 
 from dataclasses import dataclass, field
@@ -10,6 +15,7 @@ import numpy as np
 
 from . import clifford as cl
 from . import dense
+from .stabilizer import PauliString, StabilizerTableau
 
 KINDS = ("haar", "clifford", "homeopathic", "identity")
 
@@ -106,17 +112,33 @@ class SampledCircuit:
         return self._dense
 
     def statevector(self, state):
-        """U|S> for a stabilizer tableau S: on the tableau for a Clifford,
-        segment by segment for a T-gate circuit, through ``dense`` for Haar."""
+        """U|S> for a stabilizer tableau S (global phase arbitrary): on the
+        tableau for a Clifford, through ``dense`` for Haar, and by Pauli
+        branches for a T-gate circuit.
+
+        Up to phase T = cos(pi/8) I - i sin(pi/8) Z_0, so pushing each T through
+        the later segments gives U|S> ~ (c - is P_k)...(c - is P_1) C_k...C_0|S>
+        with P_j = (C_k...C_j) Z_0 (C_k...C_j)^dag: one tableau carries the
+        rows of S and one Z_0 row per T-gate, and the k Paulis then act on the
+        one stabilizer statevector, O(k 2^n) with no dense Clifford.
+        """
         if self.kind == "clifford":
             return state.apply_clifford(self.element).statevector()
         if self.kind == "haar":
             return self.dense() @ state.statevector()
-        tg = t_gate_dense(self.n)
-        v = state.apply_clifford(self.segments[0]).statevector()
-        for seg in self.segments[1:]:
-            # matvec, not an elementwise phase: the BLAS product fixes the bytes
-            v = seg.to_dense() @ (tg @ v)
+        n, m, k = self.n, 2 * self.n, self.k
+        xs = np.vstack([state.xs, np.zeros((k, n), dtype=np.uint8)])
+        zs = np.vstack([state.zs, np.zeros((k, n), dtype=np.uint8)])
+        zs[m:, 0] = 1
+        phases = np.concatenate([state.phases, np.zeros(k, dtype=np.int64)])
+        for j, seg in enumerate(self.segments):
+            # row m + j - 1, the Z_0 of the T before segment j, joins here
+            r = m + j
+            xs[:r], zs[:r], phases[:r] = seg.conjugate_rows(xs[:r], zs[:r], phases[:r])
+        v = StabilizerTableau(xs[:m], zs[:m], phases[:m]).statevector()
+        c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+        for j in range(m, m + k):
+            v = c * v - 1j * s * PauliString(xs[j], zs[j], phases[j]).apply(v)
         return v
 
     def descriptor(self):

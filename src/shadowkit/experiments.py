@@ -100,6 +100,9 @@ def validate_config(cfg):
         _require_at_least("circuits", cfg["circuits"], 2)
     elif name == "moment-table":
         _require(cfg, "n_list", "max_m")
+        for n in cfg["n_list"]:
+            _require_at_least("n_list entry", n)
+        _require_at_least("max_m", cfg["max_m"], 0)
     elif name == "tail-experiment":
         _require(cfg, "ensemble", "samples", "seed")
         EnsembleSpec.from_json(cfg["ensemble"])
@@ -138,8 +141,10 @@ def _chunked(sampler, spec, seed, circuits, threads):
     substream, concatenated in chunk order whatever the thread count."""
     tasks = [(sampler, spec, seed, i, min(CHUNK, circuits - i * CHUNK))
              for i in range((circuits + CHUNK - 1) // CHUNK)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # one worker per chunk at most: under fork the pool starts every worker at once
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_chunk, tasks))
     else:
         parts = [_chunk(t) for t in tasks]

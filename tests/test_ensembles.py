@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from shadowkit import clifford as cl
 from shadowkit import dense
 from shadowkit import ensembles as en
 from shadowkit import tails as tl
+from shadowkit.stabilizer import StabilizerTableau
 
 
 def test_spec_validation():
@@ -74,6 +77,43 @@ def test_statevector_is_dense_action_up_to_phase():
             c = en.sample_circuit(spec, rng)
             got, want = c.statevector(state), c.dense() @ psi
             assert abs(abs(np.vdot(want, got)) - 1) < 1e-10, (spec, n)
+
+
+def test_t_gate_born_vectors_match_dense_oracle():
+    """The Pauli-branch Born vectors of ``_pair_born_vectors`` against
+    |c.dense() @ psi|^2 on the same circuits; at k = 0 they are the Clifford
+    value 2^-d on the Z-basis support (to the last bit of the normalization)."""
+    for n in range(1, 7):
+        for k in range(9):
+            spec, count, seed = en.EnsembleSpec("homeopathic", n, k=k), 3, 10 * n + k
+            probs = tl._pair_born_vectors(spec, np.random.default_rng(seed), count)
+            segments = cl.sample_uniform_batch(n, np.random.default_rng(seed), count * (k + 1))
+            psi = StabilizerTableau.zero_state(n).statevector()
+            for i in range(count):
+                segs = segments[i * (k + 1):(i + 1) * (k + 1)]
+                c = en.SampledCircuit("homeopathic", n, segments=segs)
+                want = np.abs(c.dense() @ psi) ** 2
+                assert np.abs(probs[i] - want).max() < 1e-12, (n, k)
+                if k == 0:
+                    rotated = StabilizerTableau.zero_state(n).apply_clifford(segs[0])
+                    x0, basis, pivots = rotated.z_support()
+                    support = {x0}
+                    for row in basis:
+                        support |= {x ^ row for x in support}
+                    assert set(np.flatnonzero(probs[i])) == support
+                    flat = np.zeros(2 ** n)
+                    flat[sorted(support)] = 2.0 ** -len(pivots)
+                    assert np.abs(probs[i] - flat).max() <= np.spacing(flat.max())
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_branch_statevector_is_dense_segment_product(seed, n, k):
+    rng = np.random.default_rng(seed)
+    state = cl.random_stabilizer_tableau(n, rng)
+    c = en.sample_circuit(en.EnsembleSpec("homeopathic", n, k=k), rng)
+    want = c.dense() @ state.statevector()
+    assert abs(abs(np.vdot(want, c.statevector(state))) - 1) < 1e-12
 
 
 def test_homeopathic_k0_matches_clifford_statistics():

@@ -16,6 +16,7 @@ import pytest
 from shadowkit import cli
 from shadowkit import experiments as ex
 from shadowkit import protocol as pr
+from shadowkit.ensembles import EnsembleSpec
 
 
 def shipped_configs():
@@ -180,6 +181,34 @@ def test_threads_do_not_change_results():
     assert serial == parallel
 
 
+def test_chunked_starts_at_most_one_worker_per_chunk(monkeypatch):
+    """--threads 64 on two chunks asks the pool for two workers; the fake
+    executor records the request and runs the chunks in this process."""
+    requested = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingExecutor)
+    spec = EnsembleSpec("clifford", 3)
+    circuits = 2 * ex.CHUNK
+    pooled = ex.pair_vstar_samples(spec, 3, circuits, threads=64)
+    assert requested == [2]
+    assert pooled.tobytes() == ex.pair_vstar_samples(spec, 3, circuits).tobytes()
+    ex.pair_vstar_samples(spec, 3, ex.CHUNK, threads=64)
+    assert requested == [2]                     # one chunk runs without a pool
+
+
 @pytest.mark.parametrize("path", shipped_configs(), ids=lambda p: p.name)
 def test_shipped_configs_run_and_are_deterministic(path):
     cfg = load_config(path)
@@ -252,6 +281,17 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"shadowkit {argv[0]}: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n-list", "-1", "--max-m", "2"], "n_list entry must be at least 1, got -1"),
+    (["--n-list", "0", "--max-m", "2"], "n_list entry must be at least 1, got 0"),
+    (["--n-list", "2", "--max-m", "-1"], "max_m must be at least 0, got -1")])
+def test_cli_moment_table_bad_sizes_are_one_line_errors(capsys, argv, message):
+    assert cli.main(["moment-table"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"shadowkit moment-table: error: {message}\n"
 
 
 def test_cli_weingarten_unitary_needs_only_2n_at_least_t(tmp_path):

@@ -128,3 +128,30 @@ def test_overlap_matches_dense_and_is_symmetric():
             assert abs(float(val) - want) < 1e-10
             if val:
                 assert val.denominator & (val.denominator - 1) == 0  # dyadic
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_z_support_is_the_nonzero_dense_amplitudes(seed, n):
+    """x is in x0 + span(B) iff <x|S> != 0, read off the dense projector
+    prod_g (I + g)/2 of the stabilizer rows, which never calls z_support."""
+    tab = cl.random_stabilizer_tableau(n, np.random.default_rng(seed))
+    proj = np.eye(2 ** n, dtype=complex)
+    for g in map(tab.row, range(n, 2 * n)):
+        proj = proj @ (np.eye(2 ** n) + g.dense()) / 2
+    x0, basis, _ = tab.z_support()
+    support = {x0}
+    for row in basis:
+        support |= {x ^ row for x in support}
+    nonzero = set(np.flatnonzero(np.abs(np.diag(proj)) > 1e-9).tolist())
+    assert support == nonzero
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_apply_clifford_is_dense_action_up_to_phase(seed, n):
+    rng = np.random.default_rng(seed)
+    tab = cl.random_stabilizer_tableau(n, rng)
+    c = cl.sample_uniform(n, rng)
+    got, want = tab.apply_clifford(c).statevector(), c.to_dense() @ tab.statevector()
+    assert abs(abs(np.vdot(want, got)) - 1) < 1e-12

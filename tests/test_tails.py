@@ -154,15 +154,30 @@ def test_pair_conditional_means_match_exact_variance():
     assert abs(vstar - float(mo.stabilizer_pair_variance(n))) < 3 * se
 
 
-def test_pair_born_vector_samplers_bytes_are_pinned():
-    """Haar and T-gate conditional means and R = 3 values, to the byte."""
+_BORN_SPECS = [EnsembleSpec("haar", 3)] + [EnsembleSpec("homeopathic", 3, k=k) for k in range(4)]
+
+
+def _born_sampler_digest(indices):
+    """Conditional means and R = 3 values of the chosen specs, seeded by index."""
     h = hashlib.sha256()
-    specs = [EnsembleSpec("haar", 3)] + [EnsembleSpec("homeopathic", 3, k=k) for k in range(4)]
-    for i, spec in enumerate(specs):
+    for i in indices:
+        spec = _BORN_SPECS[i]
         h.update(tl.pair_conditional_means(spec, np.random.default_rng(100 + i), 40).tobytes())
         h.update(tl.sample_pair_xvalues(spec, np.random.default_rng(200 + i), 40,
                                         reuse=3).tobytes())
-    assert h.hexdigest() == "b35b788e15c4069d8d3d0531d5632513f183f3fd45521759cccb7a73b2111955"
+    return h.hexdigest()
+
+
+def test_pair_born_vector_samplers_haar_and_k0_bytes_are_pinned():
+    """Haar and k = 0 bytes, which the T-gate branches never reach."""
+    assert _born_sampler_digest([0, 1]) == \
+        "520ab72e564e2a53f1a2e4da3e0bf3bb67752d7b2720ec2a804afd6127533bfb"
+
+
+def test_pair_born_vector_samplers_t_gate_bytes_are_pinned():
+    """k = 1..3 bytes of the Pauli-branch path."""
+    assert _born_sampler_digest([2, 3, 4]) == \
+        "7aa9638cd604a4327ed0eecbdaeeb28aaa6ddfbe9e49e70753f705208e953089"
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=60),
