@@ -69,32 +69,24 @@ def mat_mul_f2(a, b):
 
 
 def rank_f2_batch(mats):
-    """Ranks of a batch of binary matrices, shape (B, rows, cols) -> (B,)."""
-    a = np.array(mats, dtype=np.uint8) & 1
+    """Ranks of a batch of binary matrices, shape (B, rows, cols) -> (B,).
+
+    Rows are packed into little-endian uint64 words (bit c of word c // 64
+    is column c).  Column c is cleared from the rows not yet used as a
+    pivot by the first of them that has it (which clears itself, and is
+    never read again), so no row moves.
+    """
+    a = np.ascontiguousarray(mats, dtype=np.uint8) & 1
     nb, rows, cols = a.shape
-    r = np.zeros(nb, dtype=np.int64)
+    a = np.pad(a, ((0, 0), (0, 0), (0, -cols % 64)))
+    words = np.packbits(a, axis=-1, bitorder="little").view("<u8")
+    used = np.zeros((nb, rows), dtype=bool)
+    batch = np.arange(nb)
     for c in range(cols):
-        # for each batch element, find a pivot row >= r[b] in column c
-        col = a[:, :, c]
-        rows_idx = np.arange(rows)
-        eligible = col.astype(bool) & (rows_idx[None, :] >= r[:, None])
-        has = eligible.any(axis=1)
-        if not has.any():
-            continue
-        piv = np.argmax(eligible, axis=1)
-        bsel = np.nonzero(has)[0]
-        # swap pivot row into position r[b]
-        for b in bsel:
-            p, q = piv[b], r[b]
-            if p != q:
-                a[b, [p, q]] = a[b, [q, p]]
-        # eliminate every other set entry in column c below r
-        col = a[:, :, c]
-        mask = col.astype(bool) & (rows_idx[None, :] > r[:, None]) & has[:, None]
-        if mask.any():
-            bb, rr_ = np.nonzero(mask)
-            a[bb, rr_] ^= a[bb, r[bb]]
-        r[has] += 1
-        if (r == rows).all():
+        if used.all():
             break
-    return r
+        hits = (words[:, :, c // 64] >> (c % 64) & 1).astype(bool) & ~used
+        pivot = hits.argmax(axis=1)
+        used[batch, pivot] |= hits[batch, pivot]
+        words ^= hits[..., None] * words[batch, pivot][:, None, :]
+    return used.sum(axis=1)

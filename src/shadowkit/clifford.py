@@ -54,8 +54,10 @@ def is_symplectic(s):
 # 0 <= free_l < 2**(2l - 1).  Level l embeds the level-(l-1) matrix as the
 # lower-right block of a 2l x 2l identity and multiplies it by four
 # transvections read off (k_l, free_l).  Internally coordinates come in
-# (x_i, z_i) pairs (the "direct sum" convention); the result is permuted
-# into the standard block convention at the end.
+# (x_i, z_i) pairs (the "direct sum" convention), and a vector or matrix row
+# is one uint64 word whose bit i is direct-sum coordinate i (2n <= 62 at
+# MAX_SAMPLED_N), so a transvection is AND, popcount and XOR.  The result is
+# unpacked and permuted into the standard block convention at the end.
 
 def _bits(values, width):
     """Little-endian binary digits of nonnegative integers below 2**63."""
@@ -63,43 +65,17 @@ def _bits(values, width):
     return np.unpackbits(raw, axis=-1, count=width, bitorder="little")
 
 
-def _swap_pairs(v):
-    """Exchange x_i and z_i in direct-sum coordinates."""
-    return v.reshape(v.shape[:-1] + (-1, 2))[..., ::-1].reshape(v.shape)
+_X_BITS = np.uint64(0x5555555555555555)
 
 
-def _transvect(v, h):
-    """Z_h v = v + <v, h> h for stacks of vectors."""
-    inner = (v & _swap_pairs(h)).sum(axis=-1, dtype=np.uint8) & 1
-    return v ^ (inner[..., None] * h)
+def _swap(v):
+    """Exchange each x_i and z_i bit of direct-sum words."""
+    return (v & _X_BITS) << 1 | (v >> 1) & _X_BITS
 
 
-def _level_transvections(k, free, nn):
-    """The four transvection vectors (t0, t1, h0, f1) of every level.
-
-    ``k`` and ``free`` have shape (n, count), row l - 1 holding level l.
-    Returns shape (n, 4, count, nn), level l's vectors in the first 2l
-    coordinates.  t0 and t1 satisfy Z_t1 Z_t0 e1 = f1, f1 holding the bits
-    of k (Koenig and Smolin's find_transvection with x = e1).
-    """
-    f1 = _bits(k, nn)
-    # <e1, f1> = 1, or f1 = e1: one transvection, by f1 + e1
-    easy = ((f1[..., 1] == 1) | (k == 1))[..., None]
-    # otherwise go through z with <e1, z> = <f1, z> = 1: z_1 = 1, and at the
-    # first nonzero pair (a, b) of f1, z takes (b & ~a, a), plus z_0 = f1_0
-    pairs = f1.reshape(f1.shape[:-1] + (-1, 2))
-    nonzero = pairs.any(axis=-1)
-    first = nonzero & (np.cumsum(nonzero, axis=-1, dtype=np.uint8) == 1)
-    a, b = pairs[..., 0], pairs[..., 1]
-    z = (np.stack([b & ~a, a], axis=-1) * first[..., None]).reshape(f1.shape)
-    z[..., 0] |= f1[..., 0]
-    z[..., 1] = 1
-    t0 = np.where(easy, f1, z)
-    t0[..., 0] ^= 1
-    t1 = (f1 ^ z) * ~easy
-    # e1 with the high bits of free in coordinates 2.., carried through t0, t1
-    h0 = _transvect(_transvect(_bits((free >> 1 << 2) | 1, nn), t0), t1)
-    return np.stack([t0, t1, h0, f1 * ((free & 1) == 0)[..., None]], axis=1)
+def _parity(v, mask):
+    """Parity of v & mask; with mask = _swap(h) it is the symplectic <v, h>."""
+    return np.bitwise_count(v & mask) & 1
 
 
 def _build_symplectic(k, free):
@@ -107,27 +83,42 @@ def _build_symplectic(k, free):
 
     ``k`` and ``free`` have shape (n, count), row l - 1 holding level l.
     This is the only construction: sampling and enumeration both feed it.
+    Level l's four transvection words (t0, t1, h0, f1) satisfy
+    Z_t1 Z_t0 e1 = f1, f1 holding the bits of k (Koenig and Smolin's
+    find_transvection with x = e1).
     """
     n, count = k.shape
     nn = 2 * n
-    vectors = _level_transvections(k, free, nn)
-    g = np.zeros((count, nn, nn), dtype=np.uint8)
-    g[:, np.arange(nn), np.arange(nn)] = 1
-    # Only bit 0 of an entry matters: in bit 0, uint8 sums, products and XORs
-    # are F2 arithmetic, so g is reduced mod 2 once, at the end.
+    f1 = k.astype(np.uint64)
+    free = free.astype(np.uint64)
+    # <e1, f1> = 1, or f1 = e1: one transvection, by f1 + e1
+    easy = (f1 & 2 != 0) | (f1 == 1)
+    # otherwise go through z with <e1, z> = <f1, z> = 1: z_1 = 1, and at the
+    # first nonzero pair (a, b) of f1, z takes (b & ~a, a), which is the
+    # swapped lowest set bit, plus z_0 = f1_0
+    z = _swap(f1 & (~f1 + 1)) | f1 & 1 | 2
+    t0 = np.where(easy, f1, z) ^ 1
+    t1 = np.where(easy, 0, f1 ^ z)
+    # e1 with the high bits of free in coordinates 2.., carried through t0, t1
+    h0 = free >> 1 << 2 | 1
+    h0 ^= _parity(h0, _swap(t0)) * t0
+    h0 ^= _parity(h0, _swap(t1)) * t1
+    f1 = np.where(free & 1 == 0, f1, 0)
+    # level l acts on the last 2l rows and columns: shift its words there
+    shift = (nn - 2 * np.arange(1, n + 1, dtype=np.uint64))[:, None, None, None]
+    vectors = np.stack([t0, t1, h0, f1], axis=1)[..., None] << shift
+    swapped = _swap(vectors)
+    g = np.tile(np.uint64(1) << np.arange(nn, dtype=np.uint64), (count, 1))
     for level in range(1, n + 1):
-        m = 2 * level
-        # level l acts on the lower-right 2l x 2l block; the rest is identity
-        block = g[:, nn - m:, nn - m:]
-        hs = vectors[level - 1, :, :, :m]
-        swapped = _swap_pairs(hs)[..., None]
-        for h, h_swapped in zip(hs, swapped):
-            # each row gains <row, h> h
-            block ^= np.matmul(block, h_swapped) * h[:, None, :]
-    g &= 1
+        # the rows above the last 2l are e_i, i < nn - 2l, fixed by level l
+        block = g[:, nn - 2 * level:]
+        for h, h_swapped in zip(vectors[level - 1], swapped[level - 1]):
+            block ^= _parity(block, h_swapped) * h
     # standard position i reads direct-sum position 2i (x_i) or 2i+1 (z_i)
     gather = np.concatenate([np.arange(0, nn, 2), np.arange(1, nn, 2)])
-    return g[:, gather][:, :, gather]
+    g = g.take(gather, axis=1).astype("<u8", copy=False).view(np.uint8)
+    g = np.unpackbits(g.reshape(count, nn, 8), axis=-1, count=nn, bitorder="little")
+    return g.take(gather, axis=2)
 
 
 def _components_from_index(index, n):
@@ -142,12 +133,19 @@ def _components_from_index(index, n):
     return k, free
 
 
-# Level l draws k_l below 4**l as an int64, so sampling stops at n = 31.
+# Level l draws k_l below 4**l as an int64, and a row of the 2n x 2n
+# matrix is one 64-bit word, so sampling stops at n = 31.
 MAX_SAMPLED_N = 31
+
+
+def _check_sampled_n(n):
+    if not 1 <= n <= MAX_SAMPLED_N:
+        raise ValueError(f"the Clifford sampler needs 1 <= n <= {MAX_SAMPLED_N}, got n = {n}")
 
 
 def sample_symplectic_batch(n, rng, count):
     """count standard-convention symplectic matrices, exactly uniform."""
+    _check_sampled_n(n)
     k = np.empty((n, count), dtype=np.int64)
     free = np.empty((n, count), dtype=np.int64)
     for level in range(1, n + 1):
@@ -158,6 +156,7 @@ def sample_symplectic_batch(n, rng, count):
 
 def symplectic_from_index(index, n):
     """Standard-convention symplectic matrix with canonical index ``index``."""
+    _check_sampled_n(n)
     if not 0 <= index < symplectic_order(n):
         raise ValueError("symplectic index out of range")
     return _build_symplectic(*_components_from_index(index, n))[0]

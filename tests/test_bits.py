@@ -26,9 +26,29 @@ def test_rref_and_kernel(m):
         assert (f2.mat_mul_f2(m, ker.T) == 0).all()
 
 
-def test_batch_rank_matches_scalar():
-    rng = np.random.default_rng(0)
-    mats = rng.integers(2, size=(50, 6, 6), dtype=np.uint8)
+@st.composite
+def f2_batches(draw):
+    """(count, rows, cols) 0/1 batches of rank at most ``inner``, with an
+    optional repeated row, an optional zero row and ``lead`` zero leading
+    columns; cols runs past one 64-bit word, and so can every pivot."""
+    count = draw(st.integers(0, 4))
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(1, 140))
+    inner = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = (rng.integers(2, size=(count, rows, inner))
+            @ rng.integers(2, size=(count, inner, cols))) % 2
+    if rows > 1 and draw(st.booleans()):
+        mats[:, -1] = mats[:, 0]
+    if rows and draw(st.booleans()):
+        mats[:, rows // 2] = 0
+    mats[..., :draw(st.integers(0, cols))] = 0
+    return mats.astype(np.uint8)
+
+
+@given(f2_batches())
+@settings(max_examples=200, deadline=None)
+def test_batch_rank_matches_scalar(mats):
     ranks = f2.rank_f2_batch(mats)
-    for m, r in zip(mats, ranks):
-        assert f2.rank_f2(m) == r
+    assert ranks.shape == (len(mats),)
+    assert [int(r) for r in ranks] == [f2.rank_f2(m) for m in mats]

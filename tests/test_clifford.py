@@ -109,6 +109,26 @@ def test_sample_symplectic_batch_bytes_are_pinned():
     assert h.hexdigest() == "5ed05662704b4f790fd6e5fef1ccaaee88540b8ca99370057ac8fde6ec38ef40"
 
 
+def test_n31_batch_bytes_are_pinned():
+    """A count-512 batch at the largest n, which fills word bits 32..61."""
+    mats = cl.sample_symplectic_batch(31, np.random.default_rng(3131), 512)
+    assert hashlib.sha256(mats.tobytes()).hexdigest() == \
+        "a3fc0bcdd36e23de0f522f09f6dc05d42f65b4ed092d915f62ec30b22b459376"
+
+
+def test_n31_batch_is_symplectic():
+    mats = cl.sample_symplectic_batch(31, np.random.default_rng(31), 256)
+    assert all(cl.is_symplectic(s) for s in mats)
+
+
+@pytest.mark.parametrize("n", [0, -1, cl.MAX_SAMPLED_N + 1, 64])
+def test_sampler_refuses_n_out_of_range(n):
+    with pytest.raises(ValueError, match=f"n <= {cl.MAX_SAMPLED_N}"):
+        cl.sample_symplectic_batch(n, np.random.default_rng(0), 2)
+    with pytest.raises(ValueError, match=f"n <= {cl.MAX_SAMPLED_N}"):
+        cl.symplectic_from_index(0, n)
+
+
 def test_to_dense_round_trips_symplectic_action():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -221,6 +222,13 @@ def test_tail_experiment_summary_fields():
     emp = out["moments"]["2"]
     want = float(tl.clifford_moment(4, 2))
     assert abs(emp - want) < 5 * out["moment_se"]["2"] + 1e-9
+
+
+def test_tail_experiment_n31_bytes_are_pinned():
+    out = tl.tail_experiment(EnsembleSpec("clifford", 31), 2000, np.random.default_rng(3132),
+                             budget=200, batches=10)
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == "94bb7dd352e1e78691d0c37862dddd79f77156637926b710f1c8900e5ac7d37e"
 
 
 def test_cost_model_validation():
