@@ -4,7 +4,7 @@ The package has three layers:
 
 * simulation: ``stabilizer`` (tableaux, exact overlaps), ``clifford``
   (symplectic group elements, exactly uniform sampling, enumeration for
-  n <= 2), ``dense`` (statevector oracle paths), ``ensembles`` (Haar,
+  n <= 2), ``dense`` (dense helpers and budget), ``ensembles`` (Haar,
   Clifford, and T-gate-interpolated circuit families);
 * estimation: ``protocol`` (single-shot estimator evaluated once per circuit,
   acquisition with reuse, median of means, conditional-mean variances);

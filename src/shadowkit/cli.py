@@ -19,7 +19,8 @@ def _add_common(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format for tabular experiments")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for circuit loops")
+                   help="worker processes for the circuit loops of variance-scan "
+                        "and homeopathic-scan (other commands ignore it)")
 
 
 def _ensemble_flags(p):

@@ -32,14 +32,6 @@ def check_entries(entries, what):
                          f"budget of 2^24 = {MAX_ENTRIES}")
 
 
-def num_qubits(op):
-    d = op.shape[0]
-    n = d.bit_length() - 1
-    if op.shape != (d, d) or d != 2 ** n or n < 1:
-        raise ValueError(f"not an operator on qubits: shape {op.shape}")
-    return n
-
-
 def kron_all(factors):
     out = np.array([[1.0 + 0j]])
     for f in factors:
@@ -59,9 +51,6 @@ def basis_state(x, n):
 def is_unitary(u, atol=ATOL_UNITARY):
     d = u.shape[0]
     return np.allclose(u.conj().T @ u, np.eye(d), atol=atol)
-
-def is_hermitian(a, atol=ATOL_UNITARY):
-    return np.allclose(a, a.conj().T, atol=atol)
 
 
 def hs_inner(a, b):

@@ -3,10 +3,10 @@ Clifford circuits interleaved with k T-gates, behind one sampling interface.
 The ``identity`` control ensemble draws the identity Clifford, so its
 circuits run on the tableau path and serialize as ``clifford:n:<hex>``.
 
-A T-gate circuit acts on a stabilizer state by Pauli branches (one
-stabilizer statevector, then k factors cos(pi/8) - i sin(pi/8) P_j; see
-``SampledCircuit.statevector``), O(k 2^n) per circuit.  Its dense unitary is
-built only for the protocol's dense evaluator and as a test oracle.
+A T-gate circuit is never made dense: pushing Pauli rows through its
+Clifford segments (``SampledCircuit.push_rows``) writes it as k Pauli-branch
+factors after one Clifford, so it acts on a stabilizer state in O(k 2^n).
+Only Clifford and Haar circuits have a ``dense`` unitary.
 """
 
 from dataclasses import dataclass, field
@@ -35,12 +35,15 @@ class EnsembleSpec:
             raise ValueError("T-gate count must be >= 0")
         if self.k and self.kind != "homeopathic":
             raise ValueError("only the homeopathic ensemble takes a T-gate count")
-        # largest n: the tableau sampler's, or one 2^n x 2^n unitary's budget
+        # largest n: the tableau sampler's, or the dense budget for one 2^n
+        # statevector (T-gate) or one 2^n x 2^n unitary (Haar)
         if self.kind in ("clifford", "identity") and self.n > cl.MAX_SAMPLED_N:
             raise ValueError(f"{self.kind} circuits are sampled for n <= "
                              f"{cl.MAX_SAMPLED_N}, got n = {self.n}")
-        if self.kind in ("haar", "homeopathic"):
-            dense.check_entries(4 ** self.n, f"a {self.kind} circuit on {self.n} qubits")
+        if self.kind == "homeopathic":
+            dense.check_entries(2 ** self.n, f"a T-gate statevector on {self.n} qubits")
+        if self.kind == "haar":
+            dense.check_entries(4 ** self.n, f"a haar circuit on {self.n} qubits")
 
     def to_json(self):
         return {"kind": self.kind, "n": self.n, "k": self.k}
@@ -56,13 +59,6 @@ class EnsembleSpec:
 def substream(seed, *index):
     """Deterministic rng stream for (seed, index...); no index is the seed's own stream."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=index))
-
-
-def t_gate_dense(n):
-    """T on qubit 0 (the leftmost qubit) of n."""
-    idx = np.arange(2 ** n)
-    msb = (idx >> (n - 1)) & 1
-    return np.diag(np.where(msb, np.exp(1j * np.pi / 4), 1.0 + 0j))
 
 
 def haar_unitary(dim, rng):
@@ -98,46 +94,47 @@ class SampledCircuit:
         return len(self.segments) - 1 if self.segments is not None else 0
 
     def dense(self):
+        if self.kind not in ("clifford", "haar"):
+            raise ValueError(f"no dense unitary is built for a {self.kind} circuit")
         if self._dense is None:
             if self.kind == "clifford":
                 self._dense = self.element.to_dense()
-            elif self.kind == "haar":
-                self._dense = haar_unitary(2 ** self.n, substream(self.haar_seed))
             else:
-                tg = t_gate_dense(self.n)
-                u = self.segments[0].to_dense()
-                for seg in self.segments[1:]:
-                    u = seg.to_dense() @ tg @ u
-                self._dense = u
+                self._dense = haar_unitary(2 ** self.n, substream(self.haar_seed))
         return self._dense
 
-    def statevector(self, state):
-        """U|S> for a stabilizer tableau S (global phase arbitrary): on the
-        tableau for a Clifford, through ``dense`` for Haar, and by Pauli
-        branches for a T-gate circuit.
+    def push_rows(self, xs, zs, phases):
+        """Conjugate Pauli rows by C = C_k...C_0 of a Clifford (k = 0) or T-gate
+        circuit; returns the rows, then the k branch Paulis P_j.
 
         Up to phase T = cos(pi/8) I - i sin(pi/8) Z_0, so pushing each T through
-        the later segments gives U|S> ~ (c - is P_k)...(c - is P_1) C_k...C_0|S>
-        with P_j = (C_k...C_j) Z_0 (C_k...C_j)^dag: one tableau carries the
-        rows of S and one Z_0 row per T-gate, and the k Paulis then act on the
-        one stabilizer statevector, O(k 2^n) with no dense Clifford.
+        the later segments gives U ~ (c - is P_k)...(c - is P_1) C with
+        P_j = (C_k...C_j) Z_0 (C_k...C_j)^dag: a Z_0 row joins before segment j.
         """
-        if self.kind == "clifford":
-            return state.apply_clifford(self.element).statevector()
+        segments = self.segments if self.kind == "homeopathic" else [self.element]
+        rows, k = len(xs), len(segments) - 1
+        xs = np.concatenate([xs, np.zeros((k, self.n), dtype=np.uint8)])
+        zs = np.concatenate([zs, np.zeros((k, self.n), dtype=np.uint8)])
+        zs[rows:, 0] = 1
+        phases = np.concatenate([phases, np.zeros(k, dtype=np.int64)])
+        for j, seg in enumerate(segments):
+            # row rows + j - 1, the Z_0 of the T before segment j, joins here
+            r = rows + j
+            xs[:r], zs[:r], phases[:r] = seg.conjugate_rows(xs[:r], zs[:r], phases[:r])
+        return xs, zs, phases
+
+    def statevector(self, state):
+        """U|S> for a stabilizer tableau S (global phase arbitrary): through the
+        Haar unitary, else one stabilizer statevector of C|S> times the k
+        branch factors c - is P_j of ``push_rows``, O(k 2^n) with no dense
+        Clifford."""
         if self.kind == "haar":
             return self.dense() @ state.statevector()
-        n, m, k = self.n, 2 * self.n, self.k
-        xs = np.vstack([state.xs, np.zeros((k, n), dtype=np.uint8)])
-        zs = np.vstack([state.zs, np.zeros((k, n), dtype=np.uint8)])
-        zs[m:, 0] = 1
-        phases = np.concatenate([state.phases, np.zeros(k, dtype=np.int64)])
-        for j, seg in enumerate(self.segments):
-            # row m + j - 1, the Z_0 of the T before segment j, joins here
-            r = m + j
-            xs[:r], zs[:r], phases[:r] = seg.conjugate_rows(xs[:r], zs[:r], phases[:r])
+        m = 2 * self.n
+        xs, zs, phases = self.push_rows(state.xs, state.zs, state.phases)
         v = StabilizerTableau(xs[:m], zs[:m], phases[:m]).statevector()
         c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
-        for j in range(m, m + k):
+        for j in range(m, len(xs)):
             v = c * v - 1j * s * PauliString(xs[j], zs[j], phases[j]).apply(v)
         return v
 

@@ -61,7 +61,8 @@ def _require_at_least(name, value, low=1):
 
 def _validate_observable(o_cfg, n):
     if o_cfg["type"] == "pauli":
-        size = PauliString.from_label(o_cfg["label"]).n
+        # refuses a non-Hermitian label before any output file is opened
+        size = ObservableSpec.pauli(PauliString.from_label(o_cfg["label"])).n
         if size != n:
             raise ValueError(f"Pauli label {o_cfg['label']!r} acts on {size} qubits, "
                              f"the ensemble on {n}")

@@ -7,16 +7,15 @@ The single-shot estimator for a circuit U and outcome x is
 which is the inverse-frame-operator estimator for any of the supported
 ensembles (all have the 2-design frame operator).  A record holds one
 circuit and its R outcomes, so X is evaluated per circuit: ``shot_evaluator``
-does the circuit's work once and returns x -> X.  When the circuit is a
-Clifford and the observable a stabilizer projector, X is read off the rotated
-tableau's Z-basis support (``z_support``): (2^n + 1)(2^-d - 2^-n) on the
-support and -(2^n + 1) 2^-n off it.  For a Pauli it is one parity of the
-conjugated Pauli.  Both are exact dyadic rationals; the dense path serves
-every other pair, and the two agree exactly.
+does the circuit's work once and returns x -> X.  A Haar circuit uses its
+dense unitary.  On a Clifford or T-gate circuit a Pauli is a sum of parities
+over at most 2^k signed Pauli branches (one exact parity on a Clifford), and
+a stabilizer projector is read off the rotated tableau's Z-basis support on
+a Clifford (exact dyadic rationals) or the Born vector of ``statevector``.
 
 States are stabilizer tableaux.  Acquisition draws N/R circuits and
 measures each one R times: a Clifford circuit samples the rotated tableau,
-any other circuit samples |U psi|^2 from its dense unitary.  Records are
+any other circuit samples |U psi|^2 from its ``statevector``.  Records are
 grouped into K batches and estimates are medians of batch means.
 ``estimate`` evaluates each circuit while it is in memory; ``record_values``
 evaluates records read back from their descriptors, to the same values.  Every
@@ -26,6 +25,7 @@ so transcripts are reproducible bit for bit regardless of evaluation order.
 
 import contextlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,13 +33,13 @@ import numpy as np
 
 from . import dense
 from .ensembles import EnsembleSpec, SampledCircuit, sample_circuit, substream
-from .stabilizer import StabilizerTableau
+from .stabilizer import PauliString, StabilizerTableau
 
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """Observable in one of three forms: stabilizer projector minus identity
-    (traceless by construction), a Pauli string, or a dense matrix."""
+    """Observable in one of two forms: stabilizer projector minus identity
+    (traceless by construction) or a Hermitian Pauli string."""
     kind: str
     payload: object
     n: int
@@ -52,42 +52,29 @@ class ObservableSpec:
 
     @classmethod
     def pauli(cls, p):
+        if not p.is_hermitian():
+            raise ValueError(f"Pauli {p.label()} is not Hermitian")
         traceless = bool(p.x.any() or p.z.any())
         return cls("pauli", p, p.n, traceless=traceless)
-
-    @classmethod
-    def from_dense(cls, mat, atol=1e-10):
-        n = dense.num_qubits(mat)
-        traceless = abs(np.trace(mat)) <= atol
-        return cls("dense", np.asarray(mat, dtype=complex), n, traceless)
 
     def dense(self):
         d = 2 ** self.n
         if self.kind == "stab_projector":
             v = self.payload.statevector()
             return np.outer(v, v.conj()) - np.eye(d) / d
-        if self.kind == "pauli":
-            return self.payload.dense()
-        return self.payload
+        return self.payload.dense()
 
     def trace(self):
-        if self.kind == "stab_projector":
+        p = self.payload
+        if self.kind == "stab_projector" or p.x.any() or p.z.any():
             return Fraction(0)
-        if self.kind == "pauli":
-            p = self.payload
-            if p.x.any() or p.z.any():
-                return Fraction(0)
-            return Fraction(p.hermitian_sign() * 2 ** self.n)
-        return complex(np.trace(self.payload))
+        return Fraction(p.hermitian_sign() * 2 ** self.n)
 
     def hs_norm_sq(self):
         """tr(O^2); exact for the structured kinds."""
         if self.kind == "stab_projector":
             return Fraction(2 ** self.n - 1, 2 ** self.n)
-        if self.kind == "pauli":
-            return Fraction(2 ** self.n)
-        o = self.payload
-        return float(np.real(np.trace(o @ o)))
+        return Fraction(2 ** self.n)
 
 
 @dataclass(frozen=True)
@@ -139,41 +126,58 @@ def read_records(path):
 # Single-shot estimator, evaluated once per circuit.
 
 def shot_evaluator(o, circuit):
-    """The map x -> X for one circuit, with the per-circuit work done once.
-
-    On a Clifford circuit a stabilizer projector's value depends on x only
-    through the rotated state's Z-basis support and a Pauli's through one
-    parity of its conjugated image; both are exact Fractions.  Every other
-    pair takes the dense path and gives floats.
-    """
+    """The map x -> X for one circuit, with the per-circuit work done once:
+    one path per (circuit kind, observable kind) pair, as listed above."""
     if circuit.n != o.n:
         raise ValueError("circuit and observable act on different qubit counts")
     d = 2 ** o.n
-    if circuit.kind == "clifford" and o.kind == "stab_projector":
+    if circuit.kind == "haar":
+        return _dense_evaluator(o, circuit)
+    if o.kind == "pauli":
+        return _pauli_evaluator(o, circuit)
+    if circuit.kind == "clifford":
         rotated = o.payload.apply_clifford(circuit.element)
         return lambda x: (d + 1) * (rotated.z_probability(x) - Fraction(1, d))
-    if circuit.kind == "clifford" and o.kind == "pauli":
-        img = circuit.element.conjugate_pauli(o.payload)
-        tr = o.trace()
-        sign = 0 if img.x.any() else img.hermitian_sign()  # <x|P|x> = 0 unless Z-type
-        z = img.z_int()
-        return lambda x: (d + 1) * Fraction(sign * (-1) ** (z & int(x, 2)).bit_count()) - tr
-    return _dense_evaluator(o, circuit)
+    p = np.abs(circuit.statevector(o.payload)) ** 2
+    return lambda x: (d + 1) * (float(p[int(x, 2)]) - 2.0 ** -o.n)
+
+
+def _pauli_evaluator(o, circuit):
+    """X for a Pauli on a Clifford or T-gate circuit, with no 2^n term.
+
+    With U ~ (c - is P_k)...(c - is P_1) C (``push_rows``), U P U^dag is
+    Q = C P C^dag pushed through the factors: a branch Q that anticommutes
+    with P_j becomes (Q - i P_j Q)/sqrt(2).  The Z-type ones of the at most
+    2^k branches give <x|U P U^dag|x> as a sum of parities.
+    """
+    p = o.payload
+    rows = [PauliString(*r) for r in zip(*circuit.push_rows(p.x[None], p.z[None], [p.phase]))]
+    branches = {(rows[0].x_int(), rows[0].z_int()): 1j ** rows[0].phase}
+    for b in rows[1:]:
+        bx, bz, split = b.x_int(), b.z_int(), {}
+        for (x, z), c in branches.items():
+            if ((x & bz).bit_count() + (z & bx).bit_count()) % 2:
+                c *= math.sqrt(0.5)
+                # -i P_j Q = -i^(1 + phase + 2 bz.x) X^(bx ^ x) Z^(bz ^ z)
+                key, a = (x ^ bx, z ^ bz), 1 + b.phase + 2 * (bz & x).bit_count()
+                split[key] = split.get(key, 0) - 1j ** a * c
+            split[x, z] = split.get((x, z), 0) + c
+        branches = split
+    # <x|i^a Z^z|x> = i^a (-1)^(z.x), and the sum over branches is real
+    parities = [(z, c.real) for (x, z), c in branches.items() if x == 0]
+    d, tr = 2 ** o.n, o.trace()
+    return lambda x: (d + 1) * sum(w * (-1) ** (z & int(x, 2)).bit_count()
+                                   for z, w in parities) - tr
 
 
 def _dense_evaluator(o, circuit):
     u, mat = circuit.dense(), o.dense()
-    tr = float(np.real(o.trace()))
+    tr = float(o.trace())
 
     def value(x):
         row = u[int(x, 2), :]
         return (2 ** o.n + 1) * float(np.real(row @ mat @ row.conj())) - tr
     return value
-
-
-def single_shot_dense(o, circuit, x):
-    """Dense-matrix value of X for any circuit: the oracle for the exact paths."""
-    return _dense_evaluator(o, circuit)(x)
 
 
 def _check_outcomes(o, outcomes):
@@ -194,7 +198,7 @@ def _measure_circuit(circuit, state, reuse, rng):
     if circuit.kind == "clifford":
         rotated = state.apply_clifford(circuit.element)
         return [rotated.sample_z_basis(rng) for _ in range(reuse)]
-    p = np.abs(circuit.dense() @ state.statevector()) ** 2
+    p = np.abs(circuit.statevector(state)) ** 2
     outcomes = rng.choice(len(p), size=reuse, p=p / p.sum())
     return [dense.index_to_bits(int(x), circuit.n) for x in outcomes]
 
@@ -260,13 +264,12 @@ def estimate_from_records(records, o, batches):
 # Conditional means and the reuse-limit variance V*.
 
 def conditional_mean(o, circuit, state):
-    """E_x[X | U], exactly contracted over the 2^n outcomes."""
-    n = o.n
-    u = circuit.dense()
-    p = np.abs(u @ state.statevector()) ** 2
-    b = np.real(np.diag(u @ o.dense() @ u.conj().T))
-    tr_o = float(np.real(o.trace()))
-    return float((2 ** n + 1) * np.dot(p, b) - tr_o)
+    """E_x[X | U] = sum_x p_x X(x), with p = |U psi|^2, exactly contracted
+    over the outcomes of positive probability."""
+    p = np.abs(circuit.statevector(state)) ** 2
+    value = shot_evaluator(o, circuit)
+    return float(sum(p[x] * float(value(dense.index_to_bits(int(x), o.n)))
+                     for x in np.flatnonzero(p)))
 
 
 def estimate_vstar(spec, state, o, circuits, rng):

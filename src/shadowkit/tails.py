@@ -126,24 +126,26 @@ def _circuit_fixed_xvalues(spec, rng, count):
 
 
 def _pair_born_vectors(spec, rng, count):
-    """Rotated Born probability vectors |<x|U|0^n>|^2 for count circuits.
+    """Rotated Born probability vectors |<x|U|0^n>|^2 for count circuits,
+    made one at a time as the returned iterator is read.
 
-    T-gate circuits draw all their segments in one batch; circuits are made
-    one at a time, so no Haar unitary outlives its circuit.
+    Every circuit is drawn here, before any vector is made (T-gate circuits
+    in one batch of segments), so a caller's later draws from ``rng`` come
+    after all of them; only one 2^n vector is held at a time.
     """
     n = spec.n
     if spec.kind == "homeopathic":
         per = spec.k + 1
         segments = cl.sample_uniform_batch(n, rng, count * per)
-        circuits = (SampledCircuit("homeopathic", n, segments=segments[i * per:(i + 1) * per])
-                    for i in range(count))
+        circuits = [SampledCircuit("homeopathic", n, segments=segments[i * per:(i + 1) * per])
+                    for i in range(count)]
     else:
-        circuits = (sample_circuit(spec, rng) for _ in range(count))
+        circuits = [sample_circuit(spec, rng) for _ in range(count)]
+    circuits.reverse()
     zero = StabilizerTableau.zero_state(n)
-    out = np.empty((count, 2 ** n))
-    for i, circuit in enumerate(circuits):
-        out[i] = np.abs(circuit.statevector(zero)) ** 2
-    return out / out.sum(axis=1, keepdims=True)
+    # each circuit is dropped once used, so no Haar unitary outlives its circuit
+    born = (np.abs(circuits.pop().statevector(zero)) ** 2 for _ in range(count))
+    return (p / p.sum() for p in born)
 
 
 def sample_pair_xvalues(spec, rng, count, reuse=1):
@@ -158,11 +160,10 @@ def sample_pair_xvalues(spec, rng, count, reuse=1):
         return fixed
     n = spec.n
     d = 2 ** n
-    probs = _pair_born_vectors(spec, rng, count)
     out = np.empty(count)
-    for i in range(count):
-        xs = rng.choice(d, size=reuse, p=probs[i])
-        out[i] = (d + 1) * (probs[i, xs].mean() - 2.0 ** -n)
+    for i, p in enumerate(_pair_born_vectors(spec, rng, count)):
+        xs = rng.choice(d, size=reuse, p=p)
+        out[i] = (d + 1) * (p[xs].mean() - 2.0 ** -n)
     return out
 
 
@@ -176,8 +177,9 @@ def pair_conditional_means(spec, rng, count):
     fixed = _circuit_fixed_xvalues(spec, rng, count)
     if fixed is not None:
         return fixed
-    probs = _pair_born_vectors(spec, rng, count)
-    return (2 ** spec.n + 1) * ((probs * probs).sum(axis=1) - 2.0 ** -spec.n)
+    d = 2 ** spec.n
+    return np.fromiter(((d + 1) * ((p * p).sum() - 2.0 ** -spec.n)
+                        for p in _pair_born_vectors(spec, rng, count)), float, count)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,36 @@ def test_cli_refuses_oversized_ensembles_before_allocating(capsys, monkeypatch):
         assert captured.err.startswith("shadowkit estimate: error: ")
 
 
+def test_cli_non_hermitian_pauli_leaves_records_file_alone(capsys, tmp_path):
+    records = tmp_path / "f"
+    records.write_bytes(b"earlier contents\n")
+    status = cli.main(["estimate", "--kind", "clifford", "--n", "3", "--measurements", "8",
+                       "--reuse", "2", "--batches", "1", "--seed", "1", "--pauli", "iZZI",
+                       "--records-out", str(records)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "shadowkit estimate: error: Pauli +iZZI is not Hermitian\n"
+    assert records.read_bytes() == b"earlier contents\n"
+
+
+def test_cli_t_gate_estimate_builds_no_dense_clifford(capsys, monkeypatch):
+    """T-gate circuits act by Pauli branches: no segment is made dense, for the
+    projector and for a Pauli, and n = 14 (past the old unitary cap) runs."""
+    from shadowkit.clifford import CliffordElement
+
+    def no_dense(self):
+        raise AssertionError("a dense Clifford was built")
+    monkeypatch.setattr(CliffordElement, "to_dense", no_dense)
+    six = ["--n", "6", "--k", "4", "--measurements", "400", "--reuse", "4"]
+    fourteen = ["--n", "14", "--k", "2", "--measurements", "8", "--reuse", "2"]
+    for argv in (six, six + ["--pauli", "ZIXYZI"], fourteen, fourteen + ["--pauli", "X" * 14]):
+        assert cli.main(["estimate", "--kind", "homeopathic", "--batches", "1", "--seed", "1"]
+                        + argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"estimate", "K", "R", "N", "seed"}
+
+
 def test_cli_config_plus_seed_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -6,12 +6,13 @@ import pytest
 from scipy import stats
 
 from shadowkit import clifford as cl
-from shadowkit import dense
 from shadowkit import moments as mo
 from shadowkit import protocol as pr
 from shadowkit import tails as tl
 from shadowkit.ensembles import EnsembleSpec, SampledCircuit, sample_circuit
 from shadowkit.stabilizer import PauliString, StabilizerTableau
+
+from dense_oracle import circuit_unitary, conditional_mean_dense, single_shot_dense
 
 IDENT1 = SampledCircuit("clifford", 1, element=cl.CliffordElement.identity(1))
 
@@ -19,14 +20,16 @@ IDENT1 = SampledCircuit("clifford", 1, element=cl.CliffordElement.identity(1))
 def test_single_shot_worked_examples():
     z = pr.ObservableSpec.pauli(PauliString.from_label("Z"))
     assert pr.single_shot(z, IDENT1, "0") == 3.0
-    proj = pr.ObservableSpec.from_dense(dense.basis_state(0, 1))
-    assert not proj.traceless
-    assert pr.single_shot(proj, IDENT1, "0") == 2.0
-    assert pr.single_shot(proj, IDENT1, "1") == -1.0
-    zero = pr.ObservableSpec.from_dense(np.zeros((2, 2)))
+    # -I is not traceless: X = 3 <x|-I|x> - tr(-I) = -3 + 2 on every outcome
+    minus_id = pr.ObservableSpec.pauli(PauliString.from_label("-I"))
+    assert not minus_id.traceless
+    assert pr.single_shot(minus_id, IDENT1, "0") == -1.0
+    assert pr.single_shot(minus_id, IDENT1, "1") == -1.0
     rng = np.random.default_rng(0)
     c = SampledCircuit("clifford", 1, element=cl.sample_uniform(1, rng))
-    assert pr.single_shot(zero, c, "0") == 0.0
+    assert pr.single_shot(pr.ObservableSpec.pauli(PauliString.from_label("I")), c, "0") == 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        pr.ObservableSpec.pauli(PauliString.from_label("iZ"))
     with pytest.raises(ValueError):
         pr.single_shot(z, IDENT1, "00")
 
@@ -47,9 +50,9 @@ def test_fast_path_equals_dense_path_exactly():
             for xi in range(2 ** n):
                 x = format(xi, f"0{n}b")
                 assert pr.single_shot(o, c, x) == pytest.approx(
-                    pr.single_shot_dense(o, c, x), abs=1e-9)
+                    single_shot_dense(o, c, x), abs=1e-9)
                 assert pr.single_shot(p, c, x) == pytest.approx(
-                    pr.single_shot_dense(p, c, x), abs=1e-9)
+                    single_shot_dense(p, c, x), abs=1e-9)
             cases += 1
     assert cases == 1004
 
@@ -114,7 +117,7 @@ def test_acquire_records_bytes_are_pinned():
 def test_record_values_bytes_are_pinned():
     """Exact evaluated values for fixed records: the projector, an X-containing
     and a Z-type signed Pauli on Clifford circuits, and the dense path for the
-    T-gate and Haar ensembles."""
+    Haar ensemble."""
     cases = []
     for n in (1, 2, 3, 10):
         rng = np.random.default_rng(n)
@@ -126,13 +129,55 @@ def test_record_values_bytes_are_pinned():
         obs = pr.ObservableSpec.pauli(PauliString.from_label(label))
         cases.append((EnsembleSpec("clifford", 5), state, obs))
     state, obs = pr.stabilizer_pair(3, scramble=cl.sample_uniform(3, np.random.default_rng(3)))
-    cases.append((EnsembleSpec("homeopathic", 3, k=2), state, obs))
     cases.append((EnsembleSpec("haar", 3), state, obs))
     h = hashlib.sha256()
     for spec, state, obs in cases:
         cfg = pr.RunConfig(spec, measurements=64, reuse=4, batches=1, seed=2212)
         h.update(pr.record_values(pr.acquire(cfg, state), obs).tobytes())
-    assert h.hexdigest() == "6ce35198c2461ccb8610d71820bfd8d80908b3a10b55920e78668bfff4a14c23"
+    assert h.hexdigest() == "619ceb4f84216e57689200d17c603362b4f468b3cfdb6b2bb2acd83e33691b14"
+
+
+def test_t_gate_record_values_match_dense_oracle_and_are_pinned():
+    """The T-gate case of the record pins: its records, and values within
+    1e-12 of the dense segment product, then pinned to the bit."""
+    state, obs = pr.stabilizer_pair(3, scramble=cl.sample_uniform(3, np.random.default_rng(3)))
+    cfg = pr.RunConfig(EnsembleSpec("homeopathic", 3, k=2), measurements=64, reuse=4,
+                       batches=1, seed=2212)
+    records = pr.acquire(cfg, state)
+    text = "".join(rec.to_json() + "\n" for rec in records).encode()
+    assert hashlib.sha256(text).hexdigest() == \
+        "7335d3c863b70fcf0696a7c9bafe64d55c1fa68ac0e6d8113cb99921ce25abb2"
+    values = pr.record_values(records, obs)
+    for rec, value in zip(records, values):
+        circuit = SampledCircuit.from_descriptor(rec.circuit)
+        want = np.mean([single_shot_dense(obs, circuit, x) for x in rec.outcomes])
+        assert abs(value - want) < 1e-12
+    assert hashlib.sha256(values.tobytes()).hexdigest() == \
+        "de55aa4d0e351b33ffe0b3b12ef084d3a92eec3be28f1a06446bbe708431155f"
+
+
+def test_t_gate_evaluators_match_dense_oracle():
+    """shot_evaluator and conditional_mean on T-gate circuits, n <= 5 and
+    k <= 6, against the dense segment product on every outcome: random
+    signed Paulis (X-containing ones included) and stabilizer projectors."""
+    rng = np.random.default_rng(21)
+    x_paulis = 0
+    for n in range(1, 6):
+        for k in range(7):
+            circuit = sample_circuit(EnsembleSpec("homeopathic", n, k=k), rng)
+            state = cl.random_stabilizer_tableau(n, rng)
+            paulis = [PauliString.random(n, rng) for _ in range(3)]
+            x_paulis += sum(bool(p.x.any()) for p in paulis)
+            for o in [pr.ObservableSpec.stabilizer_projector(cl.random_stabilizer_tableau(n, rng)),
+                      pr.ObservableSpec.stabilizer_projector(state)] + \
+                     [pr.ObservableSpec.pauli(p) for p in paulis]:
+                value = pr.shot_evaluator(o, circuit)
+                for xi in range(2 ** n):
+                    x = format(xi, f"0{n}b")
+                    assert abs(float(value(x)) - single_shot_dense(o, circuit, x)) < 1e-12
+                assert abs(pr.conditional_mean(o, circuit, state)
+                           - conditional_mean_dense(o, circuit, state)) < 1e-12
+    assert x_paulis > 50
 
 
 def test_measure_circuit_dense_branch_chi_square():
@@ -143,7 +188,7 @@ def test_measure_circuit_dense_branch_chi_square():
     for spec in (EnsembleSpec("haar", 3), EnsembleSpec("homeopathic", 3, k=0),
                  EnsembleSpec("homeopathic", 3, k=2)):
         circuit = sample_circuit(spec, rng)
-        p = np.abs(circuit.dense() @ state.statevector()) ** 2
+        p = np.abs(circuit_unitary(circuit) @ state.statevector()) ** 2
         outcomes = pr._measure_circuit(circuit, state, shots, rng)
         counts = np.bincount([int(x, 2) for x in outcomes], minlength=8)
         live = p > 1e-12

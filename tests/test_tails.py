@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,20 @@ def test_pair_born_vector_samplers_t_gate_bytes_are_pinned():
     """k = 1..3 bytes of the Pauli-branch path."""
     assert _born_sampler_digest([2, 3, 4]) == \
         "7aa9638cd604a4327ed0eecbdaeeb28aaa6ddfbe9e49e70753f705208e953089"
+
+
+def test_pair_born_vectors_hold_one_circuit_at_a_time():
+    """Born vectors are made and reduced one circuit at a time: neither 100
+    Haar unitaries at n = 7 (256 KiB each) nor a (200, 2^12) array of T-gate
+    Born vectors (6.5 MB) is ever held."""
+    for spec, count in ((EnsembleSpec("haar", 7), 100),
+                        (EnsembleSpec("homeopathic", 12, k=1), 200)):
+        for sampler in (tl.pair_conditional_means, tl.sample_pair_xvalues):
+            tracemalloc.start()
+            sampler(spec, np.random.default_rng(0), count)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 4 * 2 ** 20, (spec, sampler.__name__, peak)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=60),
