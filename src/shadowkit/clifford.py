@@ -16,6 +16,8 @@ uniformly is therefore exactly uniform, and iterating it enumerates the
 group without repetition.
 """
 
+import functools
+
 import numpy as np
 
 from . import bits as f2
@@ -143,15 +145,35 @@ def _check_sampled_n(n):
         raise ValueError(f"the Clifford sampler needs 1 <= n <= {MAX_SAMPLED_N}, got n = {n}")
 
 
+@functools.cache
+def _component_bounds(n):
+    """Half-open bounds of the rows k_1, free_1, k_2, ... as read-only (2n, 1)
+    columns, shared by every call."""
+    level = np.arange(1, n + 1, dtype=np.int64)
+    lo = np.stack([np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)], axis=1)
+    hi = np.stack([4 ** level, 2 ** (2 * level - 1)], axis=1)
+    lo, hi = lo.reshape(-1, 1), hi.reshape(-1, 1)
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
+def _draw_components(n, rng, count):
+    """(k, free) of count matrices, each of shape (n, count), in one draw.
+
+    The rows k_1, free_1, k_2, ... come out in the order of 2n separate
+    per-row draws and consume the stream as those would: every bounded draw
+    below 2**32 takes one 32-bit half-word, which PCG64 buffers in its state.
+    The sampler pins guard this.
+    """
+    lo, hi = _component_bounds(n)
+    draws = rng.integers(lo, hi, size=(2 * n, count))
+    return draws[0::2], draws[1::2]
+
+
 def sample_symplectic_batch(n, rng, count):
     """count standard-convention symplectic matrices, exactly uniform."""
     _check_sampled_n(n)
-    k = np.empty((n, count), dtype=np.int64)
-    free = np.empty((n, count), dtype=np.int64)
-    for level in range(1, n + 1):
-        k[level - 1] = rng.integers(1, 4 ** level, size=count)
-        free[level - 1] = rng.integers(0, 2 ** (2 * level - 1), size=count)
-    return _build_symplectic(k, free)
+    return _build_symplectic(*_draw_components(n, rng, count))
 
 
 def symplectic_from_index(index, n):
@@ -283,9 +305,26 @@ class CliffordElement:
         return f"CliffordElement(n={self.n}, {self.to_hex()[:16]}...)"
 
 
+def sample_uniform_streams(n, rngs):
+    """One exactly uniform element of C_n per entry of ``rngs``.
+
+    Entries draw in list order, each its components then its sign bits, and
+    all of them are built in one batch.  Entry i draws what ``sample_uniform(n,
+    rngs[i])`` would, so a stream listed m times gives m consecutive elements.
+    """
+    _check_sampled_n(n)
+    k = np.empty((n, len(rngs)), dtype=np.int64)
+    free = np.empty((n, len(rngs)), dtype=np.int64)
+    alphas = np.empty((len(rngs), 2 * n), dtype=np.uint8)
+    for i, rng in enumerate(rngs):
+        k[:, i:i + 1], free[:, i:i + 1] = _draw_components(n, rng, 1)
+        alphas[i] = rng.integers(2, size=2 * n, dtype=np.uint8)
+    return [CliffordElement(s, a) for s, a in zip(_build_symplectic(k, free), alphas)]
+
+
 def sample_uniform(n, rng):
     """Exactly uniform element of C_n (modulo global phase)."""
-    return sample_uniform_batch(n, rng, 1)[0]
+    return sample_uniform_streams(n, [rng])[0]
 
 
 def sample_uniform_batch(n, rng, count):

@@ -166,16 +166,27 @@ class SampledCircuit:
         return cls(kind, n, segments=segs)
 
 
-def sample_circuit(spec, rng):
+def sample_circuits(spec, rngs):
+    """One circuit of ``spec`` per entry of ``rngs``, drawn from the entries in
+    list order; every Clifford element of them is built in one batch.  A T-gate
+    circuit draws its k+1 segments one after another from its entry."""
+    n = spec.n
     if spec.kind == "identity":
-        return SampledCircuit("clifford", spec.n, element=cl.CliffordElement.identity(spec.n))
-    if spec.kind == "clifford":
-        return SampledCircuit("clifford", spec.n, element=cl.sample_uniform(spec.n, rng))
+        element = cl.CliffordElement.identity(n)
+        return [SampledCircuit("clifford", n, element=element) for _ in rngs]
     if spec.kind == "haar":
-        seed = int(rng.integers(1 << 62))
-        return SampledCircuit("haar", spec.n, haar_seed=seed)
-    segments = [cl.sample_uniform(spec.n, rng) for _ in range(spec.k + 1)]
-    return SampledCircuit("homeopathic", spec.n, segments=segments)
+        return [SampledCircuit("haar", n, haar_seed=int(rng.integers(1 << 62))) for rng in rngs]
+    if spec.kind == "clifford":
+        return [SampledCircuit("clifford", n, element=c)
+                for c in cl.sample_uniform_streams(n, rngs)]
+    per = spec.k + 1
+    segments = cl.sample_uniform_streams(n, [rng for rng in rngs for _ in range(per)])
+    return [SampledCircuit("homeopathic", n, segments=segments[i:i + per])
+            for i in range(0, len(segments), per)]
+
+
+def sample_circuit(spec, rng):
+    return sample_circuits(spec, [rng])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,17 @@ a stabilizer projector is read off the rotated tableau's Z-basis support on
 a Clifford (exact dyadic rationals) or the Born vector of ``statevector``.
 
 States are stabilizer tableaux.  Acquisition draws N/R circuits and
-measures each one R times: a Clifford circuit samples the rotated tableau,
-any other circuit samples |U psi|^2 from its ``statevector``.  Records are
-grouped into K batches and estimates are medians of batch means.
-``estimate`` evaluates each circuit while it is in memory; ``record_values``
-evaluates records read back from their descriptors, to the same values.  Every
-circuit index owns a deterministic rng substream derived from (seed, index),
-so transcripts are reproducible bit for bit regardless of evaluation order.
+measures each one R times.  Every circuit index owns a deterministic rng
+substream derived from (seed, index), so circuits are drawn a chunk at a
+time, from their own streams, and built in one batch, and transcripts are
+reproducible bit for bit regardless of chunking or evaluation order.  A
+circuit acts on the state once (``_act``): a Clifford circuit gives the
+rotated tableau, any other circuit the Born vector |U psi|^2 of its
+``statevector``.  Shots are drawn from that action, and ``estimate`` reuses
+it to evaluate the projector of the state itself.  Records are grouped into
+K batches and estimates are medians of batch means.  ``estimate`` evaluates
+each circuit while it is in memory; ``record_values`` evaluates records read
+back from their descriptors, to the same values.
 """
 
 import contextlib
@@ -32,7 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import dense
-from .ensembles import EnsembleSpec, SampledCircuit, sample_circuit, substream
+from .ensembles import (EnsembleSpec, SampledCircuit, sample_circuit, sample_circuits,
+                        substream)
 from .stabilizer import PauliString, StabilizerTableau
 
 
@@ -125,9 +130,10 @@ def read_records(path):
 # ---------------------------------------------------------------------------
 # Single-shot estimator, evaluated once per circuit.
 
-def shot_evaluator(o, circuit):
+def shot_evaluator(o, circuit, action=None):
     """The map x -> X for one circuit, with the per-circuit work done once:
-    one path per (circuit kind, observable kind) pair, as listed above."""
+    one path per (circuit kind, observable kind) pair, as listed above.
+    ``action`` is ``_act(circuit, o.payload)`` when the caller already holds it."""
     if circuit.n != o.n:
         raise ValueError("circuit and observable act on different qubit counts")
     d = 2 ** o.n
@@ -135,11 +141,10 @@ def shot_evaluator(o, circuit):
         return _dense_evaluator(o, circuit)
     if o.kind == "pauli":
         return _pauli_evaluator(o, circuit)
+    acted = _act(circuit, o.payload) if action is None else action
     if circuit.kind == "clifford":
-        rotated = o.payload.apply_clifford(circuit.element)
-        return lambda x: (d + 1) * (rotated.z_probability(x) - Fraction(1, d))
-    p = np.abs(circuit.statevector(o.payload)) ** 2
-    return lambda x: (d + 1) * (float(p[int(x, 2)]) - 2.0 ** -o.n)
+        return lambda x: (d + 1) * (acted.z_probability(x) - Fraction(1, d))
+    return lambda x: (d + 1) * (float(acted[int(x, 2)]) - 2.0 ** -o.n)
 
 
 def _pauli_evaluator(o, circuit):
@@ -194,27 +199,53 @@ def single_shot(o, circuit, x):
 # ---------------------------------------------------------------------------
 # Acquisition and estimation.
 
-def _measure_circuit(circuit, state, reuse, rng):
+def _act(circuit, state):
+    """The circuit's action on a tableau: the rotated tableau of a Clifford
+    circuit, else the Born vector |U psi|^2 of ``statevector``."""
     if circuit.kind == "clifford":
-        rotated = state.apply_clifford(circuit.element)
-        return [rotated.sample_z_basis(rng) for _ in range(reuse)]
-    p = np.abs(circuit.statevector(state)) ** 2
-    outcomes = rng.choice(len(p), size=reuse, p=p / p.sum())
-    return [dense.index_to_bits(int(x), circuit.n) for x in outcomes]
+        return state.apply_clifford(circuit.element)
+    return np.abs(circuit.statevector(state)) ** 2
+
+
+def _measure(action, reuse, rng):
+    """R Z-basis outcomes drawn from an ``_act`` result."""
+    if isinstance(action, StabilizerTableau):
+        return [action.sample_z_basis(rng) for _ in range(reuse)]
+    n = len(action).bit_length() - 1
+    outcomes = rng.choice(len(action), size=reuse, p=action / action.sum())
+    return [dense.index_to_bits(int(x), n) for x in outcomes]
+
+
+# Circuits drawn and built per batch by ``_circuit_shots``.  Each keeps its rng
+# stream (about 4 KB) until its shots are drawn; at 16 the build is batched
+# and peak memory stays flat.
+CIRCUIT_CHUNK = 16
 
 
 def _circuit_shots(cfg, state):
-    """Yield each of the N/R circuits of a run with its R outcomes, in order."""
-    for t in range(cfg.circuits):
-        rng = substream(cfg.seed, t)
-        circuit = sample_circuit(cfg.ensemble, rng)
-        yield circuit, _measure_circuit(circuit, state, cfg.reuse, rng)
+    """Yield each of the N/R circuits of a run, in order, with its action on
+    the state and its R outcomes.
+
+    Circuit t owns substream(seed, t).  A chunk's circuits are drawn from
+    their streams first and built in one batch; each stream then goes on to
+    its circuit's shots, so the bytes do not depend on the chunk size.
+    """
+    for start in range(0, cfg.circuits, CIRCUIT_CHUNK):
+        rngs = [substream(cfg.seed, t)
+                for t in range(start, min(start + CIRCUIT_CHUNK, cfg.circuits))]
+        circuits = sample_circuits(cfg.ensemble, rngs)
+        circuits.reverse()
+        for rng in rngs:
+            # each circuit is dropped once used, so no Haar unitary outlives it
+            circuit = circuits.pop()
+            action = _act(circuit, state)
+            yield circuit, action, _measure(action, cfg.reuse, rng)
 
 
 def acquire(cfg, state):
     """Run the data-acquisition loop: N/R records of R outcomes each."""
     return [ShadowRecord(circuit.descriptor(), outcomes)
-            for circuit, outcomes in _circuit_shots(cfg, state)]
+            for circuit, _, outcomes in _circuit_shots(cfg, state)]
 
 
 def median_of_means(values, batches):
@@ -226,9 +257,9 @@ def median_of_means(values, batches):
     return float(np.sort(means)[(batches - 1) // 2])
 
 
-def _mean_value(o, circuit, outcomes):
+def _mean_value(o, circuit, outcomes, action=None):
     _check_outcomes(o, outcomes)
-    value = shot_evaluator(o, circuit)
+    value = shot_evaluator(o, circuit, action)
     return np.mean([float(value(x)) for x in outcomes])
 
 
@@ -244,13 +275,15 @@ def estimate(cfg, state, o, records_out=None):
     """Full protocol: acquire, evaluate, median of K batch means; the
     records are also written to the ``records_out`` path when one is given.
     Each circuit is evaluated as sampled and then dropped, so no dense
-    matrix outlives its circuit."""
+    matrix outlives its circuit.  When O is the projector of the state's own
+    tableau, the circuit's action on the state serves the evaluation too."""
     values = np.empty(cfg.circuits)
+    shared = o.kind == "stab_projector" and o.payload is state
     with (open(records_out, "w") if records_out else contextlib.nullcontext()) as sink:
-        for i, (circuit, outcomes) in enumerate(_circuit_shots(cfg, state)):
+        for i, (circuit, action, outcomes) in enumerate(_circuit_shots(cfg, state)):
             if sink:
                 sink.write(ShadowRecord(circuit.descriptor(), outcomes).to_json() + "\n")
-            values[i] = _mean_value(o, circuit, outcomes)
+            values[i] = _mean_value(o, circuit, outcomes, action if shared else None)
     est = median_of_means(values, cfg.batches)
     return {"estimate": est, "K": cfg.batches, "R": cfg.reuse,
             "N": cfg.measurements, "seed": cfg.seed}

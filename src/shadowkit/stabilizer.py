@@ -20,6 +20,11 @@ _PAULI_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
 _SIGNS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
+def _bits_to_int(bits):
+    """The bit vector as an int, entry 0 the most significant bit."""
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
+
+
 class PauliString:
     """A signed n-qubit Pauli operator ``i**phase * X^x Z^z``."""
 
@@ -103,10 +108,10 @@ class PauliString:
         return f"PauliString({self.label()})"
 
     def x_int(self):
-        return int("".join(map(str, self.x)), 2) if self.n else 0
+        return _bits_to_int(self.x)
 
     def z_int(self):
-        return int("".join(map(str, self.z)), 2) if self.n else 0
+        return _bits_to_int(self.z)
 
     def apply(self, vec):
         """Apply to a dense statevector (signed permutation, O(2^n))."""
@@ -202,8 +207,8 @@ class StabilizerTableau:
         """One Z-basis outcome drawn from |<x|S>|^2: one fair bit per pivot, in
         qubit order, as qubit-by-qubit collapse draws them (q random iff a pivot)."""
         x, basis, _ = self.z_support()
-        for row in basis:
-            if rng.integers(2):
+        for row, bit in zip(basis, rng.integers(2, size=len(basis)).tolist()):
+            if bit:
                 x ^= row
         return format(x, f"0{self.n}b")
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bits as f2
 from . import clifford as cl
-from .ensembles import SampledCircuit, sample_circuit
+from .ensembles import SampledCircuit, sample_circuits
 from .protocol import median_of_means
 from .stabilizer import StabilizerTableau
 
@@ -140,7 +140,7 @@ def _pair_born_vectors(spec, rng, count):
         circuits = [SampledCircuit("homeopathic", n, segments=segments[i * per:(i + 1) * per])
                     for i in range(count)]
     else:
-        circuits = [sample_circuit(spec, rng) for _ in range(count)]
+        circuits = sample_circuits(spec, [rng] * count)
     circuits.reverse()
     zero = StabilizerTableau.zero_state(n)
     # each circuit is dropped once used, so no Haar unitary outlives its circuit

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from shadowkit import clifford as cl
@@ -114,6 +116,24 @@ def test_n31_batch_bytes_are_pinned():
     mats = cl.sample_symplectic_batch(31, np.random.default_rng(3131), 512)
     assert hashlib.sha256(mats.tobytes()).hexdigest() == \
         "a3fc0bcdd36e23de0f522f09f6dc05d42f65b4ed092d915f62ec30b22b459376"
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 31])
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 2), min_size=4, max_size=6))
+@settings(max_examples=20, deadline=None)
+def test_sample_uniform_streams_is_one_draw_per_entry(n, seed, picks):
+    """Entry i of ``sample_uniform_streams`` is ``sample_uniform`` on stream i,
+    in list order, with three streams for four or more entries so some stream
+    repeats: the same bytes, and every stream's next draws agree."""
+    def fresh():
+        return [np.random.default_rng([seed, j]) for j in range(3)]
+    a, b = fresh(), fresh()
+    got = cl.sample_uniform_streams(n, [a[j] for j in picks])
+    want = [cl.sample_uniform(n, b[j]) for j in picks]
+    assert [c.to_hex() for c in got] == [c.to_hex() for c in want]
+    for ra, rb in zip(a, b):
+        assert ra.integers(2) == rb.integers(2)
+        assert ra.integers(1 << 62) == rb.integers(1 << 62)
 
 
 def test_n31_batch_is_symplectic():

@@ -1,4 +1,6 @@
 import hashlib
+import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +139,55 @@ def test_record_values_bytes_are_pinned():
     assert h.hexdigest() == "619ceb4f84216e57689200d17c603362b4f468b3cfdb6b2bb2acd83e33691b14"
 
 
+def test_estimate_bytes_are_pinned(tmp_path):
+    """The records file and the result of ``estimate`` on the stabilizer pair,
+    for Clifford circuits across a chunk boundary, T-gate and Haar circuits.
+    The digests were taken before circuits were drawn in chunks."""
+    assert pr.CIRCUIT_CHUNK == 16
+    state, o = pr.stabilizer_pair(3, scramble=cl.sample_uniform(3, np.random.default_rng(12)))
+    cases = [(EnsembleSpec("clifford", 3), 17 * 4, 1,
+              "b418cb81d09a11ca4109a6097c4f709d668098889bc7a8d7f371b54e00487a29",
+              "7bacfc651facc03ae96501ef42ad5100c6b47a1d8e586691b325924a00857518"),
+             (EnsembleSpec("homeopathic", 3, k=2), 48, 3,
+              "498e1ed0239d2d6ccbfea05086c66d3641068a81dfef40d6a8939fd17531d27a",
+              "fcfd30b0efcd13cc42425a81ab262236a1f4686e5969870cceaf6b59fb520f01"),
+             (EnsembleSpec("haar", 3), 48, 3,
+              "b605068a9656fa1456f00d644d23d80f82df77994106fe145d1f7944add49e57",
+              "57debf92a4c699cf8fda552bf5c62d2802cf8e387bd349df6ce5fd883499a06e")]
+    for spec, measurements, batches, records_sha, result_sha in cases:
+        cfg = pr.RunConfig(spec, measurements, reuse=4, batches=batches, seed=1212)
+        path = tmp_path / f"{spec.kind}.jsonl"
+        out = pr.estimate(cfg, state, o, records_out=path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == records_sha, spec
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == result_sha, spec
+
+
+def test_estimate_acts_once_per_circuit(monkeypatch):
+    """On the stabilizer pair, acquisition and evaluation share one action per
+    circuit: one tableau rotation per Clifford circuit, one statevector per
+    T-gate circuit, and one symplectic build per chunk of circuits."""
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((StabilizerTableau, "apply_clifford"),
+                        (SampledCircuit, "statevector"), (cl, "_build_symplectic")):
+        counted(owner, name)
+    state, o = pr.stabilizer_pair(3)
+    circuits = pr.CIRCUIT_CHUNK + 1
+    pr.estimate(pr.RunConfig(EnsembleSpec("clifford", 3), 2 * circuits, 2, 1), state, o)
+    assert calls == {"apply_clifford": circuits, "_build_symplectic": 2}
+    calls.clear()
+    pr.estimate(pr.RunConfig(EnsembleSpec("homeopathic", 3, k=2), 24, 2, 3), state, o)
+    assert calls == {"statevector": 12, "_build_symplectic": 1}
+
+
 def test_t_gate_record_values_match_dense_oracle_and_are_pinned():
     """The T-gate case of the record pins: its records, and values within
     1e-12 of the dense segment product, then pinned to the bit."""
@@ -189,7 +240,7 @@ def test_measure_circuit_dense_branch_chi_square():
                  EnsembleSpec("homeopathic", 3, k=2)):
         circuit = sample_circuit(spec, rng)
         p = np.abs(circuit_unitary(circuit) @ state.statevector()) ** 2
-        outcomes = pr._measure_circuit(circuit, state, shots, rng)
+        outcomes = pr._measure(pr._act(circuit, state), shots, rng)
         counts = np.bincount([int(x, 2) for x in outcomes], minlength=8)
         live = p > 1e-12
         assert counts[~live].sum() == 0
