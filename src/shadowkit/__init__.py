@@ -21,16 +21,16 @@ from .stabilizer import PauliString, StabilizerTableau, overlap_sq
 from .moments import (commutant_labels, gram_matrix, sigma_tt_enumerate,
                       stabilizer_pair_variance, thrifty_variance_predict,
                       variance_3design, weingarten_matrix)
-from .tails import (CostModel, MomentTable, bernstein_tail, clifford_moment,
-                    limiting_moment, mgf_bound_haar, optimal_reuse, tail_experiment)
+from .tails import (CostModel, bernstein_tail, clifford_moment, limiting_moment,
+                    mgf_bound_haar, optimal_reuse, tail_experiment)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CliffordElement", "CostModel", "EnsembleSpec", "MomentTable",
-    "ObservableSpec", "PauliString", "RunConfig", "SampledCircuit",
-    "ShadowRecord", "StabilizerTableau", "acquire", "bernstein_tail",
-    "clifford_moment", "clifford_order", "commutant_labels", "enumerate_group",
+    "CliffordElement", "CostModel", "EnsembleSpec", "ObservableSpec",
+    "PauliString", "RunConfig", "SampledCircuit", "ShadowRecord",
+    "StabilizerTableau", "acquire", "bernstein_tail", "clifford_moment",
+    "clifford_order", "commutant_labels", "enumerate_group",
     "estimate", "estimate_vstar", "gram_matrix", "inverse_frame_apply",
     "limiting_moment", "median_of_means", "mgf_bound_haar", "optimal_reuse",
     "overlap_sq", "sample_circuit", "sample_uniform", "sigma_tt_enumerate",

@@ -3,7 +3,7 @@
 Conventions used throughout the package:
 
 * Qubit 0 is the *leftmost* tensor factor, so a computational basis state
-  ``|x_0 x_1 ... x_{n-1}>`` has index ``int("".join(x), 2)``.
+  ``|x_0 x_1 ... x_{n-1}>`` has the index whose most significant bit is x_0.
 * Operators are plain complex numpy arrays of shape ``(2**n, 2**n)``.
 * Vectorization is column-major: ``vectorize(A)[i + d*j] = A[i, j]``.
   With this choice ``vectorize(U @ X @ U.conj().T) == np.kron(U.conj(), U)
@@ -40,9 +40,7 @@ def kron_all(factors):
 
 
 def basis_state(x, n):
-    """Density matrix |x><x| for an integer or '0101'-style bitstring x."""
-    if isinstance(x, str):
-        x = int(x, 2)
+    """Density matrix |x><x| for an integer outcome x."""
     rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
     rho[x, x] = 1.0
     return rho
@@ -95,7 +93,3 @@ def devectorize(v):
 def conjugation_superop(u):
     """Matrix of rho -> u rho u^dag acting on vectorized operators."""
     return np.kron(u.conj(), u)
-
-
-def index_to_bits(x, n):
-    return format(x, f"0{n}b")

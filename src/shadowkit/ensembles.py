@@ -135,7 +135,12 @@ class SampledCircuit:
         v = StabilizerTableau(xs[:m], zs[:m], phases[:m]).statevector()
         c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
         for j in range(m, len(xs)):
-            v = c * v - 1j * s * PauliString(xs[j], zs[j], phases[j]).apply(v)
+            # v <- c v - is P_j v in place; w is freed before the next ``apply``
+            w = PauliString(xs[j], zs[j], phases[j]).apply(v)
+            np.multiply(1j * s, w, out=w)
+            np.multiply(c, v, out=v)
+            np.subtract(v, w, out=v)
+            del w
         return v
 
     def descriptor(self):

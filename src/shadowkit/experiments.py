@@ -307,14 +307,10 @@ def _format_value(v):
     return str(v)
 
 
-def rows_to_csv(rows, fields=None):
+def rows_to_csv(rows):
+    """CSV with the columns in order of first appearance over the rows."""
     flats = [r.flat() for r in rows]
-    if fields is None:
-        fields = []
-        for f in flats:
-            for key in f:
-                if key not in fields:
-                    fields.append(key)
+    fields = list(dict.fromkeys(key for f in flats for key in f))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
@@ -327,18 +323,14 @@ def rows_to_json(rows):
     return json.dumps([r.flat() for r in rows], sort_keys=True, indent=2) + "\n"
 
 
-def emit(result, fmt, path=None, fields=None):
-    """Serialize an experiment result; returns the text, writes if path given.
-
-    ``fields`` pins the CSV column order (and yields a header-only file for
-    an empty row list); by default columns follow first appearance.
-    """
+def emit(result, fmt, path=None):
+    """Serialize an experiment result; returns the text, writes if path given."""
     if isinstance(result, dict):
         text = json.dumps(result, sort_keys=True, indent=2) + "\n"
     elif fmt == "json":
         text = rows_to_json(result)
     elif fmt == "csv":
-        text = rows_to_csv(result, fields=fields)
+        text = rows_to_csv(result)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path:

@@ -18,13 +18,17 @@ measures each one R times.  Every circuit index owns a deterministic rng
 substream derived from (seed, index), so circuits are drawn a chunk at a
 time, from their own streams, and built in one batch, and transcripts are
 reproducible bit for bit regardless of chunking or evaluation order.  A
-circuit acts on the state once (``_act``): a Clifford circuit gives the
+circuit acts on the state once (``act``): a Clifford circuit gives the
 rotated tableau, any other circuit the Born vector |U psi|^2 of its
-``statevector``.  Shots are drawn from that action, and ``estimate`` reuses
-it to evaluate the projector of the state itself.  Records are grouped into
-K batches and estimates are medians of batch means.  ``estimate`` evaluates
-each circuit while it is in memory; ``record_values`` evaluates records read
-back from their descriptors, to the same values.
+``statevector``.  Shots are drawn from that action (``measure``), and
+``estimate`` reuses it to evaluate the projector of the state itself.
+Records are grouped into K batches and estimates are medians of batch means.
+``estimate`` evaluates each circuit while it is in memory; ``record_values``
+evaluates records read back from their descriptors, to the same values.
+
+An outcome x is an int, qubit 0 its most significant bit.  Only a shadow
+record holds it as a bitstring of exactly n characters 0/1: ``_record``
+writes it and ``parse_outcome`` reads it back, refusing anything else.
 """
 
 import contextlib
@@ -35,7 +39,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dense
 from .ensembles import (EnsembleSpec, SampledCircuit, sample_circuit, sample_circuits,
                         substream)
 from .stabilizer import PauliString, StabilizerTableau
@@ -48,19 +51,17 @@ class ObservableSpec:
     kind: str
     payload: object
     n: int
-    traceless: bool
 
     @classmethod
     def stabilizer_projector(cls, tab):
         """O = |S><S| - I/2^n."""
-        return cls("stab_projector", tab, tab.n, traceless=True)
+        return cls("stab_projector", tab, tab.n)
 
     @classmethod
     def pauli(cls, p):
         if not p.is_hermitian():
             raise ValueError(f"Pauli {p.label()} is not Hermitian")
-        traceless = bool(p.x.any() or p.z.any())
-        return cls("pauli", p, p.n, traceless=traceless)
+        return cls("pauli", p, p.n)
 
     def dense(self):
         d = 2 ** self.n
@@ -127,13 +128,26 @@ def read_records(path):
         return [ShadowRecord.from_json(line) for line in fh if line.strip()]
 
 
+def _record(circuit, outcomes):
+    """The record of a circuit and its int outcomes, each as n characters 0/1."""
+    return ShadowRecord(circuit.descriptor(), [format(x, f"0{circuit.n}b") for x in outcomes])
+
+
+def parse_outcome(x, n):
+    """The int of a record's outcome, which must be exactly n characters 0/1."""
+    if not (isinstance(x, str) and len(x) == n and not x.strip("01")):
+        raise ValueError(f"outcome {x!r} is not a string of {n} characters 0/1")
+    return int(x, 2)
+
+
 # ---------------------------------------------------------------------------
 # Single-shot estimator, evaluated once per circuit.
 
 def shot_evaluator(o, circuit, action=None):
-    """The map x -> X for one circuit, with the per-circuit work done once:
-    one path per (circuit kind, observable kind) pair, as listed above.
-    ``action`` is ``_act(circuit, o.payload)`` when the caller already holds it."""
+    """The map x -> X for one circuit and an int outcome x, with the
+    per-circuit work done once: one path per (circuit kind, observable kind)
+    pair, as listed above.  ``action`` is ``act(circuit, o.payload)`` when the
+    caller already holds it."""
     if circuit.n != o.n:
         raise ValueError("circuit and observable act on different qubit counts")
     d = 2 ** o.n
@@ -141,10 +155,10 @@ def shot_evaluator(o, circuit, action=None):
         return _dense_evaluator(o, circuit)
     if o.kind == "pauli":
         return _pauli_evaluator(o, circuit)
-    acted = _act(circuit, o.payload) if action is None else action
+    acted = act(circuit, o.payload) if action is None else action
     if circuit.kind == "clifford":
         return lambda x: (d + 1) * (acted.z_probability(x) - Fraction(1, d))
-    return lambda x: (d + 1) * (float(acted[int(x, 2)]) - 2.0 ** -o.n)
+    return lambda x: (d + 1) * (float(acted[x]) - 2.0 ** -o.n)
 
 
 def _pauli_evaluator(o, circuit):
@@ -171,7 +185,7 @@ def _pauli_evaluator(o, circuit):
     # <x|i^a Z^z|x> = i^a (-1)^(z.x), and the sum over branches is real
     parities = [(z, c.real) for (x, z), c in branches.items() if x == 0]
     d, tr = 2 ** o.n, o.trace()
-    return lambda x: (d + 1) * sum(w * (-1) ** (z & int(x, 2)).bit_count()
+    return lambda x: (d + 1) * sum(w * (-1) ** (z & x).bit_count()
                                    for z, w in parities) - tr
 
 
@@ -180,26 +194,22 @@ def _dense_evaluator(o, circuit):
     tr = float(o.trace())
 
     def value(x):
-        row = u[int(x, 2), :]
+        row = u[x, :]
         return (2 ** o.n + 1) * float(np.real(row @ mat @ row.conj())) - tr
     return value
 
 
-def _check_outcomes(o, outcomes):
-    if any(len(x) != o.n for x in outcomes):
-        raise ValueError("outcome length does not match observable qubits")
-
-
 def single_shot(o, circuit, x):
-    """The estimator value X for one classical shadow (circuit, x)."""
-    _check_outcomes(o, [x])
+    """The estimator value X for one classical shadow (circuit, x), with x a
+    bitstring as in a record."""
+    x = parse_outcome(x, o.n)
     return float(shot_evaluator(o, circuit)(x))
 
 
 # ---------------------------------------------------------------------------
 # Acquisition and estimation.
 
-def _act(circuit, state):
+def act(circuit, state):
     """The circuit's action on a tableau: the rotated tableau of a Clifford
     circuit, else the Born vector |U psi|^2 of ``statevector``."""
     if circuit.kind == "clifford":
@@ -207,13 +217,11 @@ def _act(circuit, state):
     return np.abs(circuit.statevector(state)) ** 2
 
 
-def _measure(action, reuse, rng):
-    """R Z-basis outcomes drawn from an ``_act`` result."""
+def measure(action, reuse, rng):
+    """R Z-basis outcomes, as ints, drawn from an ``act`` result."""
     if isinstance(action, StabilizerTableau):
         return [action.sample_z_basis(rng) for _ in range(reuse)]
-    n = len(action).bit_length() - 1
-    outcomes = rng.choice(len(action), size=reuse, p=action / action.sum())
-    return [dense.index_to_bits(int(x), n) for x in outcomes]
+    return rng.choice(len(action), size=reuse, p=action / action.sum()).tolist()
 
 
 # Circuits drawn and built per batch by ``_circuit_shots``.  Each keeps its rng
@@ -238,14 +246,13 @@ def _circuit_shots(cfg, state):
         for rng in rngs:
             # each circuit is dropped once used, so no Haar unitary outlives it
             circuit = circuits.pop()
-            action = _act(circuit, state)
-            yield circuit, action, _measure(action, cfg.reuse, rng)
+            action = act(circuit, state)
+            yield circuit, action, measure(action, cfg.reuse, rng)
 
 
 def acquire(cfg, state):
     """Run the data-acquisition loop: N/R records of R outcomes each."""
-    return [ShadowRecord(circuit.descriptor(), outcomes)
-            for circuit, _, outcomes in _circuit_shots(cfg, state)]
+    return [_record(circuit, outcomes) for circuit, _, outcomes in _circuit_shots(cfg, state)]
 
 
 def median_of_means(values, batches):
@@ -258,7 +265,6 @@ def median_of_means(values, batches):
 
 
 def _mean_value(o, circuit, outcomes, action=None):
-    _check_outcomes(o, outcomes)
     value = shot_evaluator(o, circuit, action)
     return np.mean([float(value(x)) for x in outcomes])
 
@@ -267,7 +273,8 @@ def record_values(records, o):
     """Per-record means of the single-shot estimator."""
     out = np.empty(len(records))
     for i, rec in enumerate(records):
-        out[i] = _mean_value(o, SampledCircuit.from_descriptor(rec.circuit), rec.outcomes)
+        circuit = SampledCircuit.from_descriptor(rec.circuit)
+        out[i] = _mean_value(o, circuit, [parse_outcome(x, o.n) for x in rec.outcomes])
     return out
 
 
@@ -282,7 +289,7 @@ def estimate(cfg, state, o, records_out=None):
     with (open(records_out, "w") if records_out else contextlib.nullcontext()) as sink:
         for i, (circuit, action, outcomes) in enumerate(_circuit_shots(cfg, state)):
             if sink:
-                sink.write(ShadowRecord(circuit.descriptor(), outcomes).to_json() + "\n")
+                sink.write(_record(circuit, outcomes).to_json() + "\n")
             values[i] = _mean_value(o, circuit, outcomes, action if shared else None)
     est = median_of_means(values, cfg.batches)
     return {"estimate": est, "K": cfg.batches, "R": cfg.reuse,
@@ -301,8 +308,7 @@ def conditional_mean(o, circuit, state):
     over the outcomes of positive probability."""
     p = np.abs(circuit.statevector(state)) ** 2
     value = shot_evaluator(o, circuit)
-    return float(sum(p[x] * float(value(dense.index_to_bits(int(x), o.n)))
-                     for x in np.flatnonzero(p)))
+    return float(sum(p[x] * float(value(x)) for x in np.flatnonzero(p).tolist()))
 
 
 def estimate_vstar(spec, state, o, circuits, rng):

@@ -7,7 +7,8 @@ Aaronson-Gottesman layout, with full mod-4 phase tracking so overlaps and
 estimator values come out as exact dyadic rationals.  A tableau's Z-basis
 outcomes are uniform on an affine subspace x0 + span(B), derived once
 (``z_support``) and read by shot sampling, Born probabilities and the dense
-statevector.
+statevector.  An outcome is an int with qubit 0 the most significant bit;
+bitstrings exist only in shadow records.
 """
 
 from fractions import Fraction
@@ -114,13 +115,15 @@ class PauliString:
         return _bits_to_int(self.z)
 
     def apply(self, vec):
-        """Apply to a dense statevector (signed permutation, O(2^n))."""
-        n = self.n
-        xi, zi = self.x_int(), self.z_int()
-        idx = np.arange(len(vec))
-        signs = 1 - 2 * (np.bitwise_count(idx & zi) & 1).astype(np.int64)
-        out = np.empty_like(vec, dtype=complex)
-        out[idx ^ xi] = (1j ** self.phase) * signs * vec
+        """Apply to a dense statevector (signed permutation, O(2^n)): entry j is
+        i^phase (-1)^(z.s) vec[s] with s = j ^ x, from one gather and one
+        in-place complex multiply by i^phase * (+1 or -1)."""
+        src = np.arange(len(vec))
+        src ^= self.x_int()
+        neg = np.bitwise_count(src & self.z_int()) & 1
+        out = vec[src]
+        del src                 # so at most out, vec and the factors are held
+        np.multiply(((1j ** self.phase) * np.array([1, -1]))[neg], out, out=out)
         return out
 
     def dense(self):
@@ -204,37 +207,44 @@ class StabilizerTableau:
         return self._z_support
 
     def sample_z_basis(self, rng):
-        """One Z-basis outcome drawn from |<x|S>|^2: one fair bit per pivot, in
-        qubit order, as qubit-by-qubit collapse draws them (q random iff a pivot)."""
+        """One Z-basis outcome x, an int, drawn from |<x|S>|^2: one fair bit per
+        pivot, in qubit order, as qubit-by-qubit collapse draws them (q random iff
+        a pivot)."""
         x, basis, _ = self.z_support()
         for row, bit in zip(basis, rng.integers(2, size=len(basis)).tolist()):
             if bit:
                 x ^= row
-        return format(x, f"0{self.n}b")
+        return x
 
     def z_support_dim(self):
         """Dimension of the affine support of the Z-basis distribution."""
         return len(self.z_support()[2])
 
     def z_probability(self, x):
-        """Exact Born probability of bitstring x as a Fraction."""
+        """Exact Born probability of outcome x (an int) as a Fraction."""
         x0, basis, pivots = self.z_support()
-        y = x0 ^ int(x, 2)
+        y = x0 ^ x
         for row, c in zip(basis, pivots):
             if y >> (self.n - 1 - c) & 1:
                 y ^= row
         return Fraction(0) if y else Fraction(1, 2 ** len(pivots))
 
     def statevector(self):
-        """Dense statevector (oracle path; arbitrary global phase)."""
+        """Dense statevector (arbitrary global phase): the stabilizer projectors
+        (1 + g)/2 applied to |x0>, added and halved in place, so at most three
+        vectors are held (two and ``apply``'s factors)."""
         v = np.zeros(2 ** self.n, dtype=complex)
         v[self.z_support()[0]] = 1.0
         for g in map(self.row, range(self.n, 2 * self.n)):
-            v = (v + g.apply(v)) / 2
+            w = g.apply(v)
+            np.add(v, w, out=w)
+            w /= 2
+            v = w
         norm = np.linalg.norm(v)
         if norm < 1e-9:
             raise RuntimeError("invalid tableau: no support found")
-        return v / norm
+        v /= norm
+        return v
 
 
 def _group_product(tab, coeffs):

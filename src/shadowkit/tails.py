@@ -14,6 +14,10 @@ form, evaluated here in rational arithmetic, along with their n -> infinity
 limits whose super-exponential growth rules out useful subexponential tail
 bounds.  For Haar circuits the moment generating function is bounded and a
 Bernstein-type tail holds.
+
+Haar and T-gate circuits are the protocol specialized to this pair: each
+circuit acts on |0^n> through ``protocol.act`` (its Born vector) and its R
+shots are ``protocol.measure`` draws from that vector.
 """
 
 import math
@@ -25,7 +29,7 @@ import numpy as np
 from . import bits as f2
 from . import clifford as cl
 from .ensembles import SampledCircuit, sample_circuits
-from .protocol import median_of_means
+from .protocol import act, measure, median_of_means
 from .stabilizer import StabilizerTableau
 
 
@@ -55,21 +59,6 @@ def limiting_moment(m):
     return Fraction(total)
 
 
-@dataclass
-class MomentTable:
-    """Moments m -> exact value; n is None for the limiting table."""
-    n: "int | None"
-    moments: dict
-
-    @classmethod
-    def clifford(cls, n, max_m):
-        return cls(n, {m: clifford_moment(n, m) for m in range(max_m + 1)})
-
-    @classmethod
-    def limiting(cls, max_m):
-        return cls(None, {m: limiting_moment(m) for m in range(max_m + 1)})
-
-
 # ---------------------------------------------------------------------------
 # Haar-side bounds.
 
@@ -93,7 +82,11 @@ def bernstein_tail(eps, n_samples, o_hs):
 # ---------------------------------------------------------------------------
 # Fast exact sampling of X for the stabilizer pair.
 
-def sample_pair_support_dims(n, rng, count, chunk=4096):
+# Symplectic matrices drawn per batch by ``sample_pair_support_dims``.
+SUPPORT_DIM_CHUNK = 4096
+
+
+def sample_pair_support_dims(n, rng, count):
     """Support dimensions d of C|0^n> for uniform C, drawn in batches.
 
     Only the symplectic part matters: d is the F2 rank of the x-block of
@@ -102,7 +95,7 @@ def sample_pair_support_dims(n, rng, count, chunk=4096):
     out = np.empty(count, dtype=np.int64)
     done = 0
     while done < count:
-        b = min(chunk, count - done)
+        b = min(SUPPORT_DIM_CHUNK, count - done)
         s = cl.sample_symplectic_batch(n, rng, b)
         out[done:done + b] = f2.rank_f2_batch(s[:, :n, n:])
         done += b
@@ -126,8 +119,9 @@ def _circuit_fixed_xvalues(spec, rng, count):
 
 
 def _pair_born_vectors(spec, rng, count):
-    """Rotated Born probability vectors |<x|U|0^n>|^2 for count circuits,
-    made one at a time as the returned iterator is read.
+    """Rotated Born vectors |<x|U|0^n>|^2 for count circuits, unnormalized as
+    ``protocol.act`` gives them, made one at a time as the returned iterator is
+    read.
 
     Every circuit is drawn here, before any vector is made (T-gate circuits
     in one batch of segments), so a caller's later draws from ``rng`` come
@@ -144,8 +138,7 @@ def _pair_born_vectors(spec, rng, count):
     circuits.reverse()
     zero = StabilizerTableau.zero_state(n)
     # each circuit is dropped once used, so no Haar unitary outlives its circuit
-    born = (np.abs(circuits.pop().statevector(zero)) ** 2 for _ in range(count))
-    return (p / p.sum() for p in born)
+    return (act(circuits.pop(), zero) for _ in range(count))
 
 
 def sample_pair_xvalues(spec, rng, count, reuse=1):
@@ -161,9 +154,9 @@ def sample_pair_xvalues(spec, rng, count, reuse=1):
     n = spec.n
     d = 2 ** n
     out = np.empty(count)
-    for i, p in enumerate(_pair_born_vectors(spec, rng, count)):
-        xs = rng.choice(d, size=reuse, p=p)
-        out[i] = (d + 1) * (p[xs].mean() - 2.0 ** -n)
+    for i, a in enumerate(_pair_born_vectors(spec, rng, count)):
+        p = a / a.sum()
+        out[i] = (d + 1) * (p[measure(a, reuse, rng)].mean() - 2.0 ** -n)
     return out
 
 
@@ -178,44 +171,13 @@ def pair_conditional_means(spec, rng, count):
     if fixed is not None:
         return fixed
     d = 2 ** spec.n
-    return np.fromiter(((d + 1) * ((p * p).sum() - 2.0 ** -spec.n)
-                        for p in _pair_born_vectors(spec, rng, count)), float, count)
+    born = (a / a.sum() for a in _pair_born_vectors(spec, rng, count))
+    return np.fromiter(((d + 1) * ((p * p).sum() - 2.0 ** -spec.n) for p in born),
+                       float, count)
 
 
 # ---------------------------------------------------------------------------
-# Streaming moment accumulation (pairwise mergeable).
-
-@dataclass
-class MomentAccumulator:
-    count: int = 0
-    sums: "np.ndarray | None" = None          # power sums s_1..s_max
-    max_power: int = 8
-
-    def add(self, values):
-        values = np.asarray(values, dtype=float)
-        sums = np.array([np.sum(values ** m) for m in range(1, self.max_power + 1)])
-        if self.sums is None:
-            self.sums = sums
-        else:
-            self.sums = self.sums + sums
-        self.count += len(values)
-        return self
-
-    def merge(self, other):
-        merged = MomentAccumulator(max_power=self.max_power)
-        merged.count = self.count + other.count
-        merged.sums = self.sums + other.sums
-        return merged
-
-    def raw_moment(self, m):
-        return float(self.sums[m - 1] / self.count)
-
-    def raw_moment_se(self, m):
-        """Standard error of the empirical m-th raw moment (needs 2m <= max)."""
-        second = self.raw_moment(2 * m)
-        var = max(second - self.raw_moment(m) ** 2, 0.0)
-        return math.sqrt(var / self.count)
-
+# Sample statistics.
 
 def variance_of_sample_variance(values):
     """(sample variance, its standard error) via the fourth-moment formula."""
@@ -241,7 +203,8 @@ def tail_experiment(spec, samples, rng, budget=10_000, batches=40):
     """
     n = spec.n
     xs = sample_pair_xvalues(spec, rng, samples)
-    acc = MomentAccumulator().add(xs)
+    # raw moments 1..8; the m-th's standard error reads the 2m-th
+    raw = {m: float(np.sum(xs ** m) / len(xs)) for m in range(1, 9)}
     true_mean = 1.0 - 2.0 ** -n
     thresholds = [2.0, 2.0 ** (n / 2), 2.0 ** n / 4]
     deviations = np.abs(xs - true_mean)
@@ -259,8 +222,9 @@ def tail_experiment(spec, samples, rng, budget=10_000, batches=40):
         "ensemble": spec.to_json(),
         "samples": int(samples),
         "true_mean": true_mean,
-        "moments": {str(m): acc.raw_moment(m) for m in range(1, 5)},
-        "moment_se": {str(m): acc.raw_moment_se(m) for m in range(1, 5)},
+        "moments": {str(m): raw[m] for m in range(1, 5)},
+        "moment_se": {str(m): math.sqrt(max(raw[2 * m] - raw[m] ** 2, 0.0) / len(xs))
+                      for m in range(1, 5)},
         "exceedance": exceedance,
         "replications": int(reps),
         "budget": int(budget),

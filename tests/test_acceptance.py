@@ -42,10 +42,9 @@ def test_criterion_1_exact_n2_oracle():
         evaluate = pr.shot_evaluator(obs, SampledCircuit("clifford", n, element=c))
         rotated = state.apply_clifford(c)
         for xi in range(2 ** n):
-            x = format(xi, f"0{n}b")
-            p = rotated.z_probability(x)
+            p = rotated.z_probability(xi)
             if p:
-                value = evaluate(x)
+                value = evaluate(xi)
                 e1 += p * value
                 e2 += p * value * value
         count += 1

@@ -196,6 +196,20 @@ def test_compose_associativity_and_inverse():
         assert a.inverse().compose(a) == cl.CliffordElement.identity(3)
 
 
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_inverse_is_the_dense_adjoint(n, seed):
+    """``inverse`` against the dense adjoint up to a global phase; a sign
+    convention shared by ``compose`` and ``inverse`` would still give
+    a.compose(a.inverse()) == identity."""
+    a = cl.sample_uniform(n, np.random.default_rng(seed))
+    got, want = a.inverse().to_dense(), a.to_dense().conj().T
+    i = np.unravel_index(np.argmax(np.abs(want)), want.shape)
+    phase = got[i] / want[i]
+    assert abs(abs(phase) - 1) < 1e-9
+    assert np.allclose(got, phase * want, atol=1e-9)
+
+
 def test_hex_round_trip():
     rng = np.random.default_rng(8)
     for n in (1, 2, 5):

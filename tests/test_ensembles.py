@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,19 @@ def test_statevector_is_dense_action_up_to_phase():
             assert abs(abs(np.vdot(want, got)) - 1) < 1e-10, (spec, n)
 
 
+def test_t_gate_statevector_peaks_under_four_vectors():
+    """One n = 16 T-gate statevector holds under 4 vectors of 2^n complex
+    entries at its peak, so n <= 24 fits the 2^24-entry budget."""
+    n = 16
+    circuit = en.sample_circuit(en.EnsembleSpec("homeopathic", n, k=2), np.random.default_rng(0))
+    state = StabilizerTableau.zero_state(n)
+    tracemalloc.start()
+    circuit.statevector(state)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 * 16 * 2 ** n, peak
+
+
 def test_t_gate_born_vectors_match_dense_oracle():
     """The Pauli-branch Born vectors of ``_pair_born_vectors`` against
     |U psi|^2 of the dense segment product on the same circuits; at k = 0 they are the Clifford
@@ -88,7 +103,8 @@ def test_t_gate_born_vectors_match_dense_oracle():
     for n in range(1, 7):
         for k in range(9):
             spec, count, seed = en.EnsembleSpec("homeopathic", n, k=k), 3, 10 * n + k
-            probs = list(tl._pair_born_vectors(spec, np.random.default_rng(seed), count))
+            probs = [a / a.sum() for a in
+                     tl._pair_born_vectors(spec, np.random.default_rng(seed), count)]
             segments = cl.sample_uniform_batch(n, np.random.default_rng(seed), count * (k + 1))
             psi = StabilizerTableau.zero_state(n).statevector()
             for i in range(count):

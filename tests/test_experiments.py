@@ -94,14 +94,14 @@ def test_config_validation_errors():
             ex.validate_config({**wg, **bad})
 
 
-def test_emit_empty_rows_header_only():
-    text = ex.emit([], "csv", fields=["a", "b"])
-    assert text == "a,b\n"
+def test_emit_csv_columns_follow_first_appearance():
     row = ex.ResultRow(params={"a": 1, "b": 2.5}, estimate=1.0)
     text = ex.emit([row], "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "a,b,estimate"
     assert lines[1] == "1,2.5,1"
+    later = ex.ResultRow(params={"c": 3, "a": 2})
+    assert ex.emit([row, later], "csv") == "a,b,estimate,c\n1,2.5,1,\n2,,,3\n"
 
 
 def test_emit_round_trip():

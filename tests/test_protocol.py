@@ -24,7 +24,7 @@ def test_single_shot_worked_examples():
     assert pr.single_shot(z, IDENT1, "0") == 3.0
     # -I is not traceless: X = 3 <x|-I|x> - tr(-I) = -3 + 2 on every outcome
     minus_id = pr.ObservableSpec.pauli(PauliString.from_label("-I"))
-    assert not minus_id.traceless
+    assert minus_id.trace() != 0
     assert pr.single_shot(minus_id, IDENT1, "0") == -1.0
     assert pr.single_shot(minus_id, IDENT1, "1") == -1.0
     rng = np.random.default_rng(0)
@@ -34,6 +34,26 @@ def test_single_shot_worked_examples():
         pr.ObservableSpec.pauli(PauliString.from_label("iZ"))
     with pytest.raises(ValueError):
         pr.single_shot(z, IDENT1, "00")
+
+
+@pytest.mark.parametrize("kind", ["clifford", "homeopathic", "haar"])
+def test_malformed_outcomes_are_refused_at_the_boundary(kind):
+    """A record outcome is exactly n characters 0/1: signs, underscores,
+    spaces, other digits, other lengths and non-strings are refused in one
+    line that names the outcome, by ``record_values`` and ``single_shot``."""
+    n = 3
+    circuit = sample_circuit(EnsembleSpec(kind, n, k=int(kind == "homeopathic")),
+                             np.random.default_rng(0))
+    _, pair = pr.stabilizer_pair(n)
+    pauli = pr.ObservableSpec.pauli(PauliString.from_label("ZXZ"))
+    # int(x, 2) accepts the first five, "\uff11" being a fullwidth 1
+    for bad in ("-01", "0_1", " 01", "+11", "\uff1101", "01", "0101", 5):
+        rec = pr.ShadowRecord(circuit.descriptor(), ["010", bad])
+        for o in (pair, pauli):
+            for call in (lambda: pr.record_values([rec], o), lambda: pr.single_shot(o, circuit, bad)):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert repr(bad) in str(err.value) and "\n" not in str(err.value)
 
 
 def test_fast_path_equals_dense_path_exactly():
@@ -62,7 +82,7 @@ def test_fast_path_equals_dense_path_exactly():
 def test_observable_traces():
     tab = StabilizerTableau.zero_state(3)
     o = pr.ObservableSpec.stabilizer_projector(tab)
-    assert o.trace() == 0 and o.traceless
+    assert o.trace() == 0
     assert o.hs_norm_sq() == Fraction(7, 8)
     assert np.trace(o.dense()) == pytest.approx(0.0)
     p = pr.ObservableSpec.pauli(PauliString.from_label("XZ"))
@@ -225,7 +245,7 @@ def test_t_gate_evaluators_match_dense_oracle():
                 value = pr.shot_evaluator(o, circuit)
                 for xi in range(2 ** n):
                     x = format(xi, f"0{n}b")
-                    assert abs(float(value(x)) - single_shot_dense(o, circuit, x)) < 1e-12
+                    assert abs(float(value(xi)) - single_shot_dense(o, circuit, x)) < 1e-12
                 assert abs(pr.conditional_mean(o, circuit, state)
                            - conditional_mean_dense(o, circuit, state)) < 1e-12
     assert x_paulis > 50
@@ -240,8 +260,8 @@ def test_measure_circuit_dense_branch_chi_square():
                  EnsembleSpec("homeopathic", 3, k=2)):
         circuit = sample_circuit(spec, rng)
         p = np.abs(circuit_unitary(circuit) @ state.statevector()) ** 2
-        outcomes = pr._measure(pr._act(circuit, state), shots, rng)
-        counts = np.bincount([int(x, 2) for x in outcomes], minlength=8)
+        outcomes = pr.measure(pr.act(circuit, state), shots, rng)
+        counts = np.bincount(outcomes, minlength=8)
         live = p > 1e-12
         assert counts[~live].sum() == 0
         _, pval = stats.chisquare(counts[live], shots * p[live] / p[live].sum())
@@ -309,10 +329,9 @@ def test_estimate_output_and_unbiasedness_n1_exact():
         value = pr.shot_evaluator(o, SampledCircuit("clifford", 1, element=c))
         rotated = state.apply_clifford(c)
         for xi in range(2):
-            x = format(xi, "01b")
-            p = rotated.z_probability(x)
+            p = rotated.z_probability(xi)
             if p:
-                total += p * value(x)
+                total += p * value(xi)
         count += 1
     from shadowkit.stabilizer import overlap_sq
     want = overlap_sq(otab, state) - Fraction(1, 2)
@@ -370,7 +389,7 @@ def test_conditional_mean_matches_brute_force():
     for kind in ("clifford", "haar"):
         circ = sample_circuit(EnsembleSpec(kind, n), rng)
         total = sum(
-            float(state.apply_clifford(circ.element).z_probability(format(x, "02b")))
+            float(state.apply_clifford(circ.element).z_probability(x))
             * pr.single_shot(o, circ, format(x, "02b"))
             for x in range(4)) if kind == "clifford" else None
         if kind == "haar":
@@ -436,9 +455,8 @@ def test_stabilizer_pair_collapse_matches_protocol_exactly():
         dim = rotated.z_support_dim()
         collapsed = Fraction(d_total + 1) * (Fraction(1, 2 ** dim) - Fraction(1, d_total))
         for xi in range(d_total):
-            x = format(xi, f"0{n}b")
-            if rotated.z_probability(x):
-                assert value(x) == collapsed
+            if rotated.z_probability(xi):
+                assert value(xi) == collapsed
 
 
 def test_reuse_variance_identity_clifford_and_haar():
