@@ -4,13 +4,17 @@ The package has three layers:
 
 * simulation: ``stabilizer`` (tableaux, exact overlaps), ``clifford``
   (symplectic group elements, exactly uniform sampling, enumeration for
-  n <= 2), ``dense`` (dense helpers and budget), ``ensembles`` (Haar,
+  n <= 2), ``dense`` (the dense-size budget), ``ensembles`` (Haar,
   Clifford, and T-gate-interpolated circuit families);
 * estimation: ``protocol`` (single-shot estimator evaluated once per circuit,
   acquisition with reuse, median of means, conditional-mean variances);
 * analysis: ``moments`` (commutant bases, exact Gram/Weingarten matrices,
   closed-form variances), ``tails`` (exact estimator moments, tail bounds,
   reuse-cost optimizer), ``experiments``/``cli`` (reproducible runs).
+
+numpy is the only runtime dependency.  The dense and sparse reference
+implementations (frame operators, the commutant operators R_T and Pi4) are
+test oracles and live with the tests.
 """
 
 from .clifford import CliffordElement, clifford_order, enumerate_group, sample_uniform

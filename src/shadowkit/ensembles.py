@@ -29,6 +29,10 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        for name in ("n", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"ensemble {name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"ensemble n must be at least 1, got {self.n}")
         if self.k < 0:
@@ -53,7 +57,7 @@ class EnsembleSpec:
         missing = [key for key in ("kind", "n") if key not in obj]
         if missing:
             raise ValueError(f"ensemble is missing {missing}")
-        return cls(kind=obj["kind"], n=int(obj["n"]), k=int(obj.get("k", 0)))
+        return cls(kind=obj["kind"], n=obj["n"], k=obj.get("k", 0))
 
 
 def substream(seed, *index):
@@ -195,44 +199,7 @@ def sample_circuit(spec, rng):
 
 
 # ---------------------------------------------------------------------------
-# Frame operator: F = sum_x E_U U^dag|x><x|U (x) conj, as a matrix acting on
-# vectorized operators.
-
-def _frame_contribution(u, out):
-    dim = u.shape[0]
-    for x in range(dim):
-        a = u.conj().T @ dense.basis_state(x, dim.bit_length() - 1) @ u
-        v = dense.vectorize(a)
-        out += np.outer(v, v.conj())
-
-
-def frame_operator_empirical(spec, samples, rng):
-    """Monte-Carlo estimate of the frame operator, 4^n x 4^n."""
-    dense.check_entries(16 ** spec.n, f"the frame operator on {spec.n} qubits")
-    dim = 2 ** spec.n
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for _ in range(samples):
-        _frame_contribution(sample_circuit(spec, rng).dense(), out)
-    return out / samples
-
-
-def frame_operator_exact_clifford(n):
-    """Exact frame operator by enumerating C_n (n <= 2)."""
-    dim = 2 ** n
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    count = 0
-    for c in cl.enumerate_group(n):
-        _frame_contribution(c.to_dense(), out)
-        count += 1
-    return out / count
-
-
-def frame_operator_depolarizing(n):
-    """The 2-design frame operator (rho + tr(rho) I) / (2^n + 1) as a matrix."""
-    dim = 2 ** n
-    vec_i = dense.vectorize(np.eye(dim, dtype=complex))
-    return (np.eye(dim * dim, dtype=complex) + np.outer(vec_i, vec_i.conj())) / (dim + 1)
-
+# Every ensemble here has the 2-design frame operator (rho + tr(rho) I) / (2^n + 1).
 
 def inverse_frame_apply(n, x):
     """(2^n + 1) x - tr(x) I: inverse of the 2-design frame operator."""

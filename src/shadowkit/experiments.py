@@ -55,8 +55,22 @@ def _require(cfg, *keys):
 
 
 def _require_at_least(name, value, low=1):
+    """An int (not a bool) of at least ``low``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def _require_number(name, value):
+    """An int or a float, not a bool or a string."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _require_list(name, value):
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
 
 
 def _validate_observable(o_cfg, n):
@@ -90,17 +104,21 @@ def validate_config(cfg):
         _require_at_least("measurements", cfg["measurements"])
         # V* is a sample variance over circuits, so it needs two of them
         _require_at_least("vstar_circuits", cfg["vstar_circuits"], 2)
+        _require_list("reuse_list", cfg["reuse_list"])
         for r in cfg["reuse_list"]:
             _require_at_least("reuse_list entry", r)
             if cfg["measurements"] % r:
                 raise ValueError(f"measurements not divisible by reuse {r}")
     elif name == "homeopathic-scan":
         _require(cfg, "n", "k_list", "circuits", "seed")
+        _require_at_least("n", cfg["n"])
+        _require_list("k_list", cfg["k_list"])
         for k in cfg["k_list"]:
             EnsembleSpec("homeopathic", cfg["n"], k=k)
         _require_at_least("circuits", cfg["circuits"], 2)
     elif name == "moment-table":
         _require(cfg, "n_list", "max_m")
+        _require_list("n_list", cfg["n_list"])
         for n in cfg["n_list"]:
             _require_at_least("n_list entry", n)
         _require_at_least("max_m", cfg["max_m"], 0)
@@ -114,6 +132,7 @@ def validate_config(cfg):
         _require(cfg, "t", "n", "group")
         t, n, group = cfg["t"], cfg["n"], cfg["group"]
         _require_at_least("t", t)
+        _require_at_least("n", n, 0)
         # the t! permutations are independent iff 2^n >= t; the Clifford
         # commutant needs n >= t - 1
         if group == "unitary" and 2 ** n < t:
@@ -126,6 +145,14 @@ def validate_config(cfg):
         _require(cfg, "alpha", "v1")
         if "vstar" not in cfg and "k" not in cfg:
             raise ValueError("optimal-reuse needs either vstar or a T-gate count k")
+        for key in ("alpha", "v1", "vstar", "budget"):
+            if key in cfg:
+                _require_number(key, cfg[key])
+        for key, low in (("k", 0), ("max_reuse", 1)):
+            if key in cfg:
+                _require_at_least(key, cfg[key], low)
+    if "seed" in cfg:
+        _require_at_least("seed", cfg["seed"], 0)
     return cfg
 
 

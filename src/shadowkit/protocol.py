@@ -113,8 +113,14 @@ class ShadowRecord:
 
     @classmethod
     def from_json(cls, line):
+        """The record of one records-file line: a JSON object with a string
+        ``circuit`` and a non-empty list ``outcomes``."""
         obj = json.loads(line)
-        return cls(circuit=obj["circuit"], outcomes=list(obj["outcomes"]))
+        if not (isinstance(obj, dict) and isinstance(obj.get("circuit"), str)
+                and isinstance(obj.get("outcomes"), list) and obj["outcomes"]):
+            raise ValueError(f"record {line.strip()[:80]!r} is not an object with a "
+                             f"string circuit and a non-empty list of outcomes")
+        return cls(circuit=obj["circuit"], outcomes=obj["outcomes"])
 
 
 def write_records(records, path):
@@ -294,10 +300,6 @@ def estimate(cfg, state, o, records_out=None):
     est = median_of_means(values, cfg.batches)
     return {"estimate": est, "K": cfg.batches, "R": cfg.reuse,
             "N": cfg.measurements, "seed": cfg.seed}
-
-
-def estimate_from_records(records, o, batches):
-    return median_of_means(record_values(records, o), batches)
 
 
 # ---------------------------------------------------------------------------

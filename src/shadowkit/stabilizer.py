@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bits as f2
+from .dense import check_entries
 
 _PAULI_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
 _SIGNS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
@@ -233,6 +234,7 @@ class StabilizerTableau:
         """Dense statevector (arbitrary global phase): the stabilizer projectors
         (1 + g)/2 applied to |x0>, added and halved in place, so at most three
         vectors are held (two and ``apply``'s factors)."""
+        check_entries(2 ** self.n, f"a statevector on {self.n} qubits")
         v = np.zeros(2 ** self.n, dtype=complex)
         v[self.z_support()[0]] = 1.0
         for g in map(self.row, range(self.n, 2 * self.n)):

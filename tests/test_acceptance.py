@@ -24,6 +24,9 @@ from shadowkit import protocol as pr
 from shadowkit import tails as tl
 from shadowkit.ensembles import EnsembleSpec, SampledCircuit
 
+from commutant_oracle import r_T_matrix, rt_inner
+from dense_oracle import T_GATE, basis_state, tensor_power
+
 
 def _report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -141,12 +144,12 @@ def test_criterion_6_overlap_identities():
     all_ok = True
     # T-gate sandwich values against dense computation, all 36 hatted pairs
     hats = mo.hat_labels()
-    tg4 = dense.tensor_power(dense.T_GATE, 4)
+    tg4 = tensor_power(T_GATE, 4)
     a3_ok = True
     for a in hats:
-        ra = mo.r_T_matrix(a.subspace(), 1, dense=True)
+        ra = r_T_matrix(a.subspace(), 1, dense=True)
         for b in hats:
-            rb = mo.r_T_matrix(b.subspace(), 1, dense=True)
+            rb = r_T_matrix(b.subspace(), 1, dense=True)
             val = np.real(np.trace(ra.conj().T @ tg4 @ rb @ tg4.conj().T))
             a3_ok &= abs(val - float(mo.tgate_sandwich(a, b, 1))) < 1e-9
             if a == b:
@@ -156,10 +159,10 @@ def test_criterion_6_overlap_identities():
     rng = np.random.default_rng(606)
     a2_ok = True
     for lab in mo.commutant_labels(4):
-        r1 = mo.r_T_matrix(lab.subspace(), 1, dense=True)
+        r1 = r_T_matrix(lab.subspace(), 1, dense=True)
         for x, xh in ((0, 1), (1, 0), (0, 0), (1, 1)):
-            big = dense.kron_all([dense.basis_state(x, 1)] * 2
-                                 + [dense.basis_state(xh, 1)] * 2)
+            big = dense.kron_all([basis_state(x, 1)] * 2
+                                 + [basis_state(xh, 1)] * 2)
             want = np.real(np.trace(big.conj().T @ r1))
             a2_ok &= float(mo.basis_overlap_rT(x, xh, lab)) == pytest.approx(want)
     all_ok &= _report("criterion-6 basis overlap table", a2_ok, "all 30 labels, x = and != xhat")
@@ -169,7 +172,7 @@ def test_criterion_6_overlap_identities():
     cases = 0
     for n, trials in ((1, 400), (2, 400), (3, 200)):
         d = 2 ** n
-        mats = {lab: mo.r_T_matrix(lab.subspace(), n) for lab in labels}
+        mats = {lab: r_T_matrix(lab.subspace(), n) for lab in labels}
         for _ in range(trials):
             m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             o = (m + m.conj().T) / 2
@@ -179,7 +182,7 @@ def test_criterion_6_overlap_identities():
             rho = np.outer(v, v.conj())
             tr_o2 = float(np.real(np.trace(o @ o)))
             for lab in labels:
-                val = mo.rt_inner(lab.subspace(), [o, rho, o, rho], matrix=mats[lab])
+                val = rt_inner(lab.subspace(), [o, rho, o, rho], matrix=mats[lab])
                 a1_ok &= abs(val) <= tr_o2 + 1e-9
             cases += 1
     all_ok &= _report("criterion-6 sandwich bound", a1_ok, f"{cases} random (O, rho) pairs")

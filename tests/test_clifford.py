@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from shadowkit import clifford as cl
-from shadowkit import dense
 from shadowkit.stabilizer import PauliString
+
+from dense_oracle import H, is_unitary
 
 
 def test_group_orders():
@@ -154,7 +155,7 @@ def test_to_dense_round_trips_symplectic_action():
     for n in (1, 2, 3):
         c = cl.sample_uniform(n, rng)
         u = c.to_dense()
-        assert dense.is_unitary(u)
+        assert is_unitary(u)
         # read the symplectic/phase data back off the dense conjugation
         for j in range(2 * n):
             bits = np.zeros(2 * n, dtype=np.uint8)
@@ -168,13 +169,13 @@ def test_identity_and_hadamard_dense():
     assert np.allclose(cl.CliffordElement.identity(2).to_dense(), np.eye(4))
     h = cl.CliffordElement(np.array([[0, 1], [1, 0]], dtype=np.uint8),
                            np.zeros(2, dtype=np.uint8)).to_dense()
-    phase = h[0, 0] / dense.H[0, 0]
-    assert np.allclose(h, phase * dense.H, atol=1e-10)
+    phase = h[0, 0] / H[0, 0]
+    assert np.allclose(h, phase * H, atol=1e-10)
 
 
 def test_to_dense_at_n7_is_unitary():
     u = cl.sample_uniform(7, np.random.default_rng(9)).to_dense()
-    assert u.shape == (128, 128) and dense.is_unitary(u)
+    assert u.shape == (128, 128) and is_unitary(u)
 
 
 def test_compose_against_dense_product():

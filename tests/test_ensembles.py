@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from shadowkit import clifford as cl
-from shadowkit import dense
 from shadowkit import ensembles as en
 from shadowkit import tails as tl
 from shadowkit.stabilizer import StabilizerTableau
 
-from dense_oracle import circuit_unitary, t_gate_dense
+from dense_oracle import (T_GATE, basis_state, circuit_unitary, devectorize,
+                          frame_operator_depolarizing, frame_operator_empirical,
+                          frame_operator_exact_clifford, is_unitary, t_gate_dense,
+                          vectorize)
 
 
 def test_spec_validation():
@@ -49,8 +51,8 @@ def test_dense_paths_refuse_before_allocating():
     with pytest.raises(ValueError, match="over the budget"):
         en.haar_unitary(2 ** 13, np.random.default_rng(0))
     with pytest.raises(ValueError, match="over the budget"):
-        en.frame_operator_empirical(en.EnsembleSpec("clifford", 7), 1,
-                                    np.random.default_rng(0))
+        frame_operator_empirical(en.EnsembleSpec("clifford", 7), 1,
+                                 np.random.default_rng(0))
 
 
 def test_spec_json_round_trip():
@@ -65,7 +67,7 @@ def test_homeopathic_marker_count_and_product():
         spec = en.EnsembleSpec("homeopathic", n, k=k)
         c = en.sample_circuit(spec, rng)
         assert c.k == k and len(c.segments) == k + 1
-        assert dense.is_unitary(circuit_unitary(c))
+        assert is_unitary(circuit_unitary(c))
         with pytest.raises(ValueError, match="no dense unitary"):
             c.dense()
 
@@ -150,7 +152,7 @@ def test_homeopathic_k0_matches_clifford_statistics():
 
 def test_t_gate_dense_acts_on_first_qubit():
     tg = t_gate_dense(2)
-    want = np.kron(dense.T_GATE, np.eye(2))
+    want = np.kron(T_GATE, np.eye(2))
     assert np.allclose(tg, want)
 
 
@@ -162,7 +164,7 @@ def test_haar_unitary_moments():
     ds = np.einsum("bii->bi", rs)
     us = qs * (ds / np.abs(ds))[:, None, :]
     for u in us[:50]:
-        assert dense.is_unitary(u)
+        assert is_unitary(u)
     # E|tr U|^2 = 1 for Haar
     traces = np.einsum("bii->b", us)
     vals = np.abs(traces) ** 2
@@ -187,24 +189,24 @@ def test_haar_first_moment_projector():
 
 def test_frame_operator_exact_clifford_is_depolarizing():
     for n in (1, 2):
-        f = en.frame_operator_exact_clifford(n)
-        assert np.allclose(f, en.frame_operator_depolarizing(n), atol=1e-12)
+        f = frame_operator_exact_clifford(n)
+        assert np.allclose(f, frame_operator_depolarizing(n), atol=1e-12)
 
 
 def test_frame_operator_haar_monte_carlo():
     rng = np.random.default_rng(4)
-    f = en.frame_operator_empirical(en.EnsembleSpec("haar", 1), 20_000, rng)
-    assert np.abs(f - en.frame_operator_depolarizing(1)).max() < 0.02
+    f = frame_operator_empirical(en.EnsembleSpec("haar", 1), 20_000, rng)
+    assert np.abs(f - frame_operator_depolarizing(1)).max() < 0.02
 
 
 def test_frame_operator_clifford_monte_carlo():
     rng = np.random.default_rng(5)
-    f = en.frame_operator_empirical(en.EnsembleSpec("clifford", 1), 20_000, rng)
-    assert np.abs(f - en.frame_operator_depolarizing(1)).max() < 0.02
+    f = frame_operator_empirical(en.EnsembleSpec("clifford", 1), 20_000, rng)
+    assert np.abs(f - frame_operator_depolarizing(1)).max() < 0.02
 
 
 def test_inverse_frame_examples():
-    out = en.inverse_frame_apply(1, dense.basis_state(0, 1))
+    out = en.inverse_frame_apply(1, basis_state(0, 1))
     assert np.allclose(out, np.diag([2, -1]))
     mix = np.eye(4) / 4
     assert np.allclose(en.inverse_frame_apply(2, mix), mix)
@@ -216,11 +218,11 @@ def test_inverse_frame_examples():
 
 def test_frame_composed_with_inverse_is_identity():
     for n in (1, 2):
-        f = en.frame_operator_exact_clifford(n)
+        f = frame_operator_exact_clifford(n)
         rng = np.random.default_rng(7)
         for _ in range(10):
             a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
-            lhs = dense.devectorize(f @ dense.vectorize(en.inverse_frame_apply(n, a)))
+            lhs = devectorize(f @ vectorize(en.inverse_frame_apply(n, a)))
             assert np.allclose(lhs, a, atol=1e-10)
 
 

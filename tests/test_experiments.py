@@ -283,6 +283,69 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
         assert captured.err == f"shadowkit {argv[0]}: error: {message}\n"
 
 
+_GOOD_CONFIGS = {
+    "estimate": {"ensemble": {"kind": "clifford", "n": 3, "k": 0}, "measurements": 60,
+                 "reuse": 3, "batches": 2, "seed": 4},
+    "variance-scan": {"ensemble": {"kind": "clifford", "n": 2, "k": 0}, "measurements": 12,
+                      "reuse_list": [1, 2], "vstar_circuits": 10, "seed": 0},
+    "homeopathic-scan": {"n": 3, "k_list": [0, 1], "circuits": 2, "seed": 0},
+    "moment-table": {"n_list": [2], "max_m": 2},
+    "tail-experiment": {"ensemble": {"kind": "clifford", "n": 3, "k": 0}, "samples": 100,
+                        "budget": 10, "batches": 2, "seed": 0},
+    "weingarten": {"t": 2, "n": 2, "group": "clifford"},
+    "optimal-reuse": {"alpha": 100.0, "budget": 1e4, "v1": 3.0, "vstar": 0.1, "max_reuse": 10},
+}
+
+
+@pytest.mark.parametrize("experiment, change, message", [
+    ("estimate", {"ensemble": {"kind": "clifford", "n": 3.7}},
+     "ensemble n must be an integer, got 3.7"),
+    ("estimate", {"ensemble": {"kind": "homeopathic", "n": 3, "k": 1.0}},
+     "ensemble k must be an integer, got 1.0"),
+    ("estimate", {"ensemble": {"kind": "clifford", "n": True}},
+     "ensemble n must be an integer, got True"),
+    ("estimate", {"seed": True}, "seed must be an integer, got True"),
+    ("estimate", {"seed": -1}, "seed must be at least 0, got -1"),
+    ("estimate", {"measurements": 60.0}, "measurements must be an integer, got 60.0"),
+    ("estimate", {"measurements": "24"}, "measurements must be an integer, got '24'"),
+    ("estimate", {"reuse": False}, "reuse must be an integer, got False"),
+    ("variance-scan", {"vstar_circuits": 10.0}, "vstar_circuits must be an integer, got 10.0"),
+    ("variance-scan", {"reuse_list": "1,2"}, "reuse_list must be a list, got '1,2'"),
+    ("variance-scan", {"reuse_list": [1, 2.0]}, "reuse_list entry must be an integer, got 2.0"),
+    ("homeopathic-scan", {"k_list": [0, 1.5]}, "ensemble k must be an integer, got 1.5"),
+    ("homeopathic-scan", {"n": 3.0}, "n must be an integer, got 3.0"),
+    ("homeopathic-scan", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ("moment-table", {"max_m": 2.0}, "max_m must be an integer, got 2.0"),
+    ("moment-table", {"n_list": [True]}, "n_list entry must be an integer, got True"),
+    ("tail-experiment", {"samples": 100.5}, "samples must be an integer, got 100.5"),
+    ("weingarten", {"n": 2.0}, "n must be an integer, got 2.0"),
+    ("weingarten", {"t": True}, "t must be an integer, got True"),
+    ("optimal-reuse", {"max_reuse": 10.0}, "max_reuse must be an integer, got 10.0"),
+    ("optimal-reuse", {"k": True}, "k must be an integer, got True"),
+    ("optimal-reuse", {"alpha": "100"}, "alpha must be a number, got '100'"),
+    ("optimal-reuse", {"v1": True}, "v1 must be a number, got True"),
+    ("optimal-reuse", {"vstar": "0.1"}, "vstar must be a number, got '0.1'"),
+    ("optimal-reuse", {"budget": False}, "budget must be a number, got False"),
+])
+def test_config_numbers_fail_at_the_boundary(capsys, tmp_path, experiment, change, message):
+    """A config number of the wrong type is a one-line ValueError and exit
+    status 2, before any output file is written."""
+    good = {"schema": 1, "experiment": experiment, **_GOOD_CONFIGS[experiment]}
+    ex.validate_config(json.loads(json.dumps(good)))
+    cfg = {**good, **change}
+    with pytest.raises(ValueError) as err:
+        ex.validate_config(json.loads(json.dumps(cfg)))
+    assert str(err.value) == message
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    extra = ["--records-out", str(tmp_path / "records")] if experiment == "estimate" else []
+    assert cli.main([experiment, "--config", str(path), "--out", str(out)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"shadowkit {experiment}: error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--n-list", "-1", "--max-m", "2"], "n_list entry must be at least 1, got -1"),
     (["--n-list", "0", "--max-m", "2"], "n_list entry must be at least 1, got 0"),
@@ -398,9 +461,37 @@ def test_weingarten_csv_bytes_are_pinned():
     assert h.hexdigest() == "a1e7d0b6c50981d3b0d9be3d23dad905120df45664c8f24410242bb99457d9a7"
 
 
-def test_cli_import_does_not_load_scipy():
+_TINY_RUNS = (
+    ["estimate", "--kind", "clifford", "--n", "2", "--measurements", "4", "--reuse", "2",
+     "--batches", "1", "--seed", "1"],
+    ["variance-scan", "--kind", "clifford", "--n", "2", "--measurements", "4",
+     "--reuse-list", "1,2", "--vstar-circuits", "2", "--seed", "1"],
+    ["homeopathic-scan", "--n", "2", "--k-list", "0,1", "--circuits", "2", "--seed", "1"],
+    ["moment-table", "--n-list", "1,2", "--max-m", "2"],
+    ["tail-experiment", "--kind", "clifford", "--n", "2", "--samples", "8", "--budget", "4",
+     "--batches", "2", "--seed", "1"],
+    ["weingarten", "--t", "2", "--n", "1", "--group", "unitary"],
+    ["optimal-reuse", "--alpha", "1", "--v1", "1", "--vstar", "0.1"],
+)
+
+
+def test_cli_import_does_not_load_scipy(tmp_path):
+    """numpy is the only runtime dependency: with scipy unimportable, every
+    module imports and every subcommand runs."""
+    assert sorted(argv[0] for argv in _TINY_RUNS) == sorted(ex.EXPERIMENTS)
     src = str(Path(ex.__file__).resolve().parents[1])
-    code = "import sys, shadowkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = f"""
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import shadowkit
+from shadowkit import cli
+for mod in pkgutil.iter_modules(shadowkit.__path__):
+    importlib.import_module("shadowkit." + mod.name)
+for i, argv in enumerate({list(_TINY_RUNS)!r}):
+    assert cli.main(argv + ["--out", {str(tmp_path)!r} + f"/{{i}}.out"]) == 0, argv
+print("ok")
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout == "[]\n"
+    assert out.stdout == "ok\n"
+    assert len(list(tmp_path.iterdir())) == len(_TINY_RUNS)

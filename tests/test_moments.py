@@ -8,6 +8,9 @@ from shadowkit import dense
 from shadowkit import exact
 from shadowkit import moments as mo
 
+from commutant_oracle import pi4_matrix, r_pi_matrix, r_T_matrix, rt_inner
+from dense_oracle import T_GATE, Y, basis_state, tensor_power
+
 
 def test_sigma_counts():
     assert len(mo.sigma_tt_enumerate(1)) == 1
@@ -20,9 +23,9 @@ def test_sigma_counts():
 
 def test_dense_copy_budget_enforced():
     with pytest.raises(ValueError, match="over the budget"):
-        mo.pi4_matrix(4)
+        pi4_matrix(4)
     with pytest.raises(ValueError, match="over the budget"):
-        mo.r_pi_matrix(mo.Permutation((1, 0, 2, 3)), 4)
+        r_pi_matrix(mo.Permutation((1, 0, 2, 3)), 4)
 
 
 def test_sigma_t3_is_permutations():
@@ -46,19 +49,19 @@ def test_r_pi_homomorphism_and_trace():
         for _ in range(8):
             a = perms[rng.integers(len(perms))]
             b = perms[rng.integers(len(perms))]
-            ra = mo.r_pi_matrix(a, 1, dense=True)
-            rb = mo.r_pi_matrix(b, 1, dense=True)
-            assert np.allclose(ra @ rb, mo.r_pi_matrix(a.compose(b), 1, dense=True))
+            ra = r_pi_matrix(a, 1, dense=True)
+            rb = r_pi_matrix(b, 1, dense=True)
+            assert np.allclose(ra @ rb, r_pi_matrix(a.compose(b), 1, dense=True))
         for pi in perms:
             for n in (1, 2):
-                tr = mo.r_pi_matrix(pi, n).diagonal().sum()
+                tr = r_pi_matrix(pi, n).diagonal().sum()
                 assert tr == 2 ** (pi.cycle_count() * n)
 
 
 def test_r_identity_and_swap():
     e = mo.Permutation.identity(2)
-    assert np.allclose(mo.r_pi_matrix(e, 1, dense=True), np.eye(4))
-    swap = mo.r_pi_matrix(mo.Permutation((1, 0)), 1, dense=True)
+    assert np.allclose(r_pi_matrix(e, 1, dense=True), np.eye(4))
+    swap = r_pi_matrix(mo.Permutation((1, 0)), 1, dense=True)
     assert np.trace(swap) == 2
     a = np.arange(4).reshape(2, 2).astype(float)
     b = np.arange(4, 8).reshape(2, 2).astype(float)
@@ -67,26 +70,26 @@ def test_r_identity_and_swap():
 
 def test_pi4_dual_construction_and_algebra():
     for n in (1, 2):
-        p4 = mo.pi4_matrix(n, dense=True)
-        rt4 = mo.r_T_matrix(mo.SubspaceT(mo.T4_BASIS), n, dense=True)
+        p4 = pi4_matrix(n, dense=True)
+        rt4 = r_T_matrix(mo.SubspaceT(mo.T4_BASIS), n, dense=True)
         assert np.allclose(p4, rt4)
         assert np.allclose(p4 @ p4, 2 ** n * p4)
         for pi in mo.symmetric_group(4):
-            r = mo.r_pi_matrix(pi, n, dense=True)
+            r = r_pi_matrix(pi, n, dense=True)
             assert np.allclose(p4 @ r, r @ p4)
-    n1 = mo.pi4_matrix(1, dense=True)
-    explicit = (np.eye(16) + dense.tensor_power(dense.X, 4)
-                + dense.tensor_power(dense.Y, 4) + dense.tensor_power(dense.Z, 4)) / 2
+    n1 = pi4_matrix(1, dense=True)
+    explicit = (np.eye(16) + tensor_power(dense.X, 4)
+                + tensor_power(Y, 4) + tensor_power(dense.Z, 4)) / 2
     assert np.allclose(n1, explicit)
     assert np.trace(n1) == pytest.approx(8.0)
 
 
 def test_hat_labels_product_route():
     for n in (1, 2):
-        p4 = mo.pi4_matrix(n)
+        p4 = pi4_matrix(n)
         for lab in mo.hat_labels():
-            lhs = mo.r_T_matrix(lab.subspace(), n, dense=True)
-            rhs = (mo.r_pi_matrix(lab.perm, n) @ p4).toarray()
+            lhs = r_T_matrix(lab.subspace(), n, dense=True)
+            rhs = (r_pi_matrix(lab.perm, n) @ p4).toarray()
             assert np.allclose(lhs, rhs)
 
 
@@ -95,8 +98,8 @@ def test_rt_gram_examples():
     subs = mo.sigma_tt_enumerate(4)
     for i in (0, 7, 29):
         for j in (3, 11):
-            a = mo.r_T_matrix(subs[i], 1, dense=True)
-            b = mo.r_T_matrix(subs[j], 1, dense=True)
+            a = r_T_matrix(subs[i], 1, dense=True)
+            b = r_T_matrix(subs[j], 1, dense=True)
             overlap = np.trace(a.conj().T @ b)
             assert overlap == 2 ** mo.intersection_dim(subs[i], subs[j])
 
@@ -210,12 +213,12 @@ def test_moment_operator_exhaustive_t_le_3():
         for c in group:
             u = c.to_dense()
             rotated = u @ rho @ u.conj().T
-            acc += dense.tensor_power(rotated, t) if t > 1 else rotated
+            acc += tensor_power(rotated, t) if t > 1 else rotated
         acc /= len(group)
         coeff = float(mo.state_average_coefficient(t, n, "clifford"))
         expect = np.zeros_like(acc)
         for pi in mo.symmetric_group(t):
-            expect += coeff * mo.r_pi_matrix(pi, n, dense=True)
+            expect += coeff * r_pi_matrix(pi, n, dense=True)
         assert np.allclose(acc, expect, atol=1e-12)
 
 
@@ -230,7 +233,7 @@ def test_moment_operator_monte_carlo_t4():
     gram = mo.gram_matrix(4, n, "clifford")
     labels = mo.commutant_labels(4)
     picks = (5, 27)              # a transposition and a hatted label
-    mats = {idx: mo.r_T_matrix(labels[idx].subspace(), n) for idx in picks}
+    mats = {idx: r_T_matrix(labels[idx].subspace(), n) for idx in picks}
     vals = {idx: np.empty(samples) for idx in picks}
     done = 0
     while done < samples:
@@ -256,7 +259,7 @@ def test_variance_formula_examples():
     for n in (1, 2, 3):
         assert mo.variance_formula(2 ** n, 1, 1, n) == 2 ** n
     z1 = np.kron(dense.Z, np.eye(4))
-    rho = dense.basis_state(0, 3)
+    rho = basis_state(0, 3)
     assert mo.variance_3design(z1, rho) == pytest.approx(8.0)
     assert mo.variance_3design(np.zeros((4, 4)), np.eye(4) / 4) == 0.0
     with pytest.raises(ValueError):
@@ -288,14 +291,14 @@ def test_thrifty_variance_predict():
 
 def test_tgate_sandwich_formula_and_dense():
     hats = mo.hat_labels()
-    tg4 = dense.tensor_power(dense.T_GATE, 4)
+    tg4 = tensor_power(T_GATE, 4)
     for a in hats:
         assert mo.tgate_sandwich(a, a, 1) == 12
         assert mo.tgate_sandwich(a, a, 2) == Fraction(3, 4) * 2 ** 8
         for b in hats:
             want = np.trace(
-                mo.r_T_matrix(a.subspace(), 1, dense=True).conj().T
-                @ tg4 @ mo.r_T_matrix(b.subspace(), 1, dense=True) @ tg4.conj().T)
+                r_T_matrix(a.subspace(), 1, dense=True).conj().T
+                @ tg4 @ r_T_matrix(b.subspace(), 1, dense=True) @ tg4.conj().T)
             assert mo.tgate_sandwich(a, b, 1) == pytest.approx(np.real(want))
             if a != b:
                 assert mo.tgate_sandwich(a, b, 2) <= Fraction(1, 2) * 2 ** 6
@@ -308,9 +311,9 @@ def test_basis_overlap_case_table():
     free = {"e", "(12)", "(34)", "(12)(34)", "e.T4", "(12).T4"}
     for n in (1, 2):
         for lab in labels:
-            r = mo.r_T_matrix(lab.subspace(), n, dense=True)
+            r = r_T_matrix(lab.subspace(), n, dense=True)
             for x, xh in ((0, 0), (0, 1), (1, 0)):
-                px, pxh = dense.basis_state(x, n), dense.basis_state(xh, n)
+                px, pxh = basis_state(x, n), basis_state(xh, n)
                 big = dense.kron_all([px, px, pxh, pxh])
                 want = np.real(np.trace(big.conj().T @ r))
                 got = float(mo.basis_overlap_rT(x, xh, lab))
@@ -339,7 +342,7 @@ def test_sandwich_bound_small_n():
     mats = {}
     for n in (1, 2):
         d = 2 ** n
-        mats = {lab: mo.r_T_matrix(lab.subspace(), n) for lab in labels}
+        mats = {lab: r_T_matrix(lab.subspace(), n) for lab in labels}
         for _ in range(60):
             m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             o = (m + m.conj().T) / 2
@@ -349,5 +352,5 @@ def test_sandwich_bound_small_n():
             rho = np.outer(v, v.conj())
             tr_o2 = float(np.real(np.trace(o @ o)))
             for lab in labels:
-                val = mo.rt_inner(lab.subspace(), [o, rho, o, rho], matrix=mats[lab])
+                val = rt_inner(lab.subspace(), [o, rho, o, rho], matrix=mats[lab])
                 assert abs(val) <= tr_o2 + 1e-9

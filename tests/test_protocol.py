@@ -302,6 +302,42 @@ def test_records_file_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_malformed_record_lines_are_one_line_errors(tmp_path):
+    """A record line must be a JSON object with a string circuit and a
+    non-empty list of outcomes; a string of outcomes is not a list."""
+    desc = sample_circuit(EnsembleSpec("clifford", 1), np.random.default_rng(5)).descriptor()
+    good = pr.ShadowRecord.from_json(json.dumps({"circuit": desc, "outcomes": ["0", "1"]}))
+    assert good == pr.ShadowRecord(desc, ["0", "1"])
+    bad = [json.dumps({"circuit": desc, "outcomes": "0101"}),
+           json.dumps({"circuit": desc, "outcomes": []}),
+           json.dumps({"circuit": desc}),
+           json.dumps({"outcomes": ["0"]}),
+           json.dumps({"circuit": 7, "outcomes": ["0"]}),
+           json.dumps(["0", "1"]),
+           "3"]
+    for line in bad:
+        with pytest.raises(ValueError) as err:
+            pr.ShadowRecord.from_json(line)
+        assert "\n" not in str(err.value)
+        assert "non-empty list of outcomes" in str(err.value)
+    path = tmp_path / "records.jsonl"
+    path.write_text(good.to_json() + "\n" + bad[0] + "\n")
+    with pytest.raises(ValueError, match="non-empty list of outcomes"):
+        pr.read_records(path)
+
+
+def test_conditional_mean_refuses_an_oversized_statevector():
+    """A Clifford circuit at n = 25 is sampled, but its 2^25-entry statevector
+    is over the dense budget: refused before it is allocated."""
+    n = 25
+    state, o = pr.stabilizer_pair(n)
+    circuit = sample_circuit(EnsembleSpec("clifford", n), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="a statevector on 25 qubits needs 33554432 dense"):
+        pr.conditional_mean(o, circuit, state)
+    with pytest.raises(ValueError, match="over the budget of 2\\^24"):
+        pr.estimate_vstar(EnsembleSpec("clifford", n), state, o, 2, np.random.default_rng(0))
+
+
 def test_estimate_equals_estimate_from_its_records(tmp_path):
     """estimate evaluates the circuits in memory; read-back records give the
     same number, and the file it writes is acquire's records."""
@@ -312,7 +348,7 @@ def test_estimate_equals_estimate_from_its_records(tmp_path):
         cfg = pr.RunConfig(spec, measurements=48, reuse=4, batches=3, seed=31)
         path, path2 = tmp_path / "records.jsonl", tmp_path / "acquired.jsonl"
         out = pr.estimate(cfg, state, o, records_out=path)
-        assert out["estimate"] == pr.estimate_from_records(pr.read_records(path), o, 3)
+        assert out["estimate"] == pr.median_of_means(pr.record_values(pr.read_records(path), o), 3)
         pr.write_records(pr.acquire(cfg, state), path2)
         assert path.read_bytes() == path2.read_bytes()
 
@@ -376,7 +412,7 @@ def test_many_observables_against_one_record_set(tmp_path):
     for label in ("ZI", "IZ", "XX", "ZZ", "YX"):
         o = pr.ObservableSpec.pauli(PauliString.from_label(label))
         values = pr.record_values(records, o)
-        est = pr.estimate_from_records(records, o, batches=1)
+        est = pr.median_of_means(pr.record_values(records, o), 1)
         truth = float(np.real(np.trace(o.dense() @ rho)))
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert abs(est - truth) < 4 * se + 1e-9, (label, est, truth)
