@@ -99,7 +99,10 @@ def config_from_args(args):
     cfg = {"schema": SCHEMA_VERSION}
     if args.config:
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config must be a JSON object, got {loaded!r:.80}")
+        cfg.update(loaded)
     cfg["experiment"] = args.experiment
     overrides = {k: v for k, v in vars(args).items()
                  if v is not None and k not in _SKIP_KEYS}
@@ -107,7 +110,10 @@ def config_from_args(args):
         if key in overrides and isinstance(overrides[key], str):
             overrides[key] = [int(x) for x in overrides[key].split(",")]
     if args.experiment in ("estimate", "variance-scan", "tail-experiment"):
-        ens = dict(cfg.get("ensemble", {}))
+        ens = cfg.get("ensemble", {})
+        if not isinstance(ens, dict):
+            raise ValueError(f"ensemble must be a JSON object, got {ens!r:.80}")
+        ens = dict(ens)
         for key in _ENSEMBLE_KEYS:
             if key in overrides:
                 ens[key] = overrides.pop(key)

@@ -14,6 +14,10 @@ construction of Koenig and Smolin, which is an explicit bijection from
 mixed-radix index tuples onto the symplectic group; sampling the tuple
 uniformly is therefore exactly uniform, and iterating it enumerates the
 group without repetition.
+
+Pauli rows are conjugated by one kernel with an optional leading batch
+axis: ``conjugate_rows_batch`` stacks a list of elements, and
+``CliffordElement.conjugate_rows`` is its one-element case.
 """
 
 import functools
@@ -185,41 +189,48 @@ def symplectic_from_index(index, n):
 
 
 # ---------------------------------------------------------------------------
+# Conjugating Pauli rows.  Both functions take an optional leading batch axis:
+# element b of a stack acts on row block b.
+
+def _conjugate(s, alpha, xs, zs, phases):
+    """Pauli rows (xs, zs, phases) conjugated by the elements (s, alpha): the
+    images' phases q_j and the reordering form M are read off the columns."""
+    n = xs.shape[-1]
+    s = s.astype(np.int64)
+    xz = (s[..., :n, :] * s[..., n:, :]).sum(axis=-2)     # x.z per column
+    q = (xz + 2 * alpha.astype(np.int64)) % 4
+    m = np.triu((s[..., n:, :].swapaxes(-1, -2) @ s[..., :n, :]) % 2, 1)  # z_j . x_j', j<j'
+    v = np.concatenate([xs, zs], axis=-1).astype(np.int64)
+    new_bits = (v @ s.swapaxes(-1, -2)) % 2
+    quad = ((v @ m) * v).sum(axis=-1) % 2
+    new_phases = (np.asarray(phases) + (v @ q[..., None])[..., 0] + 2 * quad) % 4
+    return (new_bits[..., :n].astype(np.uint8),
+            new_bits[..., n:].astype(np.uint8), new_phases)
+
+
+def conjugate_rows_batch(elements, xs, zs, phases):
+    """Rows (B, r, n) and phases (B, r), block b conjugated by elements[b]:
+    the same integers as ``elements[b].conjugate_rows`` on that block."""
+    return _conjugate(np.stack([e.symplectic for e in elements]),
+                      np.stack([e.alpha for e in elements]), xs, zs, phases)
+
 
 class CliffordElement:
-    __slots__ = ("symplectic", "alpha", "n", "_phase_cache")
+    __slots__ = ("symplectic", "alpha", "n")
 
     def __init__(self, symplectic, alpha):
         self.symplectic = np.asarray(symplectic, dtype=np.uint8) & 1
         self.alpha = np.asarray(alpha, dtype=np.uint8) & 1
         self.n = self.symplectic.shape[0] // 2
-        self._phase_cache = None
 
     @classmethod
     def identity(cls, n):
         return cls(np.eye(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8))
 
-    def _column_data(self):
-        """Per-generator image phases q_j and the reordering form M."""
-        if self._phase_cache is None:
-            s = self.symplectic.astype(np.int64)
-            n = self.n
-            xz = (s[:n] * s[n:]).sum(axis=0)       # x.z per column
-            q = (xz + 2 * self.alpha.astype(np.int64)) % 4
-            m = np.triu((s[n:].T @ s[:n]) % 2, 1)  # m[j,j'] = z_j . x_j', j<j'
-            self._phase_cache = (q, m)
-        return self._phase_cache
-
     def conjugate_rows(self, xs, zs, phases):
-        """Conjugate a batch of Pauli rows: returns new (xs, zs, phases)."""
-        n = self.n
-        v = np.concatenate([xs, zs], axis=1).astype(np.int64)
-        q, m = self._column_data()
-        new_bits = (v @ self.symplectic.T.astype(np.int64)) % 2
-        quad = ((v @ m) * v).sum(axis=1) % 2
-        new_phases = (np.asarray(phases) + v @ q + 2 * quad) % 4
-        return (new_bits[:, :n].astype(np.uint8),
-                new_bits[:, n:].astype(np.uint8), new_phases)
+        """Conjugate a batch of Pauli rows: returns new (xs, zs, phases); the
+        one-element case of ``conjugate_rows_batch``."""
+        return _conjugate(self.symplectic, self.alpha, xs, zs, phases)
 
     def conjugate_pauli(self, p):
         xs, zs, phases = self.conjugate_rows(p.x.reshape(1, -1),

@@ -4,9 +4,13 @@ The ``identity`` control ensemble draws the identity Clifford, so its
 circuits run on the tableau path and serialize as ``clifford:n:<hex>``.
 
 A T-gate circuit is never made dense: pushing Pauli rows through its
-Clifford segments (``SampledCircuit.push_rows``) writes it as k Pauli-branch
-factors after one Clifford, so it acts on a stabilizer state in O(k 2^n).
-Only Clifford and Haar circuits have a ``dense`` unitary.
+Clifford segments (``push_rows``) writes it as k Pauli-branch factors after
+one Clifford, so it acts on a stabilizer state in O(k 2^n).  Both work on a
+list of same-(n, k) circuits at once: ``push_rows`` conjugates every
+circuit's rows by its j-th segment in one batched call, and ``statevectors``
+gives a (circuits, 2^n) array; ``SampledCircuit.statevector`` is its
+one-circuit case.  Only Clifford and Haar circuits have a ``dense`` unitary,
+and Haar circuits act one at a time.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +19,8 @@ import numpy as np
 
 from . import clifford as cl
 from . import dense
-from .stabilizer import PauliString, StabilizerTableau
+from . import stabilizer
+from .stabilizer import StabilizerTableau, apply_paulis
 
 KINDS = ("haar", "clifford", "homeopathic", "identity")
 
@@ -107,45 +112,12 @@ class SampledCircuit:
                 self._dense = haar_unitary(2 ** self.n, substream(self.haar_seed))
         return self._dense
 
-    def push_rows(self, xs, zs, phases):
-        """Conjugate Pauli rows by C = C_k...C_0 of a Clifford (k = 0) or T-gate
-        circuit; returns the rows, then the k branch Paulis P_j.
-
-        Up to phase T = cos(pi/8) I - i sin(pi/8) Z_0, so pushing each T through
-        the later segments gives U ~ (c - is P_k)...(c - is P_1) C with
-        P_j = (C_k...C_j) Z_0 (C_k...C_j)^dag: a Z_0 row joins before segment j.
-        """
-        segments = self.segments if self.kind == "homeopathic" else [self.element]
-        rows, k = len(xs), len(segments) - 1
-        xs = np.concatenate([xs, np.zeros((k, self.n), dtype=np.uint8)])
-        zs = np.concatenate([zs, np.zeros((k, self.n), dtype=np.uint8)])
-        zs[rows:, 0] = 1
-        phases = np.concatenate([phases, np.zeros(k, dtype=np.int64)])
-        for j, seg in enumerate(segments):
-            # row rows + j - 1, the Z_0 of the T before segment j, joins here
-            r = rows + j
-            xs[:r], zs[:r], phases[:r] = seg.conjugate_rows(xs[:r], zs[:r], phases[:r])
-        return xs, zs, phases
-
     def statevector(self, state):
         """U|S> for a stabilizer tableau S (global phase arbitrary): through the
-        Haar unitary, else one stabilizer statevector of C|S> times the k
-        branch factors c - is P_j of ``push_rows``, O(k 2^n) with no dense
-        Clifford."""
+        Haar unitary, else the count-1 case of ``statevectors``."""
         if self.kind == "haar":
             return self.dense() @ state.statevector()
-        m = 2 * self.n
-        xs, zs, phases = self.push_rows(state.xs, state.zs, state.phases)
-        v = StabilizerTableau(xs[:m], zs[:m], phases[:m]).statevector()
-        c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
-        for j in range(m, len(xs)):
-            # v <- c v - is P_j v in place; w is freed before the next ``apply``
-            w = PauliString(xs[j], zs[j], phases[j]).apply(v)
-            np.multiply(1j * s, w, out=w)
-            np.multiply(c, v, out=v)
-            np.subtract(v, w, out=v)
-            del w
-        return v
+        return statevectors([self], state)[0]
 
     def descriptor(self):
         if self.kind == "clifford":
@@ -173,6 +145,52 @@ class SampledCircuit:
         if len(segs) != spec.k + 1:
             raise ValueError("segment count does not match T-gate count")
         return cls(kind, n, segments=segs)
+
+
+def push_rows(circuits, xs, zs, phases):
+    """Conjugate the Pauli rows (r, n) by C = C_k...C_0 of each of B same-(n, k)
+    Clifford (k = 0) or T-gate circuits, in one batched conjugation per
+    segment; returns rows (B, r + k, n) and phases (B, r + k): block b is the
+    rows through circuit b, then its k branch Paulis P_j.
+
+    Up to phase T = cos(pi/8) I - i sin(pi/8) Z_0, so pushing each T through
+    the later segments gives U ~ (c - is P_k)...(c - is P_1) C with
+    P_j = (C_k...C_j) Z_0 (C_k...C_j)^dag: a Z_0 row joins before segment j.
+    """
+    rows, (n, k) = len(xs), (circuits[0].n, circuits[0].k)
+    shape = (len(circuits), rows + k)
+    out_x, out_z = np.zeros(shape + (n,), dtype=np.uint8), np.zeros(shape + (n,), dtype=np.uint8)
+    out_x[:, :rows], out_z[:, :rows], out_z[:, rows:, 0] = xs, zs, 1
+    out_phases = np.zeros(shape, dtype=np.int64)
+    out_phases[:, :rows] = phases
+    for j in range(k + 1):
+        # row rows + j - 1, the Z_0 of the T before segment j, joins here
+        r = rows + j
+        segments = [c.segments[j] if c.kind == "homeopathic" else c.element for c in circuits]
+        out_x[:, :r], out_z[:, :r], out_phases[:, :r] = cl.conjugate_rows_batch(
+            segments, out_x[:, :r], out_z[:, :r], out_phases[:, :r])
+    return out_x, out_z, out_phases
+
+
+def statevectors(circuits, state):
+    """U|S> (B, 2^n) for B same-(n, k) Clifford or T-gate circuits and one
+    stabilizer tableau S (global phases arbitrary): the stabilizer
+    statevectors of C|S> from one ``push_rows``, times the k branch factors
+    c - is P_j, O(B k 2^n) with no dense Clifford.  Haar circuits act one at a
+    time through ``SampledCircuit.statevector``."""
+    m = 2 * state.n
+    xs, zs, phases = push_rows(circuits, state.xs, state.zs, state.phases)
+    v = stabilizer.statevectors([StabilizerTableau(*t) for t in
+                                 zip(xs[:, :m], zs[:, :m], phases[:, :m])])
+    c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+    for j in range(m, xs.shape[1]):
+        # v <- c v - is P_j v in place; w is freed before the next ``apply_paulis``
+        w = apply_paulis(xs[:, j], zs[:, j], phases[:, j], v)
+        np.multiply(1j * s, w, out=w)
+        np.multiply(c, v, out=v)
+        np.subtract(v, w, out=v)
+        del w
+    return v
 
 
 def sample_circuits(spec, rngs):

@@ -39,8 +39,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ensembles import (EnsembleSpec, SampledCircuit, sample_circuit, sample_circuits,
-                        substream)
+from .ensembles import (EnsembleSpec, SampledCircuit, push_rows, sample_circuit,
+                        sample_circuits, substream)
 from .stabilizer import PauliString, StabilizerTableau
 
 
@@ -176,7 +176,8 @@ def _pauli_evaluator(o, circuit):
     2^k branches give <x|U P U^dag|x> as a sum of parities.
     """
     p = o.payload
-    rows = [PauliString(*r) for r in zip(*circuit.push_rows(p.x[None], p.z[None], [p.phase]))]
+    xs, zs, phases = push_rows([circuit], p.x[None], p.z[None], [p.phase])
+    rows = [PauliString(*r) for r in zip(xs[0], zs[0], phases[0])]
     branches = {(rows[0].x_int(), rows[0].z_int()): 1j ** rows[0].phase}
     for b in rows[1:]:
         bx, bz, split = b.x_int(), b.z_int(), {}

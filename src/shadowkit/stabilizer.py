@@ -7,8 +7,11 @@ Aaronson-Gottesman layout, with full mod-4 phase tracking so overlaps and
 estimator values come out as exact dyadic rationals.  A tableau's Z-basis
 outcomes are uniform on an affine subspace x0 + span(B), derived once
 (``z_support``) and read by shot sampling, Born probabilities and the dense
-statevector.  An outcome is an int with qubit 0 the most significant bit;
-bitstrings exist only in shadow records.
+statevector.  Dense statevectors are made by kernels over a batch:
+``statevectors`` for a list of tableaux and ``apply_paulis`` for one Pauli
+per row of a (B, 2^n) array; ``StabilizerTableau.statevector`` and
+``PauliString.apply`` are their count-1 cases.  An outcome is an int with
+qubit 0 the most significant bit; bitstrings exist only in shadow records.
 """
 
 from fractions import Fraction
@@ -116,16 +119,8 @@ class PauliString:
         return _bits_to_int(self.z)
 
     def apply(self, vec):
-        """Apply to a dense statevector (signed permutation, O(2^n)): entry j is
-        i^phase (-1)^(z.s) vec[s] with s = j ^ x, from one gather and one
-        in-place complex multiply by i^phase * (+1 or -1)."""
-        src = np.arange(len(vec))
-        src ^= self.x_int()
-        neg = np.bitwise_count(src & self.z_int()) & 1
-        out = vec[src]
-        del src                 # so at most out, vec and the factors are held
-        np.multiply(((1j ** self.phase) * np.array([1, -1]))[neg], out, out=out)
-        return out
+        """Apply to a dense statevector: the count-1 case of ``apply_paulis``."""
+        return apply_paulis(self.x[None], self.z[None], [self.phase], vec[None])[0]
 
     def dense(self):
         from .dense import kron_all, I2, X, Z
@@ -231,22 +226,58 @@ class StabilizerTableau:
         return Fraction(0) if y else Fraction(1, 2 ** len(pivots))
 
     def statevector(self):
-        """Dense statevector (arbitrary global phase): the stabilizer projectors
-        (1 + g)/2 applied to |x0>, added and halved in place, so at most three
-        vectors are held (two and ``apply``'s factors)."""
-        check_entries(2 ** self.n, f"a statevector on {self.n} qubits")
-        v = np.zeros(2 ** self.n, dtype=complex)
-        v[self.z_support()[0]] = 1.0
-        for g in map(self.row, range(self.n, 2 * self.n)):
-            w = g.apply(v)
-            np.add(v, w, out=w)
-            w /= 2
-            v = w
-        norm = np.linalg.norm(v)
-        if norm < 1e-9:
-            raise RuntimeError("invalid tableau: no support found")
-        v /= norm
-        return v
+        """Dense statevector (arbitrary global phase): the count-1 case of
+        ``statevectors``."""
+        return statevectors([self])[0]
+
+
+# i^phase * (+1 or -1), indexed [phase, sign bit] as ``apply_paulis`` reads it.
+_SIGNED_PHASES = np.array([(1j ** a) * np.array([1, -1]) for a in range(4)])
+
+
+def _ints(bits):
+    """Rows of bit vectors as int64, entry 0 the most significant bit."""
+    return bits.astype(np.int64) @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
+
+
+def apply_paulis(xs, zs, phases, vecs):
+    """Row b of vecs (B, 2^n) times the Pauli i^phases[b] X^xs[b] Z^zs[b]
+    (signed permutations, O(B 2^n)): entry j is i^phase (-1)^(z.s) vec[s] with
+    s = j ^ x, from one gather and one in-place complex multiply by
+    i^phase * (+1 or -1)."""
+    # flat index b 2^n + s = (b 2^n + j) ^ x, since x < 2^n; z masks the b bits
+    src = np.arange(vecs.size).reshape(vecs.shape) ^ _ints(xs)[:, None]
+    neg = np.bitwise_count(src & _ints(zs)[:, None]) & 1
+    out = vecs.reshape(-1)[src]
+    del src                 # so at most out, vecs and the factors are held
+    signed = _SIGNED_PHASES[np.asarray(phases) % 4]
+    np.multiply(np.where(neg.view(bool), signed[:, 1, None], signed[:, 0, None]), out, out=out)
+    return out
+
+
+def statevectors(tableaux):
+    """Dense statevectors (B, 2^n) of same-n tableaux (arbitrary global phases):
+    the stabilizer projectors (1 + g)/2 applied to |x0> of ``z_support``, added
+    and halved in place, so at most three batches are held (two and
+    ``apply_paulis``' factors).  Every entry is i^a 2^-j, so the row sums of
+    squares, and with them the norms, are exact."""
+    n, count = tableaux[0].n, len(tableaux)
+    what = f"{count} statevectors" if count > 1 else "a statevector"
+    check_entries(count * 2 ** n, f"{what} on {n} qubits")
+    v = np.zeros((count, 2 ** n), dtype=complex)
+    v[np.arange(count), [t.z_support()[0] for t in tableaux]] = 1.0
+    xs, zs, phases = (np.stack([getattr(t, a)[n:] for t in tableaux])
+                      for a in ("xs", "zs", "phases"))
+    for i in range(n):
+        w = apply_paulis(xs[:, i], zs[:, i], phases[:, i], v)
+        np.add(v, w, out=w)
+        w /= 2
+        v = w
+    norm = np.sqrt(np.square(v.view(float)).sum(axis=1))
+    if (norm < 1e-9).any():
+        raise RuntimeError("invalid tableau: no support found")
+    v /= norm[:, None]
+    return v
 
 
 def _group_product(tab, coeffs):

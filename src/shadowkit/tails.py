@@ -16,8 +16,11 @@ bounds.  For Haar circuits the moment generating function is bounded and a
 Bernstein-type tail holds.
 
 Haar and T-gate circuits are the protocol specialized to this pair: each
-circuit acts on |0^n> through ``protocol.act`` (its Born vector) and its R
-shots are ``protocol.measure`` draws from that vector.
+circuit acts on |0^n> to give its Born vector, as ``protocol.act`` does, and
+its R shots are ``protocol.measure`` draws from that vector.  Born vectors
+are made one capped batch at a time: a Haar vector alone, T-gate vectors
+through ``ensembles.statevectors`` in batches of at most
+``BORN_BATCH_ENTRIES`` entries.
 """
 
 import math
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import bits as f2
 from . import clifford as cl
-from .ensembles import SampledCircuit, sample_circuits
+from .ensembles import SampledCircuit, sample_circuits, statevectors
 from .protocol import act, measure, median_of_means
 from .stabilizer import StabilizerTableau
 
@@ -118,27 +121,39 @@ def _circuit_fixed_xvalues(spec, rng, count):
     return None
 
 
+# Entries of the (circuits, 2^n) batch of T-gate Born vectors that
+# ``_pair_born_vectors`` holds at once: 256 circuits at n = 6, one at n >= 14.
+BORN_BATCH_ENTRIES = 2 ** 14
+
+
 def _pair_born_vectors(spec, rng, count):
     """Rotated Born vectors |<x|U|0^n>|^2 for count circuits, unnormalized as
-    ``protocol.act`` gives them, made one at a time as the returned iterator is
-    read.
+    ``protocol.act`` gives them, made one capped batch at a time as the
+    returned iterator is read.
 
     Every circuit is drawn here, before any vector is made (T-gate circuits
     in one batch of segments), so a caller's later draws from ``rng`` come
-    after all of them; only one 2^n vector is held at a time.
+    after all of them.  T-gate vectors are made BORN_BATCH_ENTRIES entries at
+    a time by ``ensembles.statevectors``; Haar vectors one circuit at a time.
     """
     n = spec.n
+    zero = StabilizerTableau.zero_state(n)
     if spec.kind == "homeopathic":
         per = spec.k + 1
         segments = cl.sample_uniform_batch(n, rng, count * per)
         circuits = [SampledCircuit("homeopathic", n, segments=segments[i * per:(i + 1) * per])
                     for i in range(count)]
-    else:
-        circuits = sample_circuits(spec, [rng] * count)
+        return _born_batches(circuits, zero, max(1, BORN_BATCH_ENTRIES >> n))
+    circuits = sample_circuits(spec, [rng] * count)
     circuits.reverse()
-    zero = StabilizerTableau.zero_state(n)
     # each circuit is dropped once used, so no Haar unitary outlives its circuit
     return (act(circuits.pop(), zero) for _ in range(count))
+
+
+def _born_batches(circuits, state, size):
+    """The Born vectors of ``act``, one row at a time, from batches of size circuits."""
+    for start in range(0, len(circuits), size):
+        yield from np.abs(statevectors(circuits[start:start + size], state)) ** 2
 
 
 def sample_pair_xvalues(spec, rng, count, reuse=1):

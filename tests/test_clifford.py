@@ -229,3 +229,20 @@ def test_conjugation_tableau_vs_dense_on_random_paulis():
             if n <= 3:
                 u = c.to_dense()
                 assert np.allclose(u @ p.dense() @ u.conj().T, img.dense(), atol=1e-10)
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 8), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_conjugate_rows_batch_is_per_element_conjugate_rows(n, count, rows, seed):
+    """The batched kernel on stacked elements and row blocks gives the same
+    integers as each element's ``conjugate_rows`` on its own block."""
+    rng = np.random.default_rng(seed)
+    elements = cl.sample_uniform_batch(n, rng, count)
+    xs = rng.integers(2, size=(count, rows, n), dtype=np.uint8)
+    zs = rng.integers(2, size=(count, rows, n), dtype=np.uint8)
+    phases = rng.integers(4, size=(count, rows))
+    got = cl.conjugate_rows_batch(elements, xs, zs, phases)
+    for b, e in enumerate(elements):
+        want = e.conjugate_rows(xs[b], zs[b], phases[b])
+        for g, w in zip(got, want):
+            assert g[b].dtype == w.dtype and np.array_equal(g[b], w)

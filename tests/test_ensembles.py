@@ -126,6 +126,38 @@ def test_t_gate_born_vectors_match_dense_oracle():
                     assert np.abs(probs[i] - flat).max() <= np.spacing(flat.max())
 
 
+def test_statevectors_match_one_at_a_time():
+    """A batch through ``statevectors`` is each circuit's ``statevector``, to
+    the byte, on a scrambled tableau: n = 1..6, k = 0..8 and Clifford circuits."""
+    for n in range(1, 7):
+        rng = np.random.default_rng(40 + n)
+        state = cl.random_stabilizer_tableau(n, rng)
+        specs = [en.EnsembleSpec("clifford", n)] + [en.EnsembleSpec("homeopathic", n, k=k)
+                                                    for k in range(9)]
+        for spec in specs:
+            circuits = en.sample_circuits(spec, [rng] * 5)
+            singles = [c.statevector(state).tobytes() for c in circuits]
+            for size in (1, 5):
+                got = en.statevectors(circuits[:size], state)
+                assert [v.tobytes() for v in got] == singles[:size], (spec, size)
+
+
+def test_statevectors_at_the_batch_cap():
+    """Batches of 1, cap - 1, cap and cap + 1 circuits, with cap the circuits
+    in one ``tails._pair_born_vectors`` batch: every row is its circuit's own
+    ``statevector``, to the byte."""
+    for spec in (en.EnsembleSpec("homeopathic", 6, k=3), en.EnsembleSpec("homeopathic", 6, k=8),
+                 en.EnsembleSpec("clifford", 6), en.EnsembleSpec("homeopathic", 12, k=1)):
+        cap = tl.BORN_BATCH_ENTRIES >> spec.n
+        rng = np.random.default_rng(spec.n + spec.k)
+        state = cl.random_stabilizer_tableau(spec.n, rng)
+        circuits = en.sample_circuits(spec, [rng] * (cap + 1))
+        singles = [c.statevector(state).tobytes() for c in circuits]
+        for size in (1, cap - 1, cap, cap + 1):
+            got = en.statevectors(circuits[:size], state)
+            assert [v.tobytes() for v in got] == singles[:size], (spec, size)
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_branch_statevector_is_dense_segment_product(seed, n, k):

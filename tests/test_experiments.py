@@ -346,6 +346,28 @@ def test_config_numbers_fail_at_the_boundary(capsys, tmp_path, experiment, chang
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "config must be a JSON object, got [1, 2]"),
+    ('"estimate"', "config must be a JSON object, got 'estimate'"),
+    ('{"ensemble": 3, "measurements": 12, "reuse": 1, "batches": 1}',
+     "ensemble must be a JSON object, got 3"),
+    ('{"ensemble": ["clifford", 3], "measurements": 12}',
+     "ensemble must be a JSON object, got ['clifford', 3]"),
+])
+def test_cli_config_must_be_an_object(capsys, tmp_path, text, message):
+    """A config whose top level or ensemble is not a JSON object is a
+    one-line error and exit status 2, before any output file is written."""
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    status = cli.main(["estimate", "--config", str(path), "--out", str(tmp_path / "out"),
+                       "--records-out", str(tmp_path / "records")])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == f"shadowkit estimate: error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--n-list", "-1", "--max-m", "2"], "n_list entry must be at least 1, got -1"),
     (["--n-list", "0", "--max-m", "2"], "n_list entry must be at least 1, got 0"),

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from shadowkit import clifford as cl
-from shadowkit.stabilizer import PauliString, StabilizerTableau, overlap_sq
+from shadowkit.stabilizer import (PauliString, StabilizerTableau, apply_paulis, overlap_sq,
+                                 statevectors)
 
 HADAMARD = cl.CliffordElement(np.array([[0, 1], [1, 0]], dtype=np.uint8),
                               np.zeros(2, dtype=np.uint8))
@@ -167,3 +168,23 @@ def test_apply_clifford_is_dense_action_up_to_phase(seed, n):
     c = cl.sample_uniform(n, rng)
     got, want = tab.apply_clifford(c).statevector(), c.to_dense() @ tab.statevector()
     assert abs(abs(np.vdot(want, got)) - 1) < 1e-12
+
+
+def test_batched_kernels_are_their_count_1_cases_bit_for_bit():
+    """``apply_paulis`` on stacked rows and ``statevectors`` on stacked
+    tableaux equal ``PauliString.apply`` and ``StabilizerTableau.statevector``
+    row by row, to the byte."""
+    rng = np.random.default_rng(15)
+    for n in range(1, 7):
+        tabs = [cl.random_stabilizer_tableau(n, rng) for _ in range(6)]
+        vecs = statevectors(tabs)
+        assert vecs.shape == (6, 2 ** n)
+        for tab, v in zip(tabs, vecs):
+            assert v.tobytes() == tab.statevector().tobytes()
+        paulis = [PauliString(p.x, p.z, int(rng.integers(4)))
+                  for p in (PauliString.random(n, rng) for _ in range(6))]
+        got = apply_paulis(np.array([p.x for p in paulis]), np.array([p.z for p in paulis]),
+                           [p.phase for p in paulis], vecs)
+        for p, v, g in zip(paulis, vecs, got):
+            assert g.tobytes() == p.apply(v).tobytes()
+

@@ -11,8 +11,10 @@ from scipy import stats
 from shadowkit import bits as f2
 from shadowkit import clifford as cl
 from shadowkit import moments as mo
+from shadowkit import protocol as pr
 from shadowkit import tails as tl
-from shadowkit.ensembles import EnsembleSpec
+from shadowkit.ensembles import EnsembleSpec, SampledCircuit
+from shadowkit.stabilizer import StabilizerTableau
 
 
 def test_moment_formula_small_cases():
@@ -191,6 +193,23 @@ def test_pair_born_vectors_hold_one_circuit_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < 4 * 2 ** 20, (spec, sampler.__name__, peak)
+
+
+def test_pair_born_vectors_batches_are_one_circuit_at_a_time_bytes():
+    """Around the batch cap (1, cap - 1, cap and cap + 1 circuits) the T-gate
+    Born vectors are ``protocol.act`` on each circuit, to the byte, in order,
+    and the rng ends where drawing the segments leaves it."""
+    for n, k in ((6, 2), (13, 1)):
+        spec, cap = EnsembleSpec("homeopathic", n, k=k), tl.BORN_BATCH_ENTRIES >> n
+        zero = StabilizerTableau.zero_state(n)
+        for count in (1, cap - 1, cap, cap + 1):
+            rng, twin = np.random.default_rng(count), np.random.default_rng(count)
+            got = [a.tobytes() for a in tl._pair_born_vectors(spec, rng, count)]
+            segments = cl.sample_uniform_batch(n, twin, count * (k + 1))
+            want = [pr.act(SampledCircuit("homeopathic", n, segments=segments[i:i + k + 1]),
+                           zero).tobytes() for i in range(0, len(segments), k + 1)]
+            assert got == want, (n, k, count)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_variance_of_sample_variance_formula():
