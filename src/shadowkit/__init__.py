@@ -2,10 +2,11 @@
 
 The package has three layers:
 
-* simulation: ``stabilizer`` (tableaux, exact overlaps), ``clifford``
-  (symplectic group elements, exactly uniform sampling, enumeration for
-  n <= 2), ``dense`` (the dense-size budget), ``ensembles`` (Haar,
-  Clifford, and T-gate-interpolated circuit families);
+* simulation: ``stabilizer`` (Pauli strings, tableaux of n stabilizer
+  rows, Z-basis support), ``clifford`` (symplectic group elements, exactly
+  uniform sampling, enumeration for n <= 2), ``dense`` (the dense-size
+  budget), ``ensembles`` (Haar, Clifford, and T-gate-interpolated circuit
+  families);
 * estimation: ``protocol`` (single-shot estimator evaluated once per circuit,
   acquisition with reuse, median of means, conditional-mean variances);
 * analysis: ``moments`` (commutant bases, exact Gram/Weingarten matrices,
@@ -21,7 +22,7 @@ from .clifford import CliffordElement, clifford_order, enumerate_group, sample_u
 from .ensembles import EnsembleSpec, SampledCircuit, inverse_frame_apply, sample_circuit
 from .protocol import (ObservableSpec, RunConfig, ShadowRecord, acquire, estimate,
                        estimate_vstar, median_of_means, single_shot, stabilizer_pair)
-from .stabilizer import PauliString, StabilizerTableau, overlap_sq
+from .stabilizer import PauliString, StabilizerTableau
 from .moments import (commutant_labels, gram_matrix, sigma_tt_enumerate,
                       stabilizer_pair_variance, thrifty_variance_predict,
                       variance_3design, weingarten_matrix)
@@ -37,7 +38,7 @@ __all__ = [
     "clifford_order", "commutant_labels", "enumerate_group",
     "estimate", "estimate_vstar", "gram_matrix", "inverse_frame_apply",
     "limiting_moment", "median_of_means", "mgf_bound_haar", "optimal_reuse",
-    "overlap_sq", "sample_circuit", "sample_uniform", "sigma_tt_enumerate",
+    "sample_circuit", "sample_uniform", "sigma_tt_enumerate",
     "single_shot", "tail_experiment", "stabilizer_pair", "stabilizer_pair_variance",
     "thrifty_variance_predict", "variance_3design", "weingarten_matrix",
 ]

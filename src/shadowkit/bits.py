@@ -48,21 +48,6 @@ def rref_f2(m):
     return a[:r], tuple(pivots)
 
 
-def kernel_f2(m):
-    """Basis (rows) of the right null space of m over F2; shape (k, cols)."""
-    a = np.asarray(m, dtype=np.uint8) & 1
-    _, cols = a.shape
-    rr, pivots = rref_f2(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, p in zip(rr, pivots):
-            if row[f]:
-                basis[i, p] = 1
-    return basis
-
-
 def mat_mul_f2(a, b):
     return (np.asarray(a, dtype=np.uint8).astype(np.int64) @
             np.asarray(b, dtype=np.uint8).astype(np.int64)) % 2

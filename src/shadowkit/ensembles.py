@@ -178,7 +178,7 @@ def statevectors(circuits, state):
     statevectors of C|S> from one ``push_rows``, times the k branch factors
     c - is P_j, O(B k 2^n) with no dense Clifford.  Haar circuits act one at a
     time through ``SampledCircuit.statevector``."""
-    m = 2 * state.n
+    m = state.n
     xs, zs, phases = push_rows(circuits, state.xs, state.zs, state.phases)
     v = stabilizer.statevectors([StabilizerTableau(*t) for t in
                                  zip(xs[:, :m], zs[:, :m], phases[:, :m])])

@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,10 @@ class ResultRow:
         return out
 
 
+# tail-experiment's replication size and batch count when a config omits them
+_TAIL_DEFAULTS = {"budget": 10_000, "batches": 40}
+
+
 def _require(cfg, *keys):
     missing = [k for k in keys if k not in cfg]
     if missing:
@@ -63,9 +68,12 @@ def _require_at_least(name, value, low=1):
 
 
 def _require_number(name, value):
-    """An int or a float, not a bool or a string."""
+    """A finite int or float, not a bool or a string (argparse floats and JSON
+    both let nan and +-inf through)."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _require_list(name, value):
@@ -109,6 +117,10 @@ def validate_config(cfg):
             _require_at_least("reuse_list entry", r)
             if cfg["measurements"] % r:
                 raise ValueError(f"measurements not divisible by reuse {r}")
+            # so is V_R, over the measurements // r circuits
+            if cfg["measurements"] // r < 2:
+                raise ValueError(f"measurements // reuse {r} must be at least 2 circuits, "
+                                 f"got {cfg['measurements'] // r}")
     elif name == "homeopathic-scan":
         _require(cfg, "n", "k_list", "circuits", "seed")
         _require_at_least("n", cfg["n"])
@@ -128,6 +140,9 @@ def validate_config(cfg):
         for key in ("samples", "budget", "batches"):
             if key in cfg:
                 _require_at_least(key, cfg[key])
+        budget, batches = (cfg.get(key, default) for key, default in _TAIL_DEFAULTS.items())
+        if budget % batches:
+            raise ValueError(f"budget {budget} must be a multiple of batches {batches}")
     elif name == "weingarten":
         _require(cfg, "t", "n", "group")
         t, n, group = cfg["t"], cfg["n"], cfg["group"]
@@ -265,9 +280,8 @@ def run_moment_table(cfg, threads=1):
 def run_tail_experiment(cfg, threads=1):
     spec = EnsembleSpec.from_json(cfg["ensemble"])
     rng = substream(cfg["seed"], 0)
-    return tl.tail_experiment(spec, cfg["samples"], rng,
-                              budget=cfg.get("budget", 10_000),
-                              batches=cfg.get("batches", 40))
+    sizes = {key: cfg.get(key, default) for key, default in _TAIL_DEFAULTS.items()}
+    return tl.tail_experiment(spec, cfg["samples"], rng, **sizes)
 
 
 def run_weingarten(cfg, threads=1):

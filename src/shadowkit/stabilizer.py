@@ -2,23 +2,23 @@
 
 A Pauli is stored as ``i**phase * X^x Z^z`` with ``x, z`` bit vectors over
 the qubits (qubit 0 leftmost) and ``phase`` an exponent mod 4.  A tableau
-holds n destabilizer rows followed by n stabilizer rows, in the usual
-Aaronson-Gottesman layout, with full mod-4 phase tracking so overlaps and
-estimator values come out as exact dyadic rationals.  A tableau's Z-basis
-outcomes are uniform on an affine subspace x0 + span(B), derived once
-(``z_support``) and read by shot sampling, Born probabilities and the dense
-statevector.  Dense statevectors are made by kernels over a batch:
-``statevectors`` for a list of tableaux and ``apply_paulis`` for one Pauli
-per row of a (B, 2^n) array; ``StabilizerTableau.statevector`` and
-``PauliString.apply`` are their count-1 cases.  An outcome is an int with
-qubit 0 the most significant bit; bitstrings exist only in shadow records.
+is a state's n stabilizer generator rows, with full mod-4 phase tracking so
+Born probabilities and estimator values come out as exact dyadic rationals;
+it keeps no destabilizer rows, since no measurement here needs them.  A
+tableau's Z-basis outcomes are uniform on an affine subspace x0 + span(B),
+derived once (``z_support``) from the generators alone and read by shot
+sampling, Born probabilities and the dense statevector.  Dense statevectors
+are made by kernels over a batch: ``statevectors`` for a list of tableaux and
+``apply_paulis`` for one Pauli per row of a (B, 2^n) array;
+``StabilizerTableau.statevector`` and ``PauliString.apply`` are their count-1
+cases.  An outcome is an int with qubit 0 the most significant bit;
+bitstrings exist only in shadow records.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from . import bits as f2
 from .dense import check_entries
 
 _PAULI_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
@@ -43,10 +43,6 @@ class PauliString:
     @property
     def n(self):
         return len(self.x)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
 
     @classmethod
     def from_label(cls, label):
@@ -136,26 +132,22 @@ class PauliString:
 
 
 class StabilizerTableau:
-    """Pure stabilizer state as destabilizer/stabilizer generator rows."""
+    """Pure stabilizer state as its n stabilizer generator rows."""
 
     def __init__(self, xs, zs, phases):
         self.xs = np.asarray(xs, dtype=np.uint8)
         self.zs = np.asarray(zs, dtype=np.uint8)
         self.phases = np.asarray(phases, dtype=np.int64) % 4
         self.n = self.xs.shape[1]
-        if self.xs.shape != (2 * self.n, self.n):
-            raise ValueError("tableau must have 2n rows")
+        if self.xs.shape != (self.n, self.n):
+            raise ValueError("tableau must have n rows")
         self._z_support = None
 
     @classmethod
     def zero_state(cls, n):
-        """|0...0>: destabilizers X_j, stabilizers Z_j."""
-        xs = np.zeros((2 * n, n), dtype=np.uint8)
-        zs = np.zeros((2 * n, n), dtype=np.uint8)
-        for j in range(n):
-            xs[j, j] = 1
-            zs[n + j, j] = 1
-        return cls(xs, zs, np.zeros(2 * n, dtype=np.int64))
+        """|0...0>: stabilizers Z_j."""
+        return cls(np.zeros((n, n), dtype=np.uint8), np.eye(n, dtype=np.uint8),
+                   np.zeros(n, dtype=np.int64))
 
     def row(self, i):
         return PauliString(self.xs[i], self.zs[i], self.phases[i])
@@ -176,9 +168,9 @@ class StabilizerTableau:
         """
         if self._z_support is None:
             n = self.n
-            packed = np.packbits(np.hstack([self.xs[n:], self.zs[n:]]), axis=1)
+            packed = np.packbits(np.hstack([self.xs, self.zs]), axis=1)
             rows = [int.from_bytes(r.tobytes(), "big") >> (-2 * n % 8) for r in packed]
-            phases = self.phases[n:].tolist()
+            phases = self.phases.tolist()
             # Gauss-Jordan on the 2n-bit rows (x|z), multiplied as Paulis so phases
             # stay exact: X-parts end in RREF, and the pure-Z rows (which commute
             # with them) pivot on the other qubits, so x0 is 0 on the X pivots.
@@ -266,7 +258,7 @@ def statevectors(tableaux):
     check_entries(count * 2 ** n, f"{what} on {n} qubits")
     v = np.zeros((count, 2 ** n), dtype=complex)
     v[np.arange(count), [t.z_support()[0] for t in tableaux]] = 1.0
-    xs, zs, phases = (np.stack([getattr(t, a)[n:] for t in tableaux])
+    xs, zs, phases = (np.stack([getattr(t, a) for t in tableaux])
                       for a in ("xs", "zs", "phases"))
     for i in range(n):
         w = apply_paulis(xs[:, i], zs[:, i], phases[:, i], v)
@@ -278,32 +270,3 @@ def statevectors(tableaux):
         raise RuntimeError("invalid tableau: no support found")
     v /= norm[:, None]
     return v
-
-
-def _group_product(tab, coeffs):
-    """Product of the selected stabilizer generators of tab (they commute)."""
-    acc = PauliString.identity(tab.n)
-    for j in np.nonzero(coeffs)[0]:
-        acc = acc * tab.row(tab.n + int(j))
-    return acc
-
-
-def overlap_sq(a, b):
-    """|<S_a|S_b>|^2, exactly, as a dyadic Fraction (0 or 2**-k).
-
-    The stabilizer groups intersect in a subgroup of dimension d.  If the
-    signs agree on that subgroup the overlap is 2**(d-n), otherwise 0.
-    """
-    if a.n != b.n:
-        raise ValueError("qubit count mismatch")
-    n = a.n
-    ga = np.concatenate([a.xs[n:], a.zs[n:]], axis=1)
-    gb = np.concatenate([b.xs[n:], b.zs[n:]], axis=1)
-    ker = f2.kernel_f2(np.concatenate([ga, gb], axis=0).T)
-    d = len(ker)
-    for coeff in ker:
-        pa = _group_product(a, coeff[:n])
-        pb = _group_product(b, coeff[n:])
-        if pa.hermitian_sign() != pb.hermitian_sign():
-            return Fraction(0)
-    return Fraction(1, 2 ** (n - d))

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import shadowkit
 from shadowkit import cli
 from shadowkit import experiments as ex
 from shadowkit import protocol as pr
@@ -64,6 +65,11 @@ def test_config_validation_errors():
         ex.validate_config({**estimate, "observable": {"type": "projector"}})
     with pytest.raises(ValueError, match="vstar_circuits must be at least 2"):
         ex.validate_config({**scan, "vstar_circuits": 1})
+    # V_R is a sample variance over the measurements // R circuits, too
+    ex.validate_config({**scan, "reuse_list": [1, 6]})
+    with pytest.raises(ValueError, match=re.escape("measurements // reuse 12 must be at "
+                                                   "least 2 circuits, got 1")):
+        ex.validate_config({**scan, "reuse_list": [1, 12]})
     tail = {"schema": 1, "experiment": "tail-experiment",
             "ensemble": {"kind": "clifford", "n": 6}, "samples": 10, "budget": 5,
             "batches": 5, "seed": 0}
@@ -72,6 +78,17 @@ def test_config_validation_errors():
             ex.validate_config({**tail, key: 0})
     with pytest.raises(ValueError, match="n <= 31"):
         ex.validate_config({**tail, "ensemble": {"kind": "clifford", "n": 32}})
+    # budget % batches is checked before sampling, with the defaults 10,000 and 40
+    without = {k: v for k, v in tail.items() if k not in ("budget", "batches")}
+    ex.validate_config(without)
+    for change, message in (({"batches": 3}, "budget 5 must be a multiple of batches 3"),
+                            ({"batches": 10}, "budget 5 must be a multiple of batches 10"),
+                            ({"budget": None, "batches": 3}, "budget 10000 must be a multiple of batches 3"),
+                            ({"batches": None}, "budget 5 must be a multiple of batches 40")):
+        cfg = {**tail, **change}
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        with pytest.raises(ValueError, match=message):
+            ex.validate_config(cfg)
     homeo = {"schema": 1, "experiment": "homeopathic-scan", "n": 3, "k_list": [0, 1],
              "circuits": 2, "seed": 0}
     ex.validate_config(homeo)
@@ -276,7 +293,19 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
              "the Gram matrix is singular for n = 2 < t - 1 = 3"),
             (["weingarten", "--t", "7", "--n", "6", "--group", "unitary"],
              "the 5040x5040 Gram matrix at t = 7 needs 25401600 dense entries, "
-             "over the budget of 2^24 = 16777216")):
+             "over the budget of 2^24 = 16777216"),
+            (["variance-scan", "--kind", "clifford", "--n", "2", "--measurements", "8",
+              "--reuse-list", "8", "--vstar-circuits", "4", "--seed", "1"],
+             "measurements // reuse 8 must be at least 2 circuits, got 1"),
+            (["tail-experiment", "--kind", "clifford", "--n", "3", "--samples", "10",
+              "--budget", "5", "--batches", "3", "--seed", "1"],
+             "budget 5 must be a multiple of batches 3"),
+            (["optimal-reuse", "--alpha", "nan", "--v1", "3", "--vstar", "0.1"],
+             "alpha must be finite, got nan"),
+            (["optimal-reuse", "--alpha", "inf", "--v1", "3", "--vstar", "0.1"],
+             "alpha must be finite, got inf"),
+            (["optimal-reuse", "--alpha", "2", "--v1", "nan", "--vstar", "0.1"],
+             "v1 must be finite, got nan")):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -326,6 +355,10 @@ _GOOD_CONFIGS = {
     ("optimal-reuse", {"v1": True}, "v1 must be a number, got True"),
     ("optimal-reuse", {"vstar": "0.1"}, "vstar must be a number, got '0.1'"),
     ("optimal-reuse", {"budget": False}, "budget must be a number, got False"),
+    ("optimal-reuse", {"alpha": float("nan")}, "alpha must be finite, got nan"),
+    ("optimal-reuse", {"v1": float("inf")}, "v1 must be finite, got inf"),
+    ("optimal-reuse", {"vstar": float("-inf")}, "vstar must be finite, got -inf"),
+    ("optimal-reuse", {"budget": float("nan")}, "budget must be finite, got nan"),
 ])
 def test_config_numbers_fail_at_the_boundary(capsys, tmp_path, experiment, change, message):
     """A config number of the wrong type is a one-line ValueError and exit
@@ -495,6 +528,11 @@ _TINY_RUNS = (
     ["weingarten", "--t", "2", "--n", "1", "--group", "unitary"],
     ["optimal-reuse", "--alpha", "1", "--v1", "1", "--vstar", "0.1"],
 )
+
+
+def test_every_export_resolves():
+    """No name in ``__all__`` outlives the object it exports."""
+    assert [name for name in shadowkit.__all__ if not hasattr(shadowkit, name)] == []
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):

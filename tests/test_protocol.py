@@ -369,8 +369,9 @@ def test_estimate_output_and_unbiasedness_n1_exact():
             if p:
                 total += p * value(xi)
         count += 1
-    from shadowkit.stabilizer import overlap_sq
-    want = overlap_sq(otab, state) - Fraction(1, 2)
+    # tr(O rho) = |<O|S>|^2 - 1/2, read exactly as |<0|C|O>|^2 for a C with C|S> = |0>
+    to_zero = next(c for c in cl.enumerate_group(1) if state.apply_clifford(c).z_probability(0) == 1)
+    want = otab.apply_clifford(to_zero).z_probability(0) - Fraction(1, 2)
     assert total / count == want
 
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from shadowkit import clifford as cl
-from shadowkit.stabilizer import (PauliString, StabilizerTableau, apply_paulis, overlap_sq,
-                                 statevectors)
+from shadowkit.stabilizer import PauliString, StabilizerTableau, apply_paulis, statevectors
 
 HADAMARD = cl.CliffordElement(np.array([[0, 1], [1, 0]], dtype=np.uint8),
                               np.zeros(2, dtype=np.uint8))
@@ -53,9 +52,9 @@ def test_pauli_commutation_rule():
 def test_apply_identity_and_hadamard():
     tab = StabilizerTableau.zero_state(1)
     same = tab.apply_clifford(cl.CliffordElement.identity(1))
-    assert same.row(1).label() == "+Z"
+    assert same.row(0).label() == "+Z"
     rotated = tab.apply_clifford(HADAMARD)
-    assert rotated.row(1).label() == "+X"
+    assert rotated.row(0).label() == "+X"
 
 
 def test_random_clifford_matches_dense_simulation():
@@ -121,26 +120,21 @@ def test_measurement_transcript_is_seed_deterministic():
 
 
 def test_overlap_examples():
+    """|<0|S>|^2 is the exact Born probability of outcome 0."""
     zero = StabilizerTableau.zero_state(1)
-    one = StabilizerTableau(zero.xs, zero.zs, [0, 2])      # stabilizer -Z
+    one = StabilizerTableau(zero.xs, zero.zs, [2])      # stabilizer -Z
     plus = StabilizerTableau.zero_state(1).apply_clifford(HADAMARD)
-    assert overlap_sq(zero, zero) == 1
-    assert overlap_sq(zero, one) == 0
-    assert overlap_sq(zero, plus) == Fraction(1, 2)
+    assert zero.z_probability(0) == 1
+    assert one.z_probability(0) == 0
+    assert plus.z_probability(0) == Fraction(1, 2)
 
 
-def test_overlap_matches_dense_and_is_symmetric():
-    rng = np.random.default_rng(14)
-    for n in (1, 2, 3, 4):
-        for _ in range(40):
-            a = cl.random_stabilizer_tableau(n, rng)
-            b = cl.random_stabilizer_tableau(n, rng)
-            val = overlap_sq(a, b)
-            assert val == overlap_sq(b, a)
-            want = abs(np.vdot(a.statevector(), b.statevector())) ** 2
-            assert abs(float(val) - want) < 1e-10
-            if val:
-                assert val.denominator & (val.denominator - 1) == 0  # dyadic
+def test_tableau_is_its_n_stabilizer_rows():
+    for n in (1, 2, 5):
+        zero = StabilizerTableau.zero_state(n)
+        assert zero.xs.shape == zero.zs.shape == (n, n) and zero.phases.shape == (n,)
+        with pytest.raises(ValueError, match="tableau must have n rows"):
+            StabilizerTableau(np.zeros((2 * n, n)), np.zeros((2 * n, n)), np.zeros(2 * n))
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
@@ -150,7 +144,7 @@ def test_z_support_is_the_nonzero_dense_amplitudes(seed, n):
     prod_g (I + g)/2 of the stabilizer rows, which never calls z_support."""
     tab = cl.random_stabilizer_tableau(n, np.random.default_rng(seed))
     proj = np.eye(2 ** n, dtype=complex)
-    for g in map(tab.row, range(n, 2 * n)):
+    for g in map(tab.row, range(n)):
         proj = proj @ (np.eye(2 ** n) + g.dense()) / 2
     x0, basis, _ = tab.z_support()
     support = {x0}
