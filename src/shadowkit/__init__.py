@@ -14,31 +14,31 @@ The package has three layers:
   reuse-cost optimizer), ``experiments``/``cli`` (reproducible runs).
 
 numpy is the only runtime dependency.  The dense and sparse reference
-implementations (frame operators, the commutant operators R_T and Pi4) are
-test oracles and live with the tests.
+implementations (frame operators and their inverse, the commutant operators
+R_T and Pi4, the brute-force commutant enumeration) are test oracles and
+live with the tests.
 """
 
-from .clifford import CliffordElement, clifford_order, enumerate_group, sample_uniform
-from .ensembles import EnsembleSpec, SampledCircuit, inverse_frame_apply, sample_circuit
+from .clifford import CliffordElement, sample_uniform
+from .ensembles import EnsembleSpec, SampledCircuit, sample_circuit
 from .protocol import (ObservableSpec, RunConfig, ShadowRecord, acquire, estimate,
                        estimate_vstar, median_of_means, single_shot, stabilizer_pair)
 from .stabilizer import PauliString, StabilizerTableau
-from .moments import (commutant_labels, gram_matrix, sigma_tt_enumerate,
-                      stabilizer_pair_variance, thrifty_variance_predict,
-                      variance_3design, weingarten_matrix)
+from .moments import (commutant_labels, gram_matrix, stabilizer_pair_variance,
+                      thrifty_variance_predict, weingarten_matrix)
 from .tails import (CostModel, bernstein_tail, clifford_moment, limiting_moment,
                     mgf_bound_haar, optimal_reuse, tail_experiment)
 
 __version__ = "0.1.0"
 
+# the names README.md's library tour lists, and no others
 __all__ = [
     "CliffordElement", "CostModel", "EnsembleSpec", "ObservableSpec",
     "PauliString", "RunConfig", "SampledCircuit", "ShadowRecord",
     "StabilizerTableau", "acquire", "bernstein_tail", "clifford_moment",
-    "clifford_order", "commutant_labels", "enumerate_group",
-    "estimate", "estimate_vstar", "gram_matrix", "inverse_frame_apply",
+    "commutant_labels", "estimate", "estimate_vstar", "gram_matrix",
     "limiting_moment", "median_of_means", "mgf_bound_haar", "optimal_reuse",
-    "sample_circuit", "sample_uniform", "sigma_tt_enumerate",
-    "single_shot", "tail_experiment", "stabilizer_pair", "stabilizer_pair_variance",
-    "thrifty_variance_predict", "variance_3design", "weingarten_matrix",
+    "sample_circuit", "sample_uniform", "single_shot", "stabilizer_pair",
+    "stabilizer_pair_variance", "tail_experiment", "thrifty_variance_predict",
+    "weingarten_matrix",
 ]

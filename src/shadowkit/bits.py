@@ -3,27 +3,6 @@
 import numpy as np
 
 
-def rank_f2(m):
-    """Rank of a binary matrix over F2. Does not modify the input."""
-    a = np.array(m, dtype=np.uint8) & 1
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        pivots = np.nonzero(a[r:, c])[0]
-        if pivots.size == 0:
-            continue
-        p = r + pivots[0]
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        # clear the column below the pivot
-        hits = np.nonzero(a[r + 1:, c])[0]
-        a[r + 1 + hits] ^= a[r]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def rref_f2(m):
     """Reduced row-echelon form over F2; returns (rref, pivot_columns)."""
     a = np.array(m, dtype=np.uint8) & 1

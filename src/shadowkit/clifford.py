@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bits as f2
 from . import dense
-from .stabilizer import PauliString, StabilizerTableau
+from .stabilizer import StabilizerTableau
 
 
 def symplectic_order(n):
@@ -231,11 +231,6 @@ class CliffordElement:
         """Conjugate a batch of Pauli rows: returns new (xs, zs, phases); the
         one-element case of ``conjugate_rows_batch``."""
         return _conjugate(self.symplectic, self.alpha, xs, zs, phases)
-
-    def conjugate_pauli(self, p):
-        xs, zs, phases = self.conjugate_rows(p.x.reshape(1, -1),
-                                             p.z.reshape(1, -1), [p.phase])
-        return PauliString(xs[0], zs[0], int(phases[0]))
 
     def compose(self, other):
         """Element implementing 'apply other, then self'."""

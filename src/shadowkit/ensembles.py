@@ -214,11 +214,3 @@ def sample_circuits(spec, rngs):
 
 def sample_circuit(spec, rng):
     return sample_circuits(spec, [rng])[0]
-
-
-# ---------------------------------------------------------------------------
-# Every ensemble here has the 2-design frame operator (rho + tr(rho) I) / (2^n + 1).
-
-def inverse_frame_apply(n, x):
-    """(2^n + 1) x - tr(x) I: inverse of the 2-design frame operator."""
-    return (2 ** n + 1) * x - np.trace(x) * np.eye(2 ** n, dtype=complex)

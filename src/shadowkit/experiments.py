@@ -13,7 +13,6 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,23 +29,6 @@ CHUNK = 512
 
 EXPERIMENTS = ("estimate", "variance-scan", "homeopathic-scan", "moment-table",
                "tail-experiment", "weingarten", "optimal-reuse")
-
-
-@dataclass
-class ResultRow:
-    params: dict
-    estimate: float = None
-    std_error: float = None
-    theory: float = None
-    theory_source: str = None
-
-    def flat(self):
-        out = dict(self.params)
-        for key in ("estimate", "std_error", "theory", "theory_source"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
 
 
 # tail-experiment's replication size and batch count when a config omits them
@@ -82,11 +64,18 @@ def _require_list(name, value):
 
 
 def _validate_observable(o_cfg, n):
+    if not isinstance(o_cfg, dict):
+        raise ValueError(f"observable must be a JSON object, got {o_cfg!r:.80}")
+    if "type" not in o_cfg:
+        raise ValueError("observable is missing ['type']")
     if o_cfg["type"] == "pauli":
+        label = o_cfg.get("label")
+        if not isinstance(label, str):
+            raise ValueError(f"a Pauli observable needs a string label, got {label!r:.80}")
         # refuses a non-Hermitian label before any output file is opened
-        size = ObservableSpec.pauli(PauliString.from_label(o_cfg["label"])).n
+        size = ObservableSpec.pauli(PauliString.from_label(label)).n
         if size != n:
-            raise ValueError(f"Pauli label {o_cfg['label']!r} acts on {size} qubits, "
+            raise ValueError(f"Pauli label {label!r} acts on {size} qubits, "
                              f"the ensemble on {n}")
     elif o_cfg["type"] != "pair":
         raise ValueError(f"unknown observable type {o_cfg['type']!r}")
@@ -134,6 +123,9 @@ def validate_config(cfg):
         for n in cfg["n_list"]:
             _require_at_least("n_list entry", n)
         _require_at_least("max_m", cfg["max_m"], 0)
+        if not isinstance(cfg.get("include_limit", True), bool):
+            raise ValueError(f"include_limit must be true or false, got "
+                             f"{cfg['include_limit']!r:.80}")
     elif name == "tail-experiment":
         _require(cfg, "ensemble", "samples", "seed")
         EnsembleSpec.from_json(cfg["ensemble"])
@@ -143,6 +135,9 @@ def validate_config(cfg):
         budget, batches = (cfg.get(key, default) for key, default in _TAIL_DEFAULTS.items())
         if budget % batches:
             raise ValueError(f"budget {budget} must be a multiple of batches {batches}")
+        # a replication is budget samples; with none the MSE fields are absent
+        if budget > cfg["samples"]:
+            raise ValueError(f"budget {budget} must be at most samples {cfg['samples']}")
     elif name == "weingarten":
         _require(cfg, "t", "n", "group")
         t, n, group = cfg["t"], cfg["n"], cfg["group"]
@@ -231,13 +226,12 @@ def run_variance_scan(cfg, threads=1):
         vr, vr_se = tl.variance_of_sample_variance(xr)
         pred = mo.thrifty_variance_predict(v1, vstar, reuse)
         pred_se = (reuse - 1) / reuse * vstar_se
-        rows.append(ResultRow(
-            params={"experiment": "variance-scan", "kind": spec.kind, "n": n,
-                    "k": spec.k, "R": reuse, "N": cfg["measurements"],
-                    "circuits": circuits, "v1_exact": v1,
-                    "vstar": vstar, "vstar_se": vstar_se},
-            estimate=vr, std_error=float(np.hypot(vr_se, pred_se)),
-            theory=pred, theory_source="var_thrift"))
+        rows.append({"experiment": "variance-scan", "kind": spec.kind, "n": n,
+                     "k": spec.k, "R": reuse, "N": cfg["measurements"],
+                     "circuits": circuits, "v1_exact": v1,
+                     "vstar": vstar, "vstar_se": vstar_se,
+                     "estimate": vr, "std_error": float(np.hypot(vr_se, pred_se)),
+                     "theory": pred, "theory_source": "var_thrift"})
     return rows
 
 
@@ -251,11 +245,10 @@ def run_homeopathic_scan(cfg, threads=1):
         vals = pair_vstar_samples(spec, seed + k, cfg["circuits"], threads)
         vstar, se = tl.variance_of_sample_variance(vals)
         bound = mo.vstar_interpolation_bound(tr_o2, k, n)
-        rows.append(ResultRow(
-            params={"experiment": "homeopathic-scan", "kind": "homeopathic",
-                    "n": n, "k": k, "circuits": cfg["circuits"], "tr_o2": tr_o2},
-            estimate=vstar, std_error=se,
-            theory=bound, theory_source="vstar_bound"))
+        rows.append({"experiment": "homeopathic-scan", "kind": "homeopathic",
+                     "n": n, "k": k, "circuits": cfg["circuits"], "tr_o2": tr_o2,
+                     "estimate": vstar, "std_error": se,
+                     "theory": bound, "theory_source": "vstar_bound"})
     return rows
 
 
@@ -265,15 +258,13 @@ def run_moment_table(cfg, threads=1):
     for n in cfg["n_list"]:
         for m in range(max_m + 1):
             val = tl.clifford_moment(n, m)
-            rows.append(ResultRow(params={
-                "n": n, "m": m, "numerator": val.numerator,
-                "denominator": val.denominator, "float_value": float(val)}))
+            rows.append({"n": n, "m": m, "numerator": val.numerator,
+                         "denominator": val.denominator, "float_value": float(val)})
     if cfg.get("include_limit", True):
         for m in range(max_m + 1):
             val = tl.limiting_moment(m)
-            rows.append(ResultRow(params={
-                "n": "inf", "m": m, "numerator": val.numerator,
-                "denominator": val.denominator, "float_value": float(val)}))
+            rows.append({"n": "inf", "m": m, "numerator": val.numerator,
+                         "denominator": val.denominator, "float_value": float(val)})
     return rows
 
 
@@ -294,10 +285,9 @@ def run_weingarten(cfg, threads=1):
         for i, ri in enumerate(names):
             for j, cj in enumerate(names):
                 val = Fraction(matrix[i, j])
-                rows.append(ResultRow(params={
-                    "matrix": matrix_name, "t": t, "n": n, "group": group,
-                    "row": ri, "col": cj,
-                    "numerator": val.numerator, "denominator": val.denominator}))
+                rows.append({"matrix": matrix_name, "t": t, "n": n, "group": group,
+                             "row": ri, "col": cj,
+                             "numerator": val.numerator, "denominator": val.denominator})
     return rows
 
 
@@ -310,14 +300,14 @@ def run_optimal_reuse(cfg, threads=1):
                          max_reuse=cfg.get("max_reuse", 1024))
     best = tl.optimal_reuse(model, vstar)
     objective = tl.reuse_objective(model, vstar, best)
-    return [ResultRow(params={
+    return [{
         "experiment": "optimal-reuse", "alpha": model.alpha,
         "budget": model.budget, "v1": model.v1, "vstar": vstar,
         "k": model.k, "max_reuse": model.max_reuse,
         "best_reuse": best, "objective": objective,
         "accuracy": objective / model.budget,
         "heuristic_reuse": tl.continuous_reuse_heuristic(model.alpha, model.v1, vstar),
-    })]
+    }]
 
 
 _RUNNERS = {
@@ -350,18 +340,17 @@ def _format_value(v):
 
 def rows_to_csv(rows):
     """CSV with the columns in order of first appearance over the rows."""
-    flats = [r.flat() for r in rows]
-    fields = list(dict.fromkeys(key for f in flats for key in f))
+    fields = list(dict.fromkeys(key for row in rows for key in row))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
-    for f in flats:
-        writer.writerow([_format_value(f[k]) if k in f else "" for k in fields])
+    for row in rows:
+        writer.writerow([_format_value(row[k]) if k in row else "" for k in fields])
     return buf.getvalue()
 
 
 def rows_to_json(rows):
-    return json.dumps([r.flat() for r in rows], sort_keys=True, indent=2) + "\n"
+    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
 
 def emit(result, fmt, path=None):

@@ -9,12 +9,13 @@ and satisfy weight(x) = weight(y) mod 4 on every element (x, y)).  For
 t <= 3 the two families coincide; at t = 4 there are 30 subspaces, the 24
 permutations plus six extra elements of the form R_pi * Pi4 with pi in S3.
 
-Everything here is exact: subspaces are enumerated over F2, Gram matrices
-are integer, Weingarten matrices are rational, and the closed-form
+Everything here is exact: subspaces are F2 row-echelon bases, Gram
+matrices are integer, Weingarten matrices are rational, and the closed-form
 variance/moment predictions are evaluated in Fraction arithmetic with a
 float conversion only at the API boundary.  No operator R_T is ever built:
 Gram entries are intersection dimensions of the subspaces.  The sparse
-4^(tn)-entry operators that check these identities live with the tests.
+4^(tn)-entry operators that check these identities, and a brute-force
+enumeration of the subspaces, live with the tests.
 """
 
 import functools
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import bits as f2
 from . import exact
-from .stabilizer import StabilizerTableau
 
 
 # ---------------------------------------------------------------------------
@@ -171,46 +171,9 @@ def permute_subspace(pi, sub):
     return SubspaceT(basis)
 
 
-def sigma_tt_enumerate(t):
-    """All defining subspaces of the Clifford commutant at order t <= 4.
-
-    Enumerates RREF bases of t-dimensional subspaces of F2^(2t) and keeps
-    those containing the all-ones vector with weight(x) = weight(y) mod 4
-    throughout; the count is prod_{l=0}^{t-2} (2^l + 1).
-    """
-    if t > 4:
-        raise ValueError("commutant machinery implemented for t <= 4")
-    cols = 2 * t
-    combos = ((np.arange(2 ** t)[:, None] >> np.arange(t)) & 1).astype(np.int64)
-    found = []
-    for pivots in itertools.combinations(range(cols), t):
-        free_pos = [(r, c) for r in range(t) for c in range(cols)
-                    if c not in pivots and c > pivots[r]]
-        nfree = len(free_pos)
-        pats = ((np.arange(2 ** nfree)[:, None] >> np.arange(max(nfree, 1))) & 1)
-        mats = np.zeros((2 ** nfree, t, cols), dtype=np.int64)
-        for r, p in enumerate(pivots):
-            mats[:, r, p] = 1
-        for i, (r, c) in enumerate(free_pos):
-            mats[:, r, c] = pats[:, i]
-        span = np.einsum("kt,ptc->pkc", combos, mats) % 2
-        stochastic = (span == 1).all(axis=2).any(axis=1)
-        wx = span[:, :, :t].sum(axis=2)
-        wy = span[:, :, t:].sum(axis=2)
-        lagrangian = ((wx - wy) % 4 == 0).all(axis=1)
-        for m in mats[stochastic & lagrangian]:
-            found.append(SubspaceT(m.astype(np.uint8)))
-    expected = 1
-    for ell in range(t - 1):
-        expected *= 2 ** ell + 1
-    if len(found) != expected:
-        raise AssertionError(f"found {len(found)} subspaces, expected {expected}")
-    return sorted(found, key=lambda s: s.key())
-
-
 def intersection_dim(a, b):
     stacked = np.concatenate([a.basis, b.basis], axis=0)
-    return a.t + b.t - f2.rank_f2(stacked)
+    return a.t + b.t - len(f2.rref_f2(stacked)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +276,6 @@ def state_average_coefficient(t, n, group):
     raise ValueError(f"unknown group {group!r}")
 
 
-def state_average(t, n, group, state=None):
-    """Map label -> exact coefficient for the averaged |psi><psi|^{(x)t}."""
-    if group == "clifford" and state is not None:
-        if not isinstance(state, StabilizerTableau):
-            raise TypeError("Clifford state averages hold for stabilizer states only")
-    coeff = state_average_coefficient(t, n, group)
-    return {lab: coeff for lab in group_labels(t, group)}
-
-
 # ---------------------------------------------------------------------------
 # Closed-form variance predictions.
 
@@ -330,19 +284,6 @@ def variance_formula(tr_o2, tr_rho_o2, tr_rho_o, n):
     d = 2 ** n
     return Fraction(d + 1, d + 2) * (Fraction(tr_o2) + 2 * Fraction(tr_rho_o2)) \
         - Fraction(tr_rho_o) ** 2
-
-
-def variance_3design(o_dense, rho, atol=1e-10):
-    """Float variance for a traceless dense observable and a state."""
-    o = np.asarray(o_dense)
-    if abs(np.trace(o)) > atol:
-        raise ValueError("variance formula requires a traceless observable")
-    n = o.shape[0].bit_length() - 1
-    d = 2 ** n
-    tr_o2 = float(np.real(np.trace(o @ o)))
-    tr_rho_o2 = float(np.real(np.trace(rho @ o @ o)))
-    tr_rho_o = float(np.real(np.trace(rho @ o)))
-    return (d + 1) / (d + 2) * (tr_o2 + 2 * tr_rho_o2) - tr_rho_o ** 2
 
 
 def stabilizer_pair_traces(n):
@@ -369,13 +310,6 @@ def vstar_interpolation_bound(tr_o2, k, n):
     eps = 2.0 ** -n
     return (32.0 * eps * tr_o2
             + 30.0 * tr_o2 * (1.0 + 2.0 * eps) * (0.75 + 2.0 * eps) ** k)
-
-
-def reuse_excess_bound(tr_o2, reuse, k, n):
-    """Bound on V_R - V1/R for the interpolating ensemble; 0 at R = 1."""
-    if reuse < 1:
-        raise ValueError("reuse count must be >= 1")
-    return (reuse - 1) / reuse * vstar_interpolation_bound(tr_o2, k, n)
 
 
 # ---------------------------------------------------------------------------

@@ -76,12 +76,6 @@ class ObservableSpec:
             return Fraction(0)
         return Fraction(p.hermitian_sign() * 2 ** self.n)
 
-    def hs_norm_sq(self):
-        """tr(O^2); exact for the structured kinds."""
-        if self.kind == "stab_projector":
-            return Fraction(2 ** self.n - 1, 2 ** self.n)
-        return Fraction(2 ** self.n)
-
 
 @dataclass(frozen=True)
 class RunConfig:

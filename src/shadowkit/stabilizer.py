@@ -204,10 +204,6 @@ class StabilizerTableau:
                 x ^= row
         return x
 
-    def z_support_dim(self):
-        """Dimension of the affine support of the Z-basis distribution."""
-        return len(self.z_support()[2])
-
     def z_probability(self, x):
         """Exact Born probability of outcome x (an int) as a Fraction."""
         x0, basis, pivots = self.z_support()

@@ -3,13 +3,17 @@
 The library computes with the commutant labels as F2 subspaces only; these
 helpers build the operators R_T = r_T^{(x) n} and Pi4 themselves, so the
 subspace identities can be checked against plain (sparse) linear algebra.
+``sigma_tt_enumerate`` finds the labels' subspaces by brute force, as an
+oracle for the library's closed list ``commutant_labels``.
 """
+
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
 
 from shadowkit import dense as dn
-from shadowkit.moments import perm_subspace
+from shadowkit.moments import SubspaceT, perm_subspace
 
 
 def _bit_index(bits):
@@ -110,3 +114,40 @@ def rt_inner(sub, ops, matrix=None):
         c_blk, col = col % dim, col // dim
         total *= ops[c][r_blk, c_blk]
     return complex(total.sum())
+
+
+def sigma_tt_enumerate(t):
+    """All defining subspaces of the Clifford commutant at order t <= 4.
+
+    Enumerates RREF bases of t-dimensional subspaces of F2^(2t) and keeps
+    those containing the all-ones vector with weight(x) = weight(y) mod 4
+    throughout; the count is prod_{l=0}^{t-2} (2^l + 1).
+    """
+    if t > 4:
+        raise ValueError("commutant machinery implemented for t <= 4")
+    cols = 2 * t
+    combos = ((np.arange(2 ** t)[:, None] >> np.arange(t)) & 1).astype(np.int64)
+    found = []
+    for pivots in itertools.combinations(range(cols), t):
+        free_pos = [(r, c) for r in range(t) for c in range(cols)
+                    if c not in pivots and c > pivots[r]]
+        nfree = len(free_pos)
+        pats = ((np.arange(2 ** nfree)[:, None] >> np.arange(max(nfree, 1))) & 1)
+        mats = np.zeros((2 ** nfree, t, cols), dtype=np.int64)
+        for r, p in enumerate(pivots):
+            mats[:, r, p] = 1
+        for i, (r, c) in enumerate(free_pos):
+            mats[:, r, c] = pats[:, i]
+        span = np.einsum("kt,ptc->pkc", combos, mats) % 2
+        stochastic = (span == 1).all(axis=2).any(axis=1)
+        wx = span[:, :, :t].sum(axis=2)
+        wy = span[:, :, t:].sum(axis=2)
+        lagrangian = ((wx - wy) % 4 == 0).all(axis=1)
+        for m in mats[stochastic & lagrangian]:
+            found.append(SubspaceT(m.astype(np.uint8)))
+    expected = 1
+    for ell in range(t - 1):
+        expected *= 2 ** ell + 1
+    if len(found) != expected:
+        raise AssertionError(f"found {len(found)} subspaces, expected {expected}")
+    return sorted(found, key=lambda s: s.key())

@@ -96,6 +96,12 @@ def frame_operator_depolarizing(n):
     return (np.eye(dim * dim, dtype=complex) + np.outer(vec_i, vec_i.conj())) / (dim + 1)
 
 
+def inverse_frame_apply(n, x):
+    """(2^n + 1) x - tr(x) I: inverse of the 2-design frame operator, which
+    every ensemble here has."""
+    return (2 ** n + 1) * x - np.trace(x) * np.eye(2 ** n, dtype=complex)
+
+
 def t_gate_dense(n):
     """T on qubit 0 (the leftmost qubit) of n."""
     idx = np.arange(2 ** n)

@@ -80,7 +80,13 @@ def test_config_validation_errors():
         ex.validate_config({**tail, "ensemble": {"kind": "clifford", "n": 32}})
     # budget % batches is checked before sampling, with the defaults 10,000 and 40
     without = {k: v for k, v in tail.items() if k not in ("budget", "batches")}
-    ex.validate_config(without)
+    ex.validate_config({**without, "samples": 10_000})
+    # a replication is budget samples, so the samples must fill at least one
+    ex.validate_config({**tail, "budget": 10})
+    for cfg, message in (({**tail, "budget": 50}, "budget 50 must be at most samples 10"),
+                         (without, "budget 10000 must be at most samples 10")):
+        with pytest.raises(ValueError, match=message):
+            ex.validate_config(cfg)
     for change, message in (({"batches": 3}, "budget 5 must be a multiple of batches 3"),
                             ({"batches": 10}, "budget 5 must be a multiple of batches 10"),
                             ({"budget": None, "batches": 3}, "budget 10000 must be a multiple of batches 3"),
@@ -112,18 +118,18 @@ def test_config_validation_errors():
 
 
 def test_emit_csv_columns_follow_first_appearance():
-    row = ex.ResultRow(params={"a": 1, "b": 2.5}, estimate=1.0)
+    row = {"a": 1, "b": 2.5, "estimate": 1.0}
     text = ex.emit([row], "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "a,b,estimate"
     assert lines[1] == "1,2.5,1"
-    later = ex.ResultRow(params={"c": 3, "a": 2})
+    later = {"c": 3, "a": 2}
     assert ex.emit([row, later], "csv") == "a,b,estimate,c\n1,2.5,1,\n2,,,3\n"
 
 
 def test_emit_round_trip():
-    rows = [ex.ResultRow(params={"n": 2, "m": i}, estimate=float(i) / 3,
-                         std_error=0.1, theory=float(i), theory_source="src")
+    rows = [{"n": 2, "m": i, "estimate": float(i) / 3, "std_error": 0.1,
+             "theory": float(i), "theory_source": "src"}
             for i in range(4)]
     text = ex.emit(rows, "csv")
     parsed = list(csv.DictReader(io.StringIO(text)))
@@ -139,22 +145,20 @@ def test_weingarten_rows():
     rows = ex.run_experiment({"schema": 1, "experiment": "weingarten",
                               "t": 4, "n": 3, "group": "clifford"})
     assert len(rows) == 2 * 30 * 30
-    flat = rows[0].flat()
-    assert flat["matrix"] == "gram" and flat["row"] == "e"
-    assert flat["numerator"] == 2 ** 12 and flat["denominator"] == 1
+    assert rows[0]["matrix"] == "gram" and rows[0]["row"] == "e"
+    assert rows[0]["numerator"] == 2 ** 12 and rows[0]["denominator"] == 1
     # weingarten block inverts gram: spot-check the diagonal magnitudes
-    wrows = [r.flat() for r in rows if r.flat()["matrix"] == "weingarten"]
+    wrows = [r for r in rows if r["matrix"] == "weingarten"]
     assert len(wrows) == 900
 
 
 def test_moment_table_rows():
     rows = ex.run_experiment({"schema": 1, "experiment": "moment-table",
                               "n_list": [2], "max_m": 2, "include_limit": True})
-    flats = [r.flat() for r in rows]
-    finite = [f for f in flats if f["n"] == 2]
+    finite = [f for f in rows if f["n"] == 2]
     assert [(f["numerator"], f["denominator"]) for f in finite] == \
         [(1, 1), (3, 4), (25, 16)]
-    inf_rows = [f for f in flats if f["n"] == "inf"]
+    inf_rows = [f for f in rows if f["n"] == "inf"]
     assert [f["numerator"] for f in inf_rows] == [1, 1, 3]
 
 
@@ -162,11 +166,10 @@ def test_optimal_reuse_row():
     rows = ex.run_experiment({"schema": 1, "experiment": "optimal-reuse",
                               "alpha": 100.0, "v1": 3.0, "vstar": 0.1,
                               "max_reuse": 1000})
-    flat = rows[0].flat()
-    assert abs(flat["best_reuse"] - flat["heuristic_reuse"]) <= 1.0
+    assert abs(rows[0]["best_reuse"] - rows[0]["heuristic_reuse"]) <= 1.0
     rows = ex.run_experiment({"schema": 1, "experiment": "optimal-reuse",
                               "alpha": 2.0, "v1": 3.0, "k": 40, "max_reuse": 8})
-    assert rows[0].flat()["best_reuse"] == 8    # vstar ~ 0 at huge k
+    assert rows[0]["best_reuse"] == 8    # vstar ~ 0 at huge k
 
 
 def test_variance_scan_theory_within_3se():
@@ -175,9 +178,8 @@ def test_variance_scan_theory_within_3se():
            "measurements": 24000, "reuse_list": [1, 2, 8],
            "vstar_circuits": 3000, "seed": 11}
     for row in ex.run_experiment(cfg):
-        flat = row.flat()
-        assert flat["theory_source"] == "var_thrift"
-        assert abs(flat["estimate"] - flat["theory"]) <= 3 * flat["std_error"] + 1e-9
+        assert row["theory_source"] == "var_thrift"
+        assert abs(row["estimate"] - row["theory"]) <= 3 * row["std_error"] + 1e-9
 
 
 def test_homeopathic_scan_below_bound():
@@ -185,9 +187,8 @@ def test_homeopathic_scan_below_bound():
            "n": 3, "k_list": [0, 2], "circuits": 500, "seed": 13}
     rows = ex.run_experiment(cfg)
     for row in rows:
-        flat = row.flat()
-        assert flat["theory_source"] == "vstar_bound"
-        assert flat["estimate"] <= flat["theory"]
+        assert row["theory_source"] == "vstar_bound"
+        assert row["estimate"] <= row["theory"]
 
 
 def test_threads_do_not_change_results():
@@ -238,12 +239,11 @@ def test_shipped_configs_run_and_are_deterministic(path):
     # every empirical column with a theory counterpart stays coherent
     if not isinstance(result, dict):
         for row in result:
-            flat = row.flat()
-            if flat.get("theory_source") == "var_thrift":
-                assert abs(flat["estimate"] - flat["theory"]) <= \
-                    3 * flat["std_error"] + 1e-9
-            elif flat.get("theory_source") == "vstar_bound":
-                assert flat["estimate"] <= flat["theory"]
+            if row.get("theory_source") == "var_thrift":
+                assert abs(row["estimate"] - row["theory"]) <= \
+                    3 * row["std_error"] + 1e-9
+            elif row.get("theory_source") == "vstar_bound":
+                assert row["estimate"] <= row["theory"]
 
 
 def test_cli_overrides_and_output(tmp_path, capsys):
@@ -300,6 +300,9 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
             (["tail-experiment", "--kind", "clifford", "--n", "3", "--samples", "10",
               "--budget", "5", "--batches", "3", "--seed", "1"],
              "budget 5 must be a multiple of batches 3"),
+            (["tail-experiment", "--kind", "clifford", "--n", "3", "--samples", "10",
+              "--budget", "50", "--batches", "5", "--seed", "1"],
+             "budget 50 must be at most samples 10"),
             (["optimal-reuse", "--alpha", "nan", "--v1", "3", "--vstar", "0.1"],
              "alpha must be finite, got nan"),
             (["optimal-reuse", "--alpha", "inf", "--v1", "3", "--vstar", "0.1"],
@@ -310,6 +313,20 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"shadowkit {argv[0]}: error: {message}\n"
+    # a malformed estimate observable, which only a config file can give
+    estimate = {"ensemble": {"kind": "clifford", "n": 3}, "measurements": 12, "reuse": 1,
+                "batches": 1, "seed": 1}
+    path = tmp_path / "observable.json"
+    for observable, message in (
+            ("pauli", "observable must be a JSON object, got 'pauli'"),
+            ({"label": "ZZZ"}, "observable is missing ['type']"),
+            ({"type": "pauli"}, "a Pauli observable needs a string label, got None"),
+            ({"type": "pauli", "label": 5}, "a Pauli observable needs a string label, got 5")):
+        path.write_text(json.dumps({**estimate, "observable": observable}))
+        assert cli.main(["estimate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"shadowkit estimate: error: {message}\n"
 
 
 _GOOD_CONFIGS = {
@@ -359,6 +376,8 @@ _GOOD_CONFIGS = {
     ("optimal-reuse", {"v1": float("inf")}, "v1 must be finite, got inf"),
     ("optimal-reuse", {"vstar": float("-inf")}, "vstar must be finite, got -inf"),
     ("optimal-reuse", {"budget": float("nan")}, "budget must be finite, got nan"),
+    ("moment-table", {"include_limit": "no"}, "include_limit must be true or false, got 'no'"),
+    ("moment-table", {"include_limit": 0}, "include_limit must be true or false, got 0"),
 ])
 def test_config_numbers_fail_at_the_boundary(capsys, tmp_path, experiment, change, message):
     """A config number of the wrong type is a one-line ValueError and exit
@@ -533,6 +552,21 @@ _TINY_RUNS = (
 def test_every_export_resolves():
     """No name in ``__all__`` outlives the object it exports."""
     assert [name for name in shadowkit.__all__ if not hasattr(shadowkit, name)] == []
+
+
+def test_readme_example_runs_and_tour_names_every_export(capsys):
+    """The README's Python block runs as written and prints what its comments
+    say, and the library tour names every ``__all__`` entry."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("{'estimate': ")
+    assert "'K': 10" in lines[0]
+    assert [Fraction(line) for line in lines[1:]] == [
+        shadowkit.clifford_moment(4, 2), shadowkit.weingarten_matrix(4, 4, "clifford")[0, 0]]
+    assert [name for name in shadowkit.__all__ if f"`{name}`" not in text] == []
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):

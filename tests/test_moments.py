@@ -8,17 +8,18 @@ from shadowkit import dense
 from shadowkit import exact
 from shadowkit import moments as mo
 
-from commutant_oracle import pi4_matrix, r_pi_matrix, r_T_matrix, rt_inner
+from commutant_oracle import (pi4_matrix, r_pi_matrix, r_T_matrix, rt_inner,
+                              sigma_tt_enumerate)
 from dense_oracle import T_GATE, Y, basis_state, tensor_power
 
 
 def test_sigma_counts():
-    assert len(mo.sigma_tt_enumerate(1)) == 1
-    assert len(mo.sigma_tt_enumerate(2)) == 2
-    assert len(mo.sigma_tt_enumerate(3)) == 6
-    assert len(mo.sigma_tt_enumerate(4)) == 30
+    assert len(sigma_tt_enumerate(1)) == 1
+    assert len(sigma_tt_enumerate(2)) == 2
+    assert len(sigma_tt_enumerate(3)) == 6
+    assert len(sigma_tt_enumerate(4)) == 30
     with pytest.raises(ValueError):
-        mo.sigma_tt_enumerate(5)
+        sigma_tt_enumerate(5)
 
 
 def test_dense_copy_budget_enforced():
@@ -31,7 +32,7 @@ def test_dense_copy_budget_enforced():
 def test_sigma_t3_is_permutations():
     for t in (2, 3):
         perm = {mo.perm_subspace(pi).key() for pi in mo.symmetric_group(t)}
-        enum = {s.key() for s in mo.sigma_tt_enumerate(t)}
+        enum = {s.key() for s in sigma_tt_enumerate(t)}
         assert perm == enum
 
 
@@ -39,7 +40,7 @@ def test_labels_cover_sigma44():
     labels = mo.commutant_labels(4)
     assert len(labels) == 30 and sum(lab.hat for lab in labels) == 6
     assert {lab.subspace().key() for lab in labels} == \
-        {s.key() for s in mo.sigma_tt_enumerate(4)}
+        {s.key() for s in sigma_tt_enumerate(4)}
 
 
 def test_r_pi_homomorphism_and_trace():
@@ -95,7 +96,7 @@ def test_hat_labels_product_route():
 
 def test_rt_gram_examples():
     # single-copy overlaps are subspace intersection sizes
-    subs = mo.sigma_tt_enumerate(4)
+    subs = sigma_tt_enumerate(4)
     for i in (0, 7, 29):
         for j in (3, 11):
             a = r_T_matrix(subs[i], 1, dense=True)
@@ -157,7 +158,7 @@ def test_weingarten_inverse_identities():
 
 def test_clifford_commutant_stops_at_t4():
     for call in (lambda: mo.gram_matrix(5, 5, "clifford"),
-                 lambda: mo.state_average(5, 5, "clifford"),
+                 lambda: mo.group_labels(5, "clifford"),
                  lambda: mo.commutant_labels(5)):
         with pytest.raises(ValueError, match="t <= 4"):
             call()
@@ -192,11 +193,6 @@ def test_3design_coincidence():
 def test_state_average_values():
     assert mo.state_average_coefficient(1, 2, "unitary") == Fraction(1, 4)
     assert mo.state_average_coefficient(4, 3, "clifford") == Fraction(1, 8640)
-    from shadowkit.stabilizer import StabilizerTableau
-    avg = mo.state_average(4, 3, "clifford", StabilizerTableau.zero_state(3))
-    assert len(avg) == 30 and set(avg.values()) == {Fraction(1, 8640)}
-    with pytest.raises(TypeError):
-        mo.state_average(4, 3, "clifford", np.eye(8) / 8)
 
 
 def test_moment_operator_exhaustive_t_le_3():
@@ -254,16 +250,22 @@ def test_moment_operator_monte_carlo_t4():
             (idx, vals[idx].mean(), want, se)
 
 
+def variance_dense(o, rho):
+    """``variance_formula`` of a dense observable and state, from the three
+    traces computed with numpy."""
+    n = o.shape[0].bit_length() - 1
+    traces = (np.trace(o @ o), np.trace(rho @ o @ o), np.trace(rho @ o))
+    return float(mo.variance_formula(*(float(np.real(tr)) for tr in traces), n))
+
+
 def test_variance_formula_examples():
     assert mo.stabilizer_pair_variance(2) == 1
     for n in (1, 2, 3):
         assert mo.variance_formula(2 ** n, 1, 1, n) == 2 ** n
     z1 = np.kron(dense.Z, np.eye(4))
     rho = basis_state(0, 3)
-    assert mo.variance_3design(z1, rho) == pytest.approx(8.0)
-    assert mo.variance_3design(np.zeros((4, 4)), np.eye(4) / 4) == 0.0
-    with pytest.raises(ValueError):
-        mo.variance_3design(np.eye(4), np.eye(4) / 4)
+    assert variance_dense(z1, rho) == pytest.approx(8.0)
+    assert variance_dense(np.zeros((4, 4)), np.eye(4) / 4) == 0.0
 
 
 def test_variance_bound_3tro2():
@@ -278,7 +280,7 @@ def test_variance_bound_3tro2():
             v /= np.linalg.norm(v)
             rho = np.outer(v, v.conj())
             tr_o2 = float(np.real(np.trace(o @ o)))
-            assert mo.variance_3design(o, rho) <= 3 * tr_o2 + 1e-9
+            assert variance_dense(o, rho) <= 3 * tr_o2 + 1e-9
 
 
 def test_thrifty_variance_predict():
@@ -324,16 +326,13 @@ def test_basis_overlap_case_table():
                     assert got == 0.0
 
 
-def test_reuse_excess_bound_shape():
-    assert mo.reuse_excess_bound(1.0, 1, 3, 6) == 0.0
+def test_vstar_interpolation_bound_limits():
     # k -> infinity leaves only the first term
-    big_k = mo.reuse_excess_bound(1.0, 2, 10_000, 6)
-    assert big_k == pytest.approx(0.5 * 32 * 2 ** -6 * 1.0)
+    big_k = mo.vstar_interpolation_bound(1.0, 10_000, 6)
+    assert big_k == pytest.approx(32 * 2 ** -6 * 1.0)
     # leading behavior ~ 30 tr(O^2) (3/4)^k at large n
-    lead = mo.reuse_excess_bound(1.0, 10 ** 9, 5, 40)
+    lead = mo.vstar_interpolation_bound(1.0, 5, 40)
     assert lead == pytest.approx(30 * 0.75 ** 5, rel=1e-6)
-    with pytest.raises(ValueError):
-        mo.reuse_excess_bound(1.0, 0, 1, 4)
 
 
 def test_sandwich_bound_small_n():

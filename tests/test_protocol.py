@@ -83,10 +83,11 @@ def test_observable_traces():
     tab = StabilizerTableau.zero_state(3)
     o = pr.ObservableSpec.stabilizer_projector(tab)
     assert o.trace() == 0
-    assert o.hs_norm_sq() == Fraction(7, 8)
+    assert mo.stabilizer_pair_traces(3)["tr_o2"] == Fraction(7, 8)
+    assert np.trace(o.dense() @ o.dense()) == pytest.approx(7 / 8)
     assert np.trace(o.dense()) == pytest.approx(0.0)
     p = pr.ObservableSpec.pauli(PauliString.from_label("XZ"))
-    assert p.trace() == 0 and p.hs_norm_sq() == 4
+    assert p.trace() == 0 and np.trace(p.dense() @ p.dense()) == pytest.approx(4)
 
 
 def test_median_of_means_examples():
@@ -489,7 +490,7 @@ def test_stabilizer_pair_collapse_matches_protocol_exactly():
     for c in cl.enumerate_group(n):
         value = pr.shot_evaluator(o, SampledCircuit("clifford", n, element=c))
         rotated = state.apply_clifford(c)
-        dim = rotated.z_support_dim()
+        dim = len(rotated.z_support()[2])
         collapsed = Fraction(d_total + 1) * (Fraction(1, 2 ** dim) - Fraction(1, d_total))
         for xi in range(d_total):
             if rotated.z_probability(xi):
