@@ -249,17 +249,6 @@ class CliffordElement:
             raise AssertionError("composition produced a non-Hermitian image")
         return CliffordElement(s, alpha.astype(np.uint8))
 
-    def inverse(self):
-        n = self.n
-        j = symplectic_form(n)
-        s_inv = f2.mat_mul_f2(f2.mat_mul_f2(j, self.symplectic.T), j).astype(np.uint8)
-        xs, zs, phases = self.conjugate_rows(s_inv[:n].T, s_inv[n:].T,
-                                             (s_inv[:n] * s_inv[n:]).sum(axis=0) % 4)
-        # self applied to the unsigned inverse images must give back the
-        # generators; the leftover sign is the inverse's alpha
-        alpha = (np.asarray(phases) // 2) % 2
-        return CliffordElement(s_inv, alpha.astype(np.uint8))
-
     def to_dense(self):
         """A unitary realizing this element (global phase arbitrary).
 

@@ -8,9 +8,8 @@ Clifford segments (``push_rows``) writes it as k Pauli-branch factors after
 one Clifford, so it acts on a stabilizer state in O(k 2^n).  Both work on a
 list of same-(n, k) circuits at once: ``push_rows`` conjugates every
 circuit's rows by its j-th segment in one batched call, and ``statevectors``
-gives a (circuits, 2^n) array; ``SampledCircuit.statevector`` is its
-one-circuit case.  Only Clifford and Haar circuits have a ``dense`` unitary,
-and Haar circuits act one at a time.
+gives a (circuits, 2^n) array.  Only Clifford and Haar circuits have a
+``dense`` unitary.  ``protocol.act`` is where any circuit acts on a state.
 """
 
 from dataclasses import dataclass, field
@@ -112,13 +111,6 @@ class SampledCircuit:
                 self._dense = haar_unitary(2 ** self.n, substream(self.haar_seed))
         return self._dense
 
-    def statevector(self, state):
-        """U|S> for a stabilizer tableau S (global phase arbitrary): through the
-        Haar unitary, else the count-1 case of ``statevectors``."""
-        if self.kind == "haar":
-            return self.dense() @ state.statevector()
-        return statevectors([self], state)[0]
-
     def descriptor(self):
         if self.kind == "clifford":
             return f"clifford:{self.n}:{self.element.to_hex()}"
@@ -176,8 +168,7 @@ def statevectors(circuits, state):
     """U|S> (B, 2^n) for B same-(n, k) Clifford or T-gate circuits and one
     stabilizer tableau S (global phases arbitrary): the stabilizer
     statevectors of C|S> from one ``push_rows``, times the k branch factors
-    c - is P_j, O(B k 2^n) with no dense Clifford.  Haar circuits act one at a
-    time through ``SampledCircuit.statevector``."""
+    c - is P_j, O(B k 2^n) with no dense Clifford."""
     m = state.n
     xs, zs, phases = push_rows(circuits, state.xs, state.zs, state.phases)
     v = stabilizer.statevectors([StabilizerTableau(*t) for t in

@@ -13,13 +13,6 @@ from fractions import Fraction
 import numpy as np
 
 
-def identity(n):
-    m = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        m[i, i] = Fraction(1)
-    return m
-
-
 def inverse(m):
     """Exact inverse of a square int/Fraction matrix as Fractions; raises
     ZeroDivisionError on singular input."""
@@ -44,7 +37,3 @@ def inverse(m):
     # the left block is now prev * I and the right block prev * (m*den)^-1
     return np.array([[Fraction(x * den, prev) for x in row[size:]] for row in rows],
                     dtype=object)
-
-
-def equals(a, b):
-    return a.shape == b.shape and bool((a == b).all())

@@ -61,6 +61,8 @@ def _require_number(name, value):
 def _require_list(name, value):
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a list, got {value!r}")
+    if not value:
+        raise ValueError(f"{name} must not be empty")
 
 
 def _validate_observable(o_cfg, n):
@@ -95,6 +97,9 @@ def validate_config(cfg):
             raise ValueError("measurements must be a multiple of reuse*batches")
         _validate_observable(cfg.get("observable", {"type": "pair"}),
                              EnsembleSpec.from_json(cfg["ensemble"]).n)
+        # open() also takes an int, as a file descriptor to write and close
+        if not isinstance(cfg.get("records_out", ""), str):
+            raise ValueError(f"records_out must be a path string, got {cfg['records_out']!r:.80}")
     elif name == "variance-scan":
         _require(cfg, "ensemble", "measurements", "reuse_list", "vstar_circuits", "seed")
         EnsembleSpec.from_json(cfg["ensemble"])
@@ -132,12 +137,8 @@ def validate_config(cfg):
         for key in ("samples", "budget", "batches"):
             if key in cfg:
                 _require_at_least(key, cfg[key])
-        budget, batches = (cfg.get(key, default) for key, default in _TAIL_DEFAULTS.items())
-        if budget % batches:
-            raise ValueError(f"budget {budget} must be a multiple of batches {batches}")
-        # a replication is budget samples; with none the MSE fields are absent
-        if budget > cfg["samples"]:
-            raise ValueError(f"budget {budget} must be at most samples {cfg['samples']}")
+        tl.check_replications(cfg["samples"], **{key: cfg.get(key, default)
+                                                 for key, default in _TAIL_DEFAULTS.items()})
     elif name == "weingarten":
         _require(cfg, "t", "n", "group")
         t, n, group = cfg["t"], cfg["n"], cfg["group"]

@@ -208,10 +208,6 @@ def commutant_labels(t):
     return labels
 
 
-def hat_labels():
-    return [lab for lab in commutant_labels(4) if lab.hat]
-
-
 # ---------------------------------------------------------------------------
 # Gram and Weingarten matrices, exact.
 

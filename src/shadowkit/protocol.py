@@ -11,17 +11,18 @@ does the circuit's work once and returns x -> X.  A Haar circuit uses its
 dense unitary.  On a Clifford or T-gate circuit a Pauli is a sum of parities
 over at most 2^k signed Pauli branches (one exact parity on a Clifford), and
 a stabilizer projector is read off the rotated tableau's Z-basis support on
-a Clifford (exact dyadic rationals) or the Born vector of ``statevector``.
+a Clifford (exact dyadic rationals) or the Born vector of ``act``.
 
 States are stabilizer tableaux.  Acquisition draws N/R circuits and
 measures each one R times.  Every circuit index owns a deterministic rng
 substream derived from (seed, index), so circuits are drawn a chunk at a
 time, from their own streams, and built in one batch, and transcripts are
-reproducible bit for bit regardless of chunking or evaluation order.  A
-circuit acts on the state once (``act``): a Clifford circuit gives the
-rotated tableau, any other circuit the Born vector |U psi|^2 of its
-``statevector``.  Shots are drawn from that action (``measure``), and
-``estimate`` reuses it to evaluate the projector of the state itself.
+reproducible bit for bit regardless of chunking or evaluation order.
+``act`` is the one place where circuits act on a state, a list of same-spec
+circuits at a time: a Clifford circuit gives the rotated tableau, any other
+circuit the Born vector |U psi|^2.  Shots are drawn from that action
+(``measure``), ``estimate`` reuses it to evaluate the projector of the state
+itself, and the ``tails`` pair samplers read it on |0^n>.
 Records are grouped into K batches and estimates are medians of batch means.
 ``estimate`` evaluates each circuit while it is in memory; ``record_values``
 evaluates records read back from their descriptors, to the same values.
@@ -39,8 +40,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import clifford as cl
 from .ensembles import (EnsembleSpec, SampledCircuit, push_rows, sample_circuit,
-                        sample_circuits, substream)
+                        sample_circuits, statevectors, substream)
 from .stabilizer import PauliString, StabilizerTableau
 
 
@@ -146,8 +148,8 @@ def parse_outcome(x, n):
 def shot_evaluator(o, circuit, action=None):
     """The map x -> X for one circuit and an int outcome x, with the
     per-circuit work done once: one path per (circuit kind, observable kind)
-    pair, as listed above.  ``action`` is ``act(circuit, o.payload)`` when the
-    caller already holds it."""
+    pair, as listed above.  ``action`` is the circuit's ``act`` on o.payload
+    when the caller already holds it."""
     if circuit.n != o.n:
         raise ValueError("circuit and observable act on different qubit counts")
     d = 2 ** o.n
@@ -155,7 +157,7 @@ def shot_evaluator(o, circuit, action=None):
         return _dense_evaluator(o, circuit)
     if o.kind == "pauli":
         return _pauli_evaluator(o, circuit)
-    acted = act(circuit, o.payload) if action is None else action
+    acted = next(act([circuit], o.payload))[1] if action is None else action
     if circuit.kind == "clifford":
         return lambda x: (d + 1) * (acted.z_probability(x) - Fraction(1, d))
     return lambda x: (d + 1) * (float(acted[x]) - 2.0 ** -o.n)
@@ -210,12 +212,37 @@ def single_shot(o, circuit, x):
 # ---------------------------------------------------------------------------
 # Acquisition and estimation.
 
-def act(circuit, state):
-    """The circuit's action on a tableau: the rotated tableau of a Clifford
-    circuit, else the Born vector |U psi|^2 of ``statevector``."""
-    if circuit.kind == "clifford":
-        return state.apply_clifford(circuit.element)
-    return np.abs(circuit.statevector(state)) ** 2
+# Entries of the (circuits, 2^n) batch of T-gate Born vectors that ``act``
+# holds at once: 256 circuits at n = 6, one at n >= 14.
+BORN_BATCH_ENTRIES = 2 ** 14
+
+
+def act(circuits, state):
+    """Yield (circuit, action) for each of a list of same-spec circuits, in
+    order: the rotated tableau of a Clifford circuit, else the Born vector
+    |U psi|^2.  The whole Clifford list is rotated by one
+    ``conjugate_rows_batch``; T-gate Born vectors come from ``statevectors``
+    BORN_BATCH_ENTRIES entries at a time; a Haar circuit multiplies the
+    state's statevector, made once.  The list is emptied as it is read, so
+    no Haar unitary outlives its circuit."""
+    circuits.reverse()
+    kind = circuits[-1].kind if circuits else None
+    if kind == "clifford":
+        rows = (np.broadcast_to(a, (len(circuits),) + a.shape)
+                for a in (state.xs, state.zs, state.phases))
+        elements = [c.element for c in reversed(circuits)]
+        for rotated in zip(*cl.conjugate_rows_batch(elements, *rows)):
+            yield circuits.pop(), StabilizerTableau(*rotated)
+    elif kind == "haar":
+        psi = state.statevector()
+        while circuits:
+            circuit = circuits.pop()
+            yield circuit, np.abs(circuit.dense() @ psi) ** 2
+    elif kind:
+        size = max(1, BORN_BATCH_ENTRIES >> state.n)
+        while circuits:
+            batch = [circuits.pop() for _ in range(min(size, len(circuits)))]
+            yield from zip(batch, np.abs(statevectors(batch, state)) ** 2)
 
 
 def measure(action, reuse, rng):
@@ -236,18 +263,14 @@ def _circuit_shots(cfg, state):
     the state and its R outcomes.
 
     Circuit t owns substream(seed, t).  A chunk's circuits are drawn from
-    their streams first and built in one batch; each stream then goes on to
-    its circuit's shots, so the bytes do not depend on the chunk size.
+    their streams first, built in one batch and acted on the state in one
+    ``act``; each stream then goes on to its circuit's shots, so the bytes
+    do not depend on the chunk size.
     """
     for start in range(0, cfg.circuits, CIRCUIT_CHUNK):
         rngs = [substream(cfg.seed, t)
                 for t in range(start, min(start + CIRCUIT_CHUNK, cfg.circuits))]
-        circuits = sample_circuits(cfg.ensemble, rngs)
-        circuits.reverse()
-        for rng in rngs:
-            # each circuit is dropped once used, so no Haar unitary outlives it
-            circuit = circuits.pop()
-            action = act(circuit, state)
+        for rng, (circuit, action) in zip(rngs, act(sample_circuits(cfg.ensemble, rngs), state)):
             yield circuit, action, measure(action, cfg.reuse, rng)
 
 
@@ -301,9 +324,11 @@ def estimate(cfg, state, o, records_out=None):
 # Conditional means and the reuse-limit variance V*.
 
 def conditional_mean(o, circuit, state):
-    """E_x[X | U] = sum_x p_x X(x), with p = |U psi|^2, exactly contracted
-    over the outcomes of positive probability."""
-    p = np.abs(circuit.statevector(state)) ** 2
+    """E_x[X | U] = sum_x p_x X(x), with p = |U psi|^2 from ``act`` (on a
+    Clifford circuit, of the rotated tableau's statevector), exactly
+    contracted over the outcomes of positive probability."""
+    action = next(act([circuit], state))[1]
+    p = np.abs(action.statevector()) ** 2 if circuit.kind == "clifford" else action
     value = shot_evaluator(o, circuit)
     return float(sum(p[x] * float(value(x)) for x in np.flatnonzero(p).tolist()))
 

@@ -70,15 +70,6 @@ class PauliString:
         phase = base + (2 * int(rng.integers(2)) if signed else 0)
         return cls(x, z, phase)
 
-    def __mul__(self, other):
-        if self.n != other.n:
-            raise ValueError("Pauli size mismatch")
-        phase = self.phase + other.phase + 2 * int(np.dot(self.z, other.x))
-        return PauliString(self.x ^ other.x, self.z ^ other.z, phase)
-
-    def commutes(self, other):
-        return (int(np.dot(self.x, other.z)) + int(np.dot(self.z, other.x))) % 2 == 0
-
     def is_hermitian(self):
         return (self.phase + int(np.dot(self.x, self.z))) % 2 == 0
 

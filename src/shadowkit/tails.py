@@ -15,12 +15,9 @@ limits whose super-exponential growth rules out useful subexponential tail
 bounds.  For Haar circuits the moment generating function is bounded and a
 Bernstein-type tail holds.
 
-Haar and T-gate circuits are the protocol specialized to this pair: each
-circuit acts on |0^n> to give its Born vector, as ``protocol.act`` does, and
-its R shots are ``protocol.measure`` draws from that vector.  Born vectors
-are made one capped batch at a time: a Haar vector alone, T-gate vectors
-through ``ensembles.statevectors`` in batches of at most
-``BORN_BATCH_ENTRIES`` entries.
+Haar and T-gate circuits are the protocol specialized to this pair: their
+Born vectors on |0^n> are ``protocol.act``'s actions, and the R shots of a
+circuit are ``protocol.measure`` draws from its vector.
 """
 
 import math
@@ -31,7 +28,7 @@ import numpy as np
 
 from . import bits as f2
 from . import clifford as cl
-from .ensembles import SampledCircuit, sample_circuits, statevectors
+from .ensembles import SampledCircuit, sample_circuits
 from .protocol import act, measure, median_of_means
 from .stabilizer import StabilizerTableau
 
@@ -121,39 +118,23 @@ def _circuit_fixed_xvalues(spec, rng, count):
     return None
 
 
-# Entries of the (circuits, 2^n) batch of T-gate Born vectors that
-# ``_pair_born_vectors`` holds at once: 256 circuits at n = 6, one at n >= 14.
-BORN_BATCH_ENTRIES = 2 ** 14
-
-
 def _pair_born_vectors(spec, rng, count):
     """Rotated Born vectors |<x|U|0^n>|^2 for count circuits, unnormalized as
-    ``protocol.act`` gives them, made one capped batch at a time as the
-    returned iterator is read.
+    ``protocol.act`` gives them, made as the returned iterator is read.
 
     Every circuit is drawn here, before any vector is made (T-gate circuits
     in one batch of segments), so a caller's later draws from ``rng`` come
-    after all of them.  T-gate vectors are made BORN_BATCH_ENTRIES entries at
-    a time by ``ensembles.statevectors``; Haar vectors one circuit at a time.
+    after all of them.
     """
     n = spec.n
-    zero = StabilizerTableau.zero_state(n)
     if spec.kind == "homeopathic":
         per = spec.k + 1
         segments = cl.sample_uniform_batch(n, rng, count * per)
         circuits = [SampledCircuit("homeopathic", n, segments=segments[i * per:(i + 1) * per])
                     for i in range(count)]
-        return _born_batches(circuits, zero, max(1, BORN_BATCH_ENTRIES >> n))
-    circuits = sample_circuits(spec, [rng] * count)
-    circuits.reverse()
-    # each circuit is dropped once used, so no Haar unitary outlives its circuit
-    return (act(circuits.pop(), zero) for _ in range(count))
-
-
-def _born_batches(circuits, state, size):
-    """The Born vectors of ``act``, one row at a time, from batches of size circuits."""
-    for start in range(0, len(circuits), size):
-        yield from np.abs(statevectors(circuits[start:start + size], state)) ** 2
+    else:
+        circuits = sample_circuits(spec, [rng] * count)
+    return (action for _, action in act(circuits, StabilizerTableau.zero_state(n)))
 
 
 def sample_pair_xvalues(spec, rng, count, reuse=1):
@@ -208,14 +189,25 @@ def variance_of_sample_variance(values):
 # ---------------------------------------------------------------------------
 # The tail experiment.
 
+def check_replications(samples, budget, batches):
+    """Refuse a tail experiment whose budget does not split into its batches,
+    or whose samples do not fill one replication of budget values."""
+    if budget % batches:
+        raise ValueError(f"budget {budget} must be a multiple of batches {batches}")
+    if budget > samples:
+        raise ValueError(f"budget {budget} must be at most samples {samples}")
+
+
 def tail_experiment(spec, samples, rng, budget=10_000, batches=40):
     """Empirical moments, exceedance frequencies and the mean-vs-median
     comparison for the stabilizer pair under ``spec``.
 
     The sample stream is split into replications of ``budget`` values; each
     replication produces one plain mean and one median of ``batches`` batch
-    means, compared by squared error against the exact expectation.
+    means, compared by squared error against the exact expectation.  Sizes
+    that ``check_replications`` refuses raise before anything is sampled.
     """
+    check_replications(samples, budget, batches)
     n = spec.n
     xs = sample_pair_xvalues(spec, rng, samples)
     # raw moments 1..8; the m-th's standard error reads the 2m-th
@@ -233,7 +225,7 @@ def tail_experiment(spec, samples, rng, budget=10_000, batches=40):
         mom_errors.append((median_of_means(block, batches) - true_mean) ** 2)
     mean_errors = np.array(mean_errors)
     mom_errors = np.array(mom_errors)
-    summary = {
+    return {
         "ensemble": spec.to_json(),
         "samples": int(samples),
         "true_mean": true_mean,
@@ -244,12 +236,10 @@ def tail_experiment(spec, samples, rng, budget=10_000, batches=40):
         "replications": int(reps),
         "budget": int(budget),
         "batches": int(batches),
+        "mse_mean": float(mean_errors.mean()),
+        "mse_median_of_means": float(mom_errors.mean()),
+        "median_of_means_wins": float(np.mean(mom_errors < mean_errors)),
     }
-    if reps:
-        summary["mse_mean"] = float(mean_errors.mean())
-        summary["mse_median_of_means"] = float(mom_errors.mean())
-        summary["median_of_means_wins"] = float(np.mean(mom_errors < mean_errors))
-    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -199,22 +199,6 @@ def test_compose_associativity_and_inverse():
     for _ in range(20):
         a, b, c = (cl.sample_uniform(3, rng) for _ in range(3))
         assert a.compose(b).compose(c) == a.compose(b.compose(c))
-        assert a.compose(a.inverse()) == cl.CliffordElement.identity(3)
-        assert a.inverse().compose(a) == cl.CliffordElement.identity(3)
-
-
-@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_inverse_is_the_dense_adjoint(n, seed):
-    """``inverse`` against the dense adjoint up to a global phase; a sign
-    convention shared by ``compose`` and ``inverse`` would still give
-    a.compose(a.inverse()) == identity."""
-    a = cl.sample_uniform(n, np.random.default_rng(seed))
-    got, want = a.inverse().to_dense(), a.to_dense().conj().T
-    i = np.unravel_index(np.argmax(np.abs(want)), want.shape)
-    phase = got[i] / want[i]
-    assert abs(abs(phase) - 1) < 1e-9
-    assert np.allclose(got, phase * want, atol=1e-9)
 
 
 def test_hex_round_trip():

@@ -8,6 +8,7 @@ from scipy import stats
 
 from shadowkit import clifford as cl
 from shadowkit import ensembles as en
+from shadowkit import protocol as pr
 from shadowkit import tails as tl
 from shadowkit.stabilizer import StabilizerTableau
 
@@ -15,6 +16,14 @@ from dense_oracle import (T_GATE, basis_state, circuit_unitary, devectorize,
                           frame_operator_depolarizing, frame_operator_empirical,
                           frame_operator_exact_clifford, inverse_frame_apply, is_unitary,
                           t_gate_dense, vectorize)
+
+
+def _statevector(c, state):
+    """U|S> as the library makes it: the Haar unitary times |S>, else
+    ``statevectors`` on the one circuit."""
+    if c.kind == "haar":
+        return c.dense() @ state.statevector()
+    return en.statevectors([c], state)[0]
 
 
 def test_spec_validation():
@@ -81,7 +90,7 @@ def test_statevector_is_dense_action_up_to_phase():
                      en.EnsembleSpec("identity", n), en.EnsembleSpec("homeopathic", n, k=0),
                      en.EnsembleSpec("homeopathic", n, k=3)):
             c = en.sample_circuit(spec, rng)
-            got, want = c.statevector(state), circuit_unitary(c) @ psi
+            got, want = _statevector(c, state), circuit_unitary(c) @ psi
             assert abs(abs(np.vdot(want, got)) - 1) < 1e-10, (spec, n)
 
 
@@ -92,7 +101,7 @@ def test_t_gate_statevector_peaks_under_four_vectors():
     circuit = en.sample_circuit(en.EnsembleSpec("homeopathic", n, k=2), np.random.default_rng(0))
     state = StabilizerTableau.zero_state(n)
     tracemalloc.start()
-    circuit.statevector(state)
+    en.statevectors([circuit], state)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 4 * 16 * 2 ** n, peak
@@ -127,8 +136,9 @@ def test_t_gate_born_vectors_match_dense_oracle():
 
 
 def test_statevectors_match_one_at_a_time():
-    """A batch through ``statevectors`` is each circuit's ``statevector``, to
-    the byte, on a scrambled tableau: n = 1..6, k = 0..8 and Clifford circuits."""
+    """A batch through ``statevectors`` is each circuit's own one-circuit
+    batch, to the byte, on a scrambled tableau: n = 1..6, k = 0..8 and
+    Clifford circuits."""
     for n in range(1, 7):
         rng = np.random.default_rng(40 + n)
         state = cl.random_stabilizer_tableau(n, rng)
@@ -136,7 +146,7 @@ def test_statevectors_match_one_at_a_time():
                                                     for k in range(9)]
         for spec in specs:
             circuits = en.sample_circuits(spec, [rng] * 5)
-            singles = [c.statevector(state).tobytes() for c in circuits]
+            singles = [en.statevectors([c], state)[0].tobytes() for c in circuits]
             for size in (1, 5):
                 got = en.statevectors(circuits[:size], state)
                 assert [v.tobytes() for v in got] == singles[:size], (spec, size)
@@ -144,15 +154,15 @@ def test_statevectors_match_one_at_a_time():
 
 def test_statevectors_at_the_batch_cap():
     """Batches of 1, cap - 1, cap and cap + 1 circuits, with cap the circuits
-    in one ``tails._pair_born_vectors`` batch: every row is its circuit's own
-    ``statevector``, to the byte."""
+    in one batch of ``protocol.act``: every row is its circuit's own one-circuit
+    batch, to the byte."""
     for spec in (en.EnsembleSpec("homeopathic", 6, k=3), en.EnsembleSpec("homeopathic", 6, k=8),
                  en.EnsembleSpec("clifford", 6), en.EnsembleSpec("homeopathic", 12, k=1)):
-        cap = tl.BORN_BATCH_ENTRIES >> spec.n
+        cap = pr.BORN_BATCH_ENTRIES >> spec.n
         rng = np.random.default_rng(spec.n + spec.k)
         state = cl.random_stabilizer_tableau(spec.n, rng)
         circuits = en.sample_circuits(spec, [rng] * (cap + 1))
-        singles = [c.statevector(state).tobytes() for c in circuits]
+        singles = [en.statevectors([c], state)[0].tobytes() for c in circuits]
         for size in (1, cap - 1, cap, cap + 1):
             got = en.statevectors(circuits[:size], state)
             assert [v.tobytes() for v in got] == singles[:size], (spec, size)
@@ -165,7 +175,7 @@ def test_branch_statevector_is_dense_segment_product(seed, n, k):
     state = cl.random_stabilizer_tableau(n, rng)
     c = en.sample_circuit(en.EnsembleSpec("homeopathic", n, k=k), rng)
     want = circuit_unitary(c) @ state.statevector()
-    assert abs(abs(np.vdot(want, c.statevector(state))) - 1) < 1e-12
+    assert abs(abs(np.vdot(want, en.statevectors([c], state)[0])) - 1) < 1e-12
 
 
 def test_homeopathic_k0_matches_clifford_statistics():
@@ -269,7 +279,7 @@ def test_descriptor_round_trips_every_kind(seed, kind, n, k):
     c2 = en.SampledCircuit.from_descriptor(c.descriptor())
     assert c2.descriptor() == c.descriptor()
     state = cl.random_stabilizer_tableau(n, rng)
-    assert np.array_equal(c.statevector(state), c2.statevector(state))
+    assert np.array_equal(_statevector(c, state), _statevector(c2, state))
 
 
 def test_descriptor_round_trips():

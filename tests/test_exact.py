@@ -34,8 +34,8 @@ def ldu_matrices(draw, entries, singular=False):
 def test_inverse_is_exact(m):
     inv = exact.inverse(m)
     assert all(type(v) is Fraction for v in inv.flat)
-    assert exact.equals(m @ inv, exact.identity(m.shape[0]))
-    assert exact.equals(inv @ m, exact.identity(m.shape[0]))
+    assert np.array_equal(m @ inv, np.eye(m.shape[0], dtype=int))
+    assert np.array_equal(inv @ m, np.eye(m.shape[0], dtype=int))
 
 
 @given(st.one_of(ldu_matrices(INTS, singular=True), ldu_matrices(FRACTIONS, singular=True)))
@@ -47,8 +47,8 @@ def test_inverse_refuses_singular(m):
 
 def test_inverse_examples():
     m = np.array([[0, 2], [3, 1]], dtype=np.int64)   # needs a row swap
-    assert exact.equals(exact.inverse(m),
-                        np.array([[Fraction(-1, 6), Fraction(1, 3)],
-                                  [Fraction(1, 2), 0]], dtype=object))
+    assert np.array_equal(exact.inverse(m),
+                          np.array([[Fraction(-1, 6), Fraction(1, 3)],
+                                    [Fraction(1, 2), 0]], dtype=object))
     half = np.array([[Fraction(1, 2)]], dtype=object)
     assert exact.inverse(half)[0, 0] == 2

@@ -102,6 +102,13 @@ def test_config_validation_errors():
         ex.validate_config({**homeo, "circuits": 1})
     with pytest.raises(ValueError, match="T-gate count"):
         ex.validate_config({**homeo, "k_list": [0, -1]})
+    # an empty list would run nothing and write an empty file
+    table = {"schema": 1, "experiment": "moment-table", "n_list": [2], "max_m": 2}
+    ex.validate_config(table)
+    for cfg, key in (({**scan, "reuse_list": []}, "reuse_list"),
+                     ({**homeo, "k_list": []}, "k_list"), ({**table, "n_list": []}, "n_list")):
+        with pytest.raises(ValueError, match=f"^{key} must not be empty$"):
+            ex.validate_config(cfg)
     ex.validate_config({**estimate, "observable": {"type": "pauli", "label": "-XY"}})
     wg = {"schema": 1, "experiment": "weingarten", "t": 4, "n": 3, "group": "clifford"}
     ex.validate_config(wg)
@@ -327,6 +334,16 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"shadowkit estimate: error: {message}\n"
+    # records_out must be a path: open() would take an int as a file descriptor
+    # (1 and true are stdout), write the records there and close it
+    out = tmp_path / "estimate.json"
+    for records_out in (1, True, 5, ["records.jsonl"]):
+        path.write_text(json.dumps({**estimate, "records_out": records_out}))
+        assert cli.main(["estimate", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (f"shadowkit estimate: error: records_out must be a path "
+                                f"string, got {records_out!r}\n")
 
 
 _GOOD_CONFIGS = {

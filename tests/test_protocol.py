@@ -11,7 +11,7 @@ from shadowkit import clifford as cl
 from shadowkit import moments as mo
 from shadowkit import protocol as pr
 from shadowkit import tails as tl
-from shadowkit.ensembles import EnsembleSpec, SampledCircuit, sample_circuit
+from shadowkit.ensembles import EnsembleSpec, SampledCircuit, sample_circuit, sample_circuits
 from shadowkit.stabilizer import PauliString, StabilizerTableau
 
 from dense_oracle import circuit_unitary, conditional_mean_dense, single_shot_dense
@@ -184,9 +184,10 @@ def test_estimate_bytes_are_pinned(tmp_path):
 
 
 def test_estimate_acts_once_per_circuit(monkeypatch):
-    """On the stabilizer pair, acquisition and evaluation share one action per
-    circuit: one tableau rotation per Clifford circuit, one statevector per
-    T-gate circuit, and one symplectic build per chunk of circuits."""
+    """On the stabilizer pair, acquisition and evaluation share one ``act`` per
+    chunk of circuits: one batched tableau rotation per Clifford chunk (and
+    no one-circuit ``apply_clifford``), one ``statevectors`` per T-gate chunk,
+    and one symplectic build per chunk."""
     calls = Counter()
 
     def counted(owner, name):
@@ -197,16 +198,38 @@ def test_estimate_acts_once_per_circuit(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((StabilizerTableau, "apply_clifford"),
-                        (SampledCircuit, "statevector"), (cl, "_build_symplectic")):
+    for owner, name in ((StabilizerTableau, "apply_clifford"), (cl, "conjugate_rows_batch"),
+                        (pr, "statevectors"), (cl, "_build_symplectic")):
         counted(owner, name)
     state, o = pr.stabilizer_pair(3)
     circuits = pr.CIRCUIT_CHUNK + 1
     pr.estimate(pr.RunConfig(EnsembleSpec("clifford", 3), 2 * circuits, 2, 1), state, o)
-    assert calls == {"apply_clifford": circuits, "_build_symplectic": 2}
+    assert calls == {"conjugate_rows_batch": 2, "_build_symplectic": 2}
     calls.clear()
     pr.estimate(pr.RunConfig(EnsembleSpec("homeopathic", 3, k=2), 24, 2, 3), state, o)
-    assert calls == {"statevector": 12, "_build_symplectic": 1}
+    # the statevectors call conjugates by each of the k + 1 segments
+    assert calls == {"statevectors": 1, "conjugate_rows_batch": 3, "_build_symplectic": 1}
+
+
+def test_act_makes_the_haar_state_vector_once(monkeypatch):
+    """``act`` over several Haar circuits makes the state's statevector once,
+    and yields the circuits in order, each with |U psi|^2."""
+    calls = Counter()
+    statevector = StabilizerTableau.statevector
+
+    def counted(self):
+        calls["statevector"] += 1
+        return statevector(self)
+    monkeypatch.setattr(StabilizerTableau, "statevector", counted)
+    rng = np.random.default_rng(4)
+    state = cl.random_stabilizer_tableau(3, rng)
+    circuits = sample_circuits(EnsembleSpec("haar", 3), [rng] * 4)
+    psi = statevector(state)
+    got = list(pr.act(list(circuits), state))
+    assert calls == {"statevector": 1}
+    assert [c for c, _ in got] == circuits
+    for c, p in got:
+        assert np.array_equal(p, np.abs(c.dense() @ psi) ** 2)
 
 
 def test_t_gate_record_values_match_dense_oracle_and_are_pinned():
@@ -261,7 +284,7 @@ def test_measure_circuit_dense_branch_chi_square():
                  EnsembleSpec("homeopathic", 3, k=2)):
         circuit = sample_circuit(spec, rng)
         p = np.abs(circuit_unitary(circuit) @ state.statevector()) ** 2
-        outcomes = pr.measure(pr.act(circuit, state), shots, rng)
+        outcomes = pr.measure(next(pr.act([circuit], state))[1], shots, rng)
         counts = np.bincount(outcomes, minlength=8)
         live = p > 1e-12
         assert counts[~live].sum() == 0

@@ -200,14 +200,14 @@ def test_pair_born_vectors_batches_are_one_circuit_at_a_time_bytes():
     Born vectors are ``protocol.act`` on each circuit, to the byte, in order,
     and the rng ends where drawing the segments leaves it."""
     for n, k in ((6, 2), (13, 1)):
-        spec, cap = EnsembleSpec("homeopathic", n, k=k), tl.BORN_BATCH_ENTRIES >> n
+        spec, cap = EnsembleSpec("homeopathic", n, k=k), pr.BORN_BATCH_ENTRIES >> n
         zero = StabilizerTableau.zero_state(n)
         for count in (1, cap - 1, cap, cap + 1):
             rng, twin = np.random.default_rng(count), np.random.default_rng(count)
             got = [a.tobytes() for a in tl._pair_born_vectors(spec, rng, count)]
             segments = cl.sample_uniform_batch(n, twin, count * (k + 1))
-            want = [pr.act(SampledCircuit("homeopathic", n, segments=segments[i:i + k + 1]),
-                           zero).tobytes() for i in range(0, len(segments), k + 1)]
+            want = [next(pr.act([SampledCircuit("homeopathic", n, segments=segments[i:i + k + 1])],
+                                zero))[1].tobytes() for i in range(0, len(segments), k + 1)]
             assert got == want, (n, k, count)
             assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -242,6 +242,20 @@ def test_tail_experiment_summary_fields():
     emp = out["moments"]["2"]
     want = float(tl.clifford_moment(4, 2))
     assert abs(emp - want) < 5 * out["moment_se"]["2"] + 1e-9
+
+
+def test_tail_experiment_refuses_sizes_before_sampling():
+    """Called from Python, ``tail_experiment`` refuses what ``validate_config``
+    refuses, before it draws from ``rng``: no replication (budget above
+    samples), or a budget that the batches do not divide."""
+    for budget, batches, message in ((50, 5, "budget 50 must be at most samples 10"),
+                                     (10, 3, "budget 10 must be a multiple of batches 3")):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tl.tail_experiment(EnsembleSpec("clifford", 3), 10, rng, budget=budget,
+                               batches=batches)
+        assert rng.bit_generator.state == state
 
 
 def test_tail_experiment_n31_bytes_are_pinned():
