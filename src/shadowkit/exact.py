@@ -4,7 +4,9 @@
 fraction-free (Bareiss) Gauss-Jordan elimination on Python ints, in which
 every division is exact, and divides by the determinant once per entry at
 the end.  Fractions are canonical, so the result equals the rational
-Gauss-Jordan inverse entry for entry.
+Gauss-Jordan inverse entry for entry.  ``moments.weingarten_matrix`` calls
+it on the small orbital system of a Gram matrix, one unknown per orbital,
+not on the Gram matrix itself.
 """
 
 import math

@@ -285,7 +285,7 @@ def run_weingarten(cfg, threads=1):
     for matrix_name, matrix in (("gram", gram), ("weingarten", wg)):
         for i, ri in enumerate(names):
             for j, cj in enumerate(names):
-                val = Fraction(matrix[i, j])
+                val = matrix[i, j]  # an int or a Fraction
                 rows.append({"matrix": matrix_name, "t": t, "n": n, "group": group,
                              "row": ri, "col": cj,
                              "numerator": val.numerator, "denominator": val.denominator})

@@ -16,6 +16,12 @@ float conversion only at the API boundary.  No operator R_T is ever built:
 Gram entries are intersection dimensions of the subspaces.  The sparse
 4^(tn)-entry operators that check these identities, and a brute-force
 enumeration of the subspaces, live with the tests.
+
+Permuting the x half and the y half of F2^(2t) maps the labels to labels
+and keeps every intersection dimension, so the Weingarten matrix is
+constant on the orbitals of label pairs: it is solved as one small exact
+system per (t, n, group), with one unknown per orbital (14 for Clifford and
+5 for unitary at t = 4), never as the inverse of the whole Gram matrix.
 """
 
 import functools
@@ -245,11 +251,62 @@ def gram_matrix(t, n, group):
                     dtype=object)
 
 
+@functools.cache
+def _orbital_table(t, group):
+    """Orbitals of label pairs under permuting the x half and the y half of
+    F2^(2t), which leaves every dim(T cap T') unchanged.
+
+    Returns (orb, reps): orb[i][j] is the orbital of the pair (i, j), and
+    reps[e] is the first pair of orbital e in row-major order.  The pairs are
+    flood-filled under the 2(t-1) adjacent transpositions of each half, so
+    S_t x S_t is never enumerated; it does not depend on n.
+    """
+    subs = [lab.subspace() for lab in group_labels(t, group)]
+    index = {sub.key(): i for i, sub in enumerate(subs)}
+    gens = []
+    for k in [*range(t - 1), *range(t, 2 * t - 1)]:
+        cols = list(range(2 * t))
+        cols[k], cols[k + 1] = k + 1, k
+        gens.append([index[SubspaceT(sub.basis[:, cols]).key()] for sub in subs])
+    orb = [[None] * len(subs) for _ in subs]
+    reps = []
+    for i, j in itertools.product(range(len(subs)), repeat=2):
+        if orb[i][j] is not None:
+            continue
+        orb[i][j] = len(reps)
+        stack = [(i, j)]
+        while stack:
+            a, b = stack.pop()
+            for g in gens:
+                c, d = g[a], g[b]
+                if orb[c][d] is None:
+                    orb[c][d] = len(reps)
+                    stack.append((c, d))
+        reps.append((i, j))
+    return tuple(map(tuple, orb)), tuple(reps)
+
+
 def weingarten_matrix(t, n, group):
-    """Exact rational inverse of the Gram matrix; the Gram matrix is singular
-    (ZeroDivisionError) for 2^n < t (unitary) or n < t-1 (Clifford), which
-    ``validate_config`` refuses."""
-    return exact.inverse(gram_matrix(t, n, group))
+    """Exact rational inverse of the Gram matrix, solved on its orbitals.
+
+    G and so W = G^-1 are constant on the orbitals of ``_orbital_table``, so
+    G W = I reduces to one equation per orbital representative (i, j):
+    sum_k A[e, k] w_k = [i == j], with A[e, k] the sum of G[i, l] over the l
+    with orb[l][j] = k.  The orbital indicators span an algebra that holds G,
+    so A is singular exactly when G is: for 2^n < t (unitary) or n < t-1
+    (Clifford), which ``validate_config`` refuses, ``exact.inverse`` raises
+    ZeroDivisionError.
+    """
+    dims = _intersection_dims(t, group)
+    orb, reps = _orbital_table(t, group)
+    system = np.zeros((len(reps), len(reps)), dtype=object)
+    for e, (i, j) in enumerate(reps):
+        for dim, row in zip(dims[i], orb):
+            system[e, row[j]] += 2 ** (dim * n)
+    inv = exact.inverse(system)
+    diagonal = [e for e, (i, j) in enumerate(reps) if i == j]
+    w = [sum(inv[k, e] for e in diagonal) for k in range(len(reps))]
+    return np.array([[w[k] for k in row] for row in orb], dtype=object)
 
 
 def state_average_coefficient(t, n, group):

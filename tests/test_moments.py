@@ -5,11 +5,13 @@ import pytest
 
 from shadowkit import clifford as cl
 from shadowkit import dense
+from shadowkit import exact
 from shadowkit import moments as mo
 
 from commutant_oracle import (pi4_matrix, r_pi_matrix, r_T_matrix, rt_inner,
                               sigma_tt_enumerate)
 from dense_oracle import T_GATE, Y, basis_state, tensor_power
+from weingarten_oracle import weingarten_unitary
 
 
 def test_sigma_counts():
@@ -177,6 +179,49 @@ def test_weingarten_perturbation_bound():
         delta = 2 ** (4 * n) * w - np.eye(30, dtype=int)
         worst = max(abs(v) for row in delta for v in row)
         assert worst <= Fraction(16, 2 ** n)
+
+
+def test_weingarten_orbital_solve_equals_full_inverse():
+    for t in (1, 2, 3, 4):
+        for n in range(t - 1, 11):
+            for group in ("unitary", "clifford"):
+                want = exact.inverse(mo.gram_matrix(t, n, group))
+                got = mo.weingarten_matrix(t, n, group)
+                assert np.array_equal(got, want), (t, n, group)
+                assert all(type(v) is Fraction for v in got.flat)
+    for t, n, group in ((4, 2, "clifford"), (4, 1, "unitary"), (3, 1, "unitary")):
+        with pytest.raises(ZeroDivisionError):
+            mo.weingarten_matrix(t, n, group)
+
+
+def test_orbital_table_is_the_label_symmetry():
+    assert [len(mo._orbital_table(*key)[1]) for key in
+            ((4, "clifford"), (4, "unitary"), (5, "unitary"))] == [14, 5, 7]
+    for t, group in ((2, "unitary"), (3, "clifford"), (4, "clifford"), (4, "unitary")):
+        subs = [lab.subspace() for lab in mo.group_labels(t, group)]
+        index = {sub.key(): i for i, sub in enumerate(subs)}
+        dims = mo._intersection_dims(t, group)
+        orb, reps = mo._orbital_table(t, group)
+        pairs = [(i, j) for i in range(len(subs)) for j in range(len(subs))]
+        for k in [*range(t - 1), *range(t, 2 * t - 1)]:
+            cols = list(range(2 * t))
+            cols[k], cols[k + 1] = k + 1, k
+            g = [index[mo.SubspaceT(sub.basis[:, cols]).key()] for sub in subs]
+            assert sorted(g) == list(range(len(subs)))
+            for i, j in pairs:
+                assert dims[g[i]][g[j]] == dims[i][j]
+                assert orb[g[i]][g[j]] == orb[i][j]
+        for e, (i, j) in enumerate(reps):
+            assert orb[i][j] == e
+            assert min(p for p in pairs if orb[p[0]][p[1]] == e) == (i, j)
+            assert all(dims[a][b] == dims[i][j] for a, b in pairs if orb[a][b] == e)
+
+
+def test_weingarten_unitary_matches_collins_sniady():
+    cases = [(t, n) for t in (1, 2, 3, 4, 5) for n in range(6) if 2 ** n >= t]
+    for t, n in cases + [(5, 10)]:
+        assert np.array_equal(mo.weingarten_matrix(t, n, "unitary"),
+                              weingarten_unitary(t, n)), (t, n)
 
 
 def test_3design_coincidence():
