@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .experiments import JSON_ONLY, SCHEMA_VERSION, emit, run_experiment
+from .experiments import SCHEMA_VERSION, emit, run_experiment
 
 
 def _add_common(p):
@@ -129,10 +129,9 @@ def config_from_args(args):
 def main(argv=None):
     """Run one subcommand; returns the exit status (2 for bad input or a file error)."""
     args = build_parser().parse_args(argv)
-    fmt = "json" if args.experiment in JSON_ONLY else args.format
     try:
         result = run_experiment(config_from_args(args), threads=args.threads)
-        text = emit(result, fmt, path=args.out)
+        text = emit(result, args.format, path=args.out)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"shadowkit {args.experiment}: error: {exc}\n")
         return 2

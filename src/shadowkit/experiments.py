@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -321,9 +322,6 @@ _RUNNERS = {
     "optimal-reuse": run_optimal_reuse,
 }
 
-JSON_ONLY = ("estimate", "tail-experiment")
-
-
 def run_experiment(cfg, threads=1):
     _require_at_least("threads", threads)
     validate_config(cfg)
@@ -350,20 +348,23 @@ def rows_to_csv(rows):
     return buf.getvalue()
 
 
-def rows_to_json(rows):
-    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
-
-
 def emit(result, fmt, path=None):
-    """Serialize an experiment result; returns the text, writes if path given."""
-    if isinstance(result, dict):
-        text = json.dumps(result, sort_keys=True, indent=2) + "\n"
-    elif fmt == "json":
-        text = rows_to_json(result)
-    elif fmt == "csv":
-        text = rows_to_csv(result)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    """Serialize an experiment result (a dict is JSON whatever ``fmt`` says);
+    returns the text and writes it if path is given.  Nothing is written
+    when an exact int is past the interpreter's int-to-string limit."""
+    try:
+        if isinstance(result, dict) or fmt == "json":
+            text = json.dumps(result, sort_keys=True, indent=2) + "\n"
+        elif fmt == "csv":
+            text = rows_to_csv(result)
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ValueError(f"an exact value has more than {sys.get_int_max_str_digits()} "
+                         "digits, the interpreter's int-to-string limit; use a smaller n") \
+            from None
     if path:
         with open(path, "w") as fh:
             fh.write(text)

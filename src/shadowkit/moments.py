@@ -18,10 +18,10 @@ Gram entries are intersection dimensions of the subspaces.  The sparse
 enumeration of the subspaces, live with the tests.
 
 Permuting the x half and the y half of F2^(2t) maps the labels to labels
-and keeps every intersection dimension, so the Weingarten matrix is
-constant on the orbitals of label pairs: it is solved as one small exact
-system per (t, n, group), with one unknown per orbital (14 for Clifford and
-5 for unitary at t = 4), never as the inverse of the whole Gram matrix.
+and keeps every intersection dimension, so G and W are constant on the
+orbitals of label pairs: one table per (t, group) holds the orbitals and
+their dimensions, G is read off it, and W is one exact system with one
+unknown per orbital (14 Clifford, 5 unitary at t = 4), not a full inverse.
 """
 
 import functools
@@ -235,20 +235,11 @@ def commutant_size(t, group):
     return len(group_labels(t, group))
 
 
-@functools.cache
-def _intersection_dims(t, group):
-    """dim(T cap T') for every pair of commutant labels; it does not depend on n."""
-    subs = [lab.subspace() for lab in group_labels(t, group)]
-    dims = [[t] * len(subs) for _ in subs]
-    for i, j in itertools.combinations(range(len(subs)), 2):
-        dims[i][j] = dims[j][i] = intersection_dim(subs[i], subs[j])
-    return tuple(map(tuple, dims))
-
-
 def gram_matrix(t, n, group):
-    """G[T,T'] = 2^(dim(T cap T') n), an exact integer matrix."""
-    return np.array([[2 ** (d * n) for d in row] for row in _intersection_dims(t, group)],
-                    dtype=object)
+    """G[T,T'] = 2^(dim(T cap T') n), exact integers read off the orbitals."""
+    orb, _, dims = _orbital_table(t, group)
+    powers = [2 ** (d * n) for d in dims]
+    return np.array([[powers[e] for e in row] for row in orb], dtype=object)
 
 
 @functools.cache
@@ -256,8 +247,9 @@ def _orbital_table(t, group):
     """Orbitals of label pairs under permuting the x half and the y half of
     F2^(2t), which leaves every dim(T cap T') unchanged.
 
-    Returns (orb, reps): orb[i][j] is the orbital of the pair (i, j), and
-    reps[e] is the first pair of orbital e in row-major order.  The pairs are
+    Returns (orb, reps, dims): orb[i][j] is the orbital of the pair (i, j),
+    reps[e] is the first pair of orbital e in row-major order, and dims[e]
+    is dim(T cap T') on orbital e, computed once at reps[e].  The pairs are
     flood-filled under the 2(t-1) adjacent transpositions of each half, so
     S_t x S_t is never enumerated; it does not depend on n.
     """
@@ -283,7 +275,8 @@ def _orbital_table(t, group):
                     orb[c][d] = len(reps)
                     stack.append((c, d))
         reps.append((i, j))
-    return tuple(map(tuple, orb)), tuple(reps)
+    dims = tuple(intersection_dim(subs[i], subs[j]) for i, j in reps)
+    return tuple(map(tuple, orb)), tuple(reps), dims
 
 
 def weingarten_matrix(t, n, group):
@@ -297,12 +290,12 @@ def weingarten_matrix(t, n, group):
     (Clifford), which ``validate_config`` refuses, ``exact.inverse`` raises
     ZeroDivisionError.
     """
-    dims = _intersection_dims(t, group)
-    orb, reps = _orbital_table(t, group)
+    orb, reps, dims = _orbital_table(t, group)
+    powers = [2 ** (d * n) for d in dims]
     system = np.zeros((len(reps), len(reps)), dtype=object)
     for e, (i, j) in enumerate(reps):
-        for dim, row in zip(dims[i], orb):
-            system[e, row[j]] += 2 ** (dim * n)
+        for orb_il, row in zip(orb[i], orb):
+            system[e, row[j]] += powers[orb_il]
     inv = exact.inverse(system)
     diagonal = [e for e, (i, j) in enumerate(reps) if i == j]
     w = [sum(inv[k, e] for e in diagonal) for k in range(len(reps))]

@@ -247,9 +247,8 @@ def test_criterion_9_determinism():
     all_ok = True
     for path in sorted(p for p in base.iterdir() if p.name.endswith(".json")):
         cfg = json.loads(path.read_text())
-        fmt = "json" if cfg["experiment"] in ex.JSON_ONLY else "csv"
-        first = ex.emit(ex.run_experiment(dict(cfg)), fmt)
-        second = ex.emit(ex.run_experiment(dict(cfg)), fmt)
+        first = ex.emit(ex.run_experiment(dict(cfg)), "csv")
+        second = ex.emit(ex.run_experiment(dict(cfg)), "csv")
         all_ok &= _report(f"criterion-9 {path.name}", first == second,
                           "byte-identical rerun")
     assert all_ok

@@ -237,10 +237,9 @@ def test_chunked_starts_at_most_one_worker_per_chunk(monkeypatch):
 @pytest.mark.parametrize("path", shipped_configs(), ids=lambda p: p.name)
 def test_shipped_configs_run_and_are_deterministic(path):
     cfg = load_config(path)
-    fmt = "json" if cfg["experiment"] in ex.JSON_ONLY else "csv"
     result = ex.run_experiment(dict(cfg))
-    first = ex.emit(result, fmt)
-    second = ex.emit(ex.run_experiment(dict(cfg)), fmt)
+    first = ex.emit(result, "csv")
+    second = ex.emit(ex.run_experiment(dict(cfg)), "csv")
     assert first == second
     assert first.strip()
     # every empirical column with a theory counterpart stays coherent
@@ -281,6 +280,9 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
     assert captured.err == (f"shadowkit estimate: error: [Errno 2] No such file or "
                             f"directory: '{missing}'\n")
     sizes = ["--measurements", "12", "--reuse", "1", "--batches", "1", "--seed", "1"]
+    limit = sys.get_int_max_str_digits()
+    digits = (f"an exact value has more than {limit} digits, the interpreter's "
+              "int-to-string limit; use a smaller n")
     for argv, message in (
             (["estimate"] + sizes, "ensemble is missing ['kind', 'n']"),
             (["estimate", "--kind", "clifford"] + sizes, "ensemble is missing ['n']"),
@@ -315,11 +317,17 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
             (["optimal-reuse", "--alpha", "inf", "--v1", "3", "--vstar", "0.1"],
              "alpha must be finite, got inf"),
             (["optimal-reuse", "--alpha", "2", "--v1", "nan", "--vstar", "0.1"],
-             "v1 must be finite, got nan")):
+             "v1 must be finite, got nan"),
+            (["weingarten", "--t", "2", "--n", "8000", "--group", "unitary",
+              "--out", str(tmp_path / "wg.csv")], digits),
+            (["moment-table", "--n-list", "5000", "--max-m", "2", "--format", "json"],
+             digits)):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"shadowkit {argv[0]}: error: {message}\n"
+    assert not (tmp_path / "wg.csv").exists()
+    assert sys.get_int_max_str_digits() == limit
     # a malformed estimate observable, which only a config file can give
     estimate = {"ensemble": {"kind": "clifford", "n": 3}, "measurements": 12, "reuse": 1,
                 "batches": 1, "seed": 1}

@@ -121,11 +121,13 @@ def test_gram_matrix_values():
 
 
 def test_gram_unitary_cycle_formula():
-    perms = mo.symmetric_group(4)
-    g = mo.gram_matrix(4, 3, "unitary")
-    for i, a in enumerate(perms):
-        for j, b in enumerate(perms):
-            assert g[i, j] == 2 ** (3 * a.inverse().compose(b).cycle_count())
+    for t, n in ((4, 3), (5, 2), (6, 3)):
+        perms = mo.symmetric_group(t)
+        g = mo.gram_matrix(t, n, "unitary")
+        for i, a in enumerate(perms):
+            inv = a.inverse()
+            for j, b in enumerate(perms):
+                assert g[i, j] == 2 ** (n * inv.compose(b).cycle_count())
 
 
 def test_gram_dim_table_built_once_per_group(monkeypatch):
@@ -135,14 +137,15 @@ def test_gram_dim_table_built_once_per_group(monkeypatch):
         calls.append(1)
         return original(a, b)
     monkeypatch.setattr(mo, "intersection_dim", counted)
-    mo._intersection_dims.cache_clear()
+    mo._orbital_table.cache_clear()
     try:
         for n in (3, 4, 10):
             for group in ("clifford", "unitary"):
                 assert mo.gram_matrix(4, n, group)[0, 0] == 2 ** (4 * n)
-        assert len(calls) == 30 * 29 // 2 + 24 * 23 // 2
+                mo.weingarten_matrix(4, n, group)
+        assert len(calls) == 14 + 5
     finally:
-        mo._intersection_dims.cache_clear()
+        mo._orbital_table.cache_clear()
 
 
 def test_weingarten_inverse_identities():
@@ -197,24 +200,26 @@ def test_weingarten_orbital_solve_equals_full_inverse():
 def test_orbital_table_is_the_label_symmetry():
     assert [len(mo._orbital_table(*key)[1]) for key in
             ((4, "clifford"), (4, "unitary"), (5, "unitary"))] == [14, 5, 7]
-    for t, group in ((2, "unitary"), (3, "clifford"), (4, "clifford"), (4, "unitary")):
+    for t, group in ((2, "unitary"), (3, "clifford"), (4, "clifford"), (4, "unitary"),
+                     (5, "unitary")):
         subs = [lab.subspace() for lab in mo.group_labels(t, group)]
         index = {sub.key(): i for i, sub in enumerate(subs)}
-        dims = mo._intersection_dims(t, group)
-        orb, reps = mo._orbital_table(t, group)
         pairs = [(i, j) for i in range(len(subs)) for j in range(len(subs))]
+        full = {(i, j): mo.intersection_dim(subs[i], subs[j]) for i, j in pairs}
+        orb, reps, dims = mo._orbital_table(t, group)
+        assert len(dims) == len(reps)
         for k in [*range(t - 1), *range(t, 2 * t - 1)]:
             cols = list(range(2 * t))
             cols[k], cols[k + 1] = k + 1, k
             g = [index[mo.SubspaceT(sub.basis[:, cols]).key()] for sub in subs]
             assert sorted(g) == list(range(len(subs)))
             for i, j in pairs:
-                assert dims[g[i]][g[j]] == dims[i][j]
+                assert full[g[i], g[j]] == full[i, j]
                 assert orb[g[i]][g[j]] == orb[i][j]
         for e, (i, j) in enumerate(reps):
             assert orb[i][j] == e
             assert min(p for p in pairs if orb[p[0]][p[1]] == e) == (i, j)
-            assert all(dims[a][b] == dims[i][j] for a, b in pairs if orb[a][b] == e)
+        assert all(full[i, j] == dims[orb[i][j]] for i, j in pairs)
 
 
 def test_weingarten_unitary_matches_collins_sniady():
