@@ -1,32 +1,42 @@
 """Command-line driver: `shadowkit <experiment> [--config ...] [flags]`.
 
-Every subcommand accepts a JSON config (see ``configs/`` for templates) and
-a few direct flags that override config entries; identical (config, seed)
-pairs produce byte-identical output files.
+Each subcommand takes a JSON config (templates in ``configs/``) and flags
+over its entries, both read off the experiment's table ``experiments.KEYS``:
+a key's flag is --name with dashes for underscores (comma-separated for a
+list), --kind, --n and --k fill the ``ensemble`` and --pauli the
+``observable``.  An unknown key, a bad value or a comma-list piece that is
+not an integer fails with one line and exit status 2 before any output file
+is opened; identical (config, seed) pairs give byte-identical output.
 """
 
 import argparse
 import json
 import sys
 
-from .experiments import SCHEMA_VERSION, emit, run_experiment
+from .ensembles import EnsembleSpec
+from .experiments import KEYS, SCHEMA_VERSION, emit, run_experiment
+from .protocol import ObservableSpec
+
+_HELP = {"estimate": "run the full estimation protocol",
+         "variance-scan": "empirical V_R against the reuse formula",
+         "homeopathic-scan": "V* decay against the T-count bound",
+         "moment-table": "exact estimator moments, finite n and limit",
+         "tail-experiment": "empirical tails and mean-vs-median",
+         "weingarten": "exact Gram/Weingarten matrices as CSV",
+         "optimal-reuse": "cost-optimal reuse count"}
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format for tabular experiments")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for the circuit loops of variance-scan "
-                        "and homeopathic-scan (other commands ignore it)")
-
-
-def _ensemble_flags(p):
-    p.add_argument("--kind", choices=("haar", "clifford", "homeopathic"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+def _add_flags(p, key):
+    if key.type is EnsembleSpec:
+        p.add_argument("--kind", choices=("haar", "clifford", "homeopathic"), help=key.help)
+        p.add_argument("--n", type=int, help="qubits")
+        p.add_argument("--k", type=int, help="T-gate count of the homeopathic ensemble")
+    elif key.type is ObservableSpec:
+        p.add_argument("--pauli", help=key.help)
+    else:
+        p.add_argument("--" + key.name.replace("_", "-"), dest=key.name, help=key.help,
+                       type=key.type if key.type in (int, float) else str,
+                       choices=key.type if isinstance(key.type, tuple) else None)
 
 
 def build_parser():
@@ -35,67 +45,31 @@ def build_parser():
         description="Shadow estimation with circuit reuse, exact moment "
                     "machinery, and tail experiments.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    p = sub.add_parser("estimate", help="run the full estimation protocol")
-    _add_common(p)
-    _ensemble_flags(p)
-    p.add_argument("--measurements", type=int)
-    p.add_argument("--reuse", type=int)
-    p.add_argument("--batches", type=int)
-    p.add_argument("--pauli", help="estimate this Pauli (e.g. ZZI) instead of "
-                                   "the stabilizer projector")
-    p.add_argument("--records-out", dest="records_out",
-                   help="also write the shadow records as JSON lines")
-
-    p = sub.add_parser("variance-scan", help="empirical V_R against the reuse formula")
-    _add_common(p)
-    _ensemble_flags(p)
-    p.add_argument("--measurements", type=int)
-    p.add_argument("--reuse-list", dest="reuse_list",
-                   help="comma-separated reuse counts, e.g. 1,2,8,64")
-    p.add_argument("--vstar-circuits", dest="vstar_circuits", type=int)
-
-    p = sub.add_parser("homeopathic-scan", help="V* decay against the T-count bound")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k-list", dest="k_list", help="comma-separated T-gate counts")
-    p.add_argument("--circuits", type=int)
-
-    p = sub.add_parser("moment-table", help="exact estimator moments, finite n and limit")
-    _add_common(p)
-    p.add_argument("--n-list", dest="n_list", help="comma-separated qubit counts")
-    p.add_argument("--max-m", dest="max_m", type=int)
-
-    p = sub.add_parser("tail-experiment", help="empirical tails and mean-vs-median")
-    _add_common(p)
-    _ensemble_flags(p)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--batches", type=int)
-
-    p = sub.add_parser("weingarten", help="exact Gram/Weingarten matrices as CSV")
-    _add_common(p)
-    p.add_argument("--t", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--group", choices=("unitary", "clifford"))
-
-    p = sub.add_parser("optimal-reuse", help="cost-optimal reuse count")
-    _add_common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--budget", type=float)
-    p.add_argument("--v1", type=float)
-    p.add_argument("--vstar", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--max-reuse", dest="max_reuse", type=int)
+    for name, keys in KEYS.items():
+        p = sub.add_parser(name, help=_HELP[name])
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format for tabular experiments")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes for the circuit loops of variance-scan "
+                            "and homeopathic-scan (other commands ignore it)")
+        for key in keys:
+            if key.help is not None:
+                _add_flags(p, key)
     return parser
 
 
-_INT_LISTS = ("reuse_list", "k_list", "n_list")
-_ENSEMBLE_KEYS = ("kind", "n", "k")
-_SKIP_KEYS = ("config", "out", "format", "threads", "experiment")
+def _int(piece):
+    """A comma-list piece as an int, or as it is for validate_config to refuse."""
+    try:
+        return int(piece)
+    except ValueError:
+        return piece
 
 
 def config_from_args(args):
+    """The --config object, or an empty one, with the given flags set over it."""
     cfg = {"schema": SCHEMA_VERSION}
     if args.config:
         with open(args.config) as fh:
@@ -104,25 +78,17 @@ def config_from_args(args):
             raise ValueError(f"config must be a JSON object, got {loaded!r:.80}")
         cfg.update(loaded)
     cfg["experiment"] = args.experiment
-    overrides = {k: v for k, v in vars(args).items()
-                 if v is not None and k not in _SKIP_KEYS}
-    for key in _INT_LISTS:
-        if key in overrides and isinstance(overrides[key], str):
-            overrides[key] = [int(x) for x in overrides[key].split(",")]
-    if args.experiment in ("estimate", "variance-scan", "tail-experiment"):
-        ens = cfg.get("ensemble", {})
-        if not isinstance(ens, dict):
-            raise ValueError(f"ensemble must be a JSON object, got {ens!r:.80}")
-        ens = dict(ens)
-        for key in _ENSEMBLE_KEYS:
-            if key in overrides:
-                ens[key] = overrides.pop(key)
-        ens.setdefault("k", 0)
-        if ens:
-            cfg["ensemble"] = ens
-    if overrides.pop("pauli", None) is not None:
-        cfg["observable"] = {"type": "pauli", "label": args.pauli}
-    cfg.update(overrides)
+    for key in KEYS[args.experiment]:
+        if key.type is EnsembleSpec:
+            ens = cfg.setdefault("ensemble", {})
+            if isinstance(ens, dict):  # validate_config refuses anything else
+                ens.update({f: getattr(args, f) for f in ("kind", "n", "k")
+                            if getattr(args, f) is not None})
+        elif key.type is ObservableSpec:
+            if args.pauli is not None:
+                cfg["observable"] = {"type": "pauli", "label": args.pauli}
+        elif (value := getattr(args, key.name, None)) is not None:
+            cfg[key.name] = [_int(p) for p in value.split(",")] if key.type is list else value
     return cfg
 
 

@@ -58,10 +58,15 @@ class EnsembleSpec:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise ValueError(f"ensemble must be a JSON object, got {obj!r:.80}")
+        unknown = [key for key in obj if key not in ("kind", "n", "k")]
+        if unknown:
+            raise ValueError(f"ensemble has unknown keys {unknown}")
         missing = [key for key in ("kind", "n") if key not in obj]
         if missing:
             raise ValueError(f"ensemble is missing {missing}")
-        return cls(kind=obj["kind"], n=obj["n"], k=obj.get("k", 0))
+        return cls(**obj)
 
 
 def substream(seed, *index):

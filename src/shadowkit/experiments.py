@@ -1,10 +1,10 @@
 """Experiment registry: reproducible runs, theory columns, CSV/JSON emission.
 
 Configs are JSON objects with a ``schema`` version, an ``experiment`` name
-and per-experiment parameters; every stochastic experiment owes its entire
-transcript to (config, seed).  Circuit loops are split into fixed-size
-chunks, each driven by a substream derived from (seed, chunk index), so
-results are byte-identical for any ``--threads`` setting.
+and the keys of that experiment's table in ``KEYS``; every stochastic
+experiment owes its entire transcript to (config, seed).  Circuit loops are
+split into fixed-size chunks, each driven by a substream derived from (seed,
+chunk index), so results are byte-identical for any ``--threads`` setting.
 """
 
 import csv
@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -28,18 +29,50 @@ from .stabilizer import PauliString
 SCHEMA_VERSION = 1
 CHUNK = 512
 
-EXPERIMENTS = ("estimate", "variance-scan", "homeopathic-scan", "moment-table",
-               "tail-experiment", "weingarten", "optimal-reuse")
+# Each experiment's keys beside ``schema`` and ``experiment``.  A key's type is
+# int, float (finite), bool, str (a path), list (non-empty, of ints), a tuple
+# of choices, or the class that reads its JSON object; low bounds an int or a
+# list entry; default is what the runner reads when the key is absent; help is
+# that of the key's flag (see cli), None for no flag.
+Key = namedtuple("Key", "name type low default help")
+REQUIRED = object()
 
+_SEED = Key("seed", int, 0, REQUIRED, "override the config seed")
+_EXACT_SEED = _SEED._replace(default=None)  # accepted, as --seed is common, and ignored
+_ENSEMBLE = Key("ensemble", EnsembleSpec, None, REQUIRED, "circuit ensemble")
 
-# tail-experiment's replication size and batch count when a config omits them
-_TAIL_DEFAULTS = {"budget": 10_000, "batches": 40}
-
-
-def _require(cfg, *keys):
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ValueError(f"config for {cfg.get('experiment')!r} is missing {missing}")
+KEYS = {
+    "estimate": (_ENSEMBLE, Key("measurements", int, 1, REQUIRED, "measurements N"),
+                 Key("reuse", int, 1, REQUIRED, "measurements per circuit R"),
+                 Key("batches", int, 1, REQUIRED, "median-of-means batches K"),
+                 Key("observable", ObservableSpec, None, {"type": "pair"},
+                     "estimate this Pauli (e.g. ZZI) instead of the stabilizer projector"),
+                 Key("records_out", str, None, None, "also write the records as JSON lines"),
+                 _SEED),
+    "variance-scan": (_ENSEMBLE, Key("measurements", int, 1, REQUIRED, "measurements N"),
+                      Key("reuse_list", list, 1, REQUIRED, "comma-separated reuse counts"),
+                      Key("vstar_circuits", int, 2, REQUIRED, "circuits for V*"), _SEED),
+    "homeopathic-scan": (Key("n", int, 1, REQUIRED, "qubits"),
+                         Key("k_list", list, None, REQUIRED, "comma-separated T-gate counts"),
+                         Key("circuits", int, 2, REQUIRED, "circuits per T-gate"), _SEED),
+    "moment-table": (Key("n_list", list, 1, REQUIRED, "comma-separated qubit counts"),
+                     Key("max_m", int, 0, REQUIRED, "largest moment order"),
+                     Key("include_limit", bool, None, True, None), _EXACT_SEED),
+    "tail-experiment": (_ENSEMBLE, Key("samples", int, 1, REQUIRED, "pair values drawn"),
+                        Key("budget", int, 1, 10_000, "values per replication"),
+                        Key("batches", int, 1, 40, "batch means per median"), _SEED),
+    "weingarten": (Key("t", int, 1, REQUIRED, "moment order"),
+                   Key("n", int, 0, REQUIRED, "qubits"),
+                   Key("group", ("unitary", "clifford"), None, REQUIRED, "commutant group"),
+                   _EXACT_SEED),
+    "optimal-reuse": (Key("alpha", float, None, REQUIRED, "cost of a new circuit"),
+                      Key("budget", float, None, 1.0, "measurement budget"),
+                      Key("v1", float, None, REQUIRED, "single-shot variance V_1"),
+                      Key("vstar", float, None, None, "V* (default 30 * 0.75**k)"),
+                      Key("k", int, 0, None, "T-gate count"),
+                      Key("max_reuse", int, 1, 1024, "largest reuse scanned"), _EXACT_SEED),
+}
+EXPERIMENTS = tuple(KEYS)
 
 
 def _require_at_least(name, value, low=1):
@@ -50,121 +83,124 @@ def _require_at_least(name, value, low=1):
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
-def _require_number(name, value):
-    """A finite int or float, not a bool or a string (argparse floats and JSON
-    both let nan and +-inf through)."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _require_list(name, value):
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    if not value:
-        raise ValueError(f"{name} must not be empty")
-
-
-def _validate_observable(o_cfg, n):
+def _observable(o_cfg):
+    """The Pauli ObservableSpec an observable config names, None for the pair."""
     if not isinstance(o_cfg, dict):
         raise ValueError(f"observable must be a JSON object, got {o_cfg!r:.80}")
     if "type" not in o_cfg:
         raise ValueError("observable is missing ['type']")
-    if o_cfg["type"] == "pauli":
-        label = o_cfg.get("label")
-        if not isinstance(label, str):
-            raise ValueError(f"a Pauli observable needs a string label, got {label!r:.80}")
-        # refuses a non-Hermitian label before any output file is opened
-        size = ObservableSpec.pauli(PauliString.from_label(label)).n
-        if size != n:
-            raise ValueError(f"Pauli label {label!r} acts on {size} qubits, "
-                             f"the ensemble on {n}")
-    elif o_cfg["type"] != "pair":
-        raise ValueError(f"unknown observable type {o_cfg['type']!r}")
+    kind = o_cfg["type"]
+    if kind not in ("pair", "pauli"):
+        raise ValueError(f"unknown observable type {kind!r:.80}")
+    allowed = ("type", "label") if kind == "pauli" else ("type",)
+    unknown = [key for key in o_cfg if key not in allowed]
+    if unknown:
+        raise ValueError(f"observable has unknown keys {unknown}")
+    if kind == "pair":
+        return None
+    label = o_cfg.get("label")
+    if not isinstance(label, str):
+        raise ValueError(f"a Pauli observable needs a string label, got {label!r:.80}")
+    # refuses a non-Hermitian label before any output file is opened
+    return ObservableSpec.pauli(PauliString.from_label(label))
+
+
+_PLAIN = {float: ((int, float), "a number"), bool: (bool, "true or false"),  # isinstance, noun
+          str: (str, "a path string"), list: (list, "a list")}
+
+
+def _check(key, value):
+    """Refuse a given value of the wrong type or under the key's bound."""
+    if key.type is int:
+        _require_at_least(key.name, value, key.low)
+    elif key.type is EnsembleSpec:
+        EnsembleSpec.from_json(value)
+    elif key.type is ObservableSpec:
+        _observable(value)
+    elif isinstance(key.type, tuple):
+        if value not in key.type:
+            raise ValueError(f"unknown {key.name} {value!r:.80}")
+    else:
+        types, noun = _PLAIN[key.type]
+        # a bool is an int to Python, not a number here
+        if not isinstance(value, types) or (isinstance(value, bool) and key.type is float):
+            raise ValueError(f"{key.name} must be {noun}, got {value!r:.80}")
+        # argparse floats and JSON both let nan and +-inf through
+        if key.type is float and not math.isfinite(value):
+            raise ValueError(f"{key.name} must be finite, got {value!r}")
+        if key.type is list and not value:
+            raise ValueError(f"{key.name} must not be empty")
+        for entry in value if key.type is list and key.low is not None else ():
+            _require_at_least(f"{key.name} entry", entry, key.low)
+
+
+def _estimate_rules(cfg):
+    if cfg["measurements"] % (cfg["reuse"] * cfg["batches"]):
+        raise ValueError("measurements must be a multiple of reuse*batches")
+    pauli, n = _observable(cfg["observable"]), cfg["ensemble"]["n"]
+    if pauli is not None and pauli.n != n:
+        raise ValueError(f"Pauli label {cfg['observable']['label']!r} acts on {pauli.n} "
+                         f"qubits, the ensemble on {n}")
+
+
+def _variance_scan_rules(cfg):
+    for r in cfg["reuse_list"]:
+        if cfg["measurements"] % r:
+            raise ValueError(f"measurements not divisible by reuse {r}")
+        # V_R, like V*, is a sample variance over circuits: measurements // r of them
+        if cfg["measurements"] // r < 2:
+            raise ValueError(f"measurements // reuse {r} must be at least 2 circuits, "
+                             f"got {cfg['measurements'] // r}")
+
+
+def _weingarten_rules(cfg):
+    t, n, group = cfg["t"], cfg["n"], cfg["group"]
+    # the t! permutations are independent iff 2^n >= t, that is n >= (t-1).bit_length()
+    if group == "unitary" and n < (t - 1).bit_length():
+        raise ValueError(f"the unitary Gram matrix is singular for 2^{n} < t = {t}")
+    if group == "clifford" and n < t - 1:
+        raise ValueError(f"the Gram matrix is singular for n = {n} < t - 1 = {t - 1}")
+    size = mo.commutant_size(t, group)
+    dense.check_entries(size ** 2, f"the {size}x{size} Gram matrix at t = {t}")
+
+
+def _optimal_reuse_rules(cfg):
+    if cfg["vstar"] is None and cfg["k"] is None:
+        raise ValueError("optimal-reuse needs either vstar or a T-gate count k")
+
+
+_RULES = {"estimate": _estimate_rules, "variance-scan": _variance_scan_rules,
+          "homeopathic-scan": lambda cfg: [EnsembleSpec("homeopathic", cfg["n"], k=k)
+                                           for k in cfg["k_list"]],
+          "tail-experiment": lambda cfg: tl.check_replications(cfg["samples"], cfg["budget"],
+                                                               cfg["batches"]),
+          "weingarten": _weingarten_rules,
+          "optimal-reuse": _optimal_reuse_rules}
 
 
 def validate_config(cfg):
-    if cfg.get("schema") != SCHEMA_VERSION:
+    """The config with every absent key at its table default, or a one-line
+    ValueError: for an unknown key, then for each given key's type and bound
+    in table order, then for missing keys, then for the cross-key rules."""
+    if type(cfg.get("schema")) is not int or cfg["schema"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {cfg.get('schema')!r}")
     name = cfg.get("experiment")
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
-    if name == "estimate":
-        _require(cfg, "ensemble", "measurements", "reuse", "batches", "seed")
-        for key in ("measurements", "reuse", "batches"):
-            _require_at_least(key, cfg[key])
-        if cfg["measurements"] % (cfg["reuse"] * cfg["batches"]):
-            raise ValueError("measurements must be a multiple of reuse*batches")
-        _validate_observable(cfg.get("observable", {"type": "pair"}),
-                             EnsembleSpec.from_json(cfg["ensemble"]).n)
-        # open() also takes an int, as a file descriptor to write and close
-        if not isinstance(cfg.get("records_out", ""), str):
-            raise ValueError(f"records_out must be a path string, got {cfg['records_out']!r:.80}")
-    elif name == "variance-scan":
-        _require(cfg, "ensemble", "measurements", "reuse_list", "vstar_circuits", "seed")
-        EnsembleSpec.from_json(cfg["ensemble"])
-        _require_at_least("measurements", cfg["measurements"])
-        # V* is a sample variance over circuits, so it needs two of them
-        _require_at_least("vstar_circuits", cfg["vstar_circuits"], 2)
-        _require_list("reuse_list", cfg["reuse_list"])
-        for r in cfg["reuse_list"]:
-            _require_at_least("reuse_list entry", r)
-            if cfg["measurements"] % r:
-                raise ValueError(f"measurements not divisible by reuse {r}")
-            # so is V_R, over the measurements // r circuits
-            if cfg["measurements"] // r < 2:
-                raise ValueError(f"measurements // reuse {r} must be at least 2 circuits, "
-                                 f"got {cfg['measurements'] // r}")
-    elif name == "homeopathic-scan":
-        _require(cfg, "n", "k_list", "circuits", "seed")
-        _require_at_least("n", cfg["n"])
-        _require_list("k_list", cfg["k_list"])
-        for k in cfg["k_list"]:
-            EnsembleSpec("homeopathic", cfg["n"], k=k)
-        _require_at_least("circuits", cfg["circuits"], 2)
-    elif name == "moment-table":
-        _require(cfg, "n_list", "max_m")
-        _require_list("n_list", cfg["n_list"])
-        for n in cfg["n_list"]:
-            _require_at_least("n_list entry", n)
-        _require_at_least("max_m", cfg["max_m"], 0)
-        if not isinstance(cfg.get("include_limit", True), bool):
-            raise ValueError(f"include_limit must be true or false, got "
-                             f"{cfg['include_limit']!r:.80}")
-    elif name == "tail-experiment":
-        _require(cfg, "ensemble", "samples", "seed")
-        EnsembleSpec.from_json(cfg["ensemble"])
-        for key in ("samples", "budget", "batches"):
-            if key in cfg:
-                _require_at_least(key, cfg[key])
-        tl.check_replications(cfg["samples"], **{key: cfg.get(key, default)
-                                                 for key, default in _TAIL_DEFAULTS.items()})
-    elif name == "weingarten":
-        _require(cfg, "t", "n", "group")
-        t, n, group = cfg["t"], cfg["n"], cfg["group"]
-        _require_at_least("t", t)
-        _require_at_least("n", n, 0)
-        # the t! permutations are independent iff 2^n >= t; the Clifford
-        # commutant needs n >= t - 1
-        if group == "unitary" and 2 ** n < t:
-            raise ValueError(f"the unitary Gram matrix is singular for 2^{n} < t = {t}")
-        if group == "clifford" and n < t - 1:
-            raise ValueError(f"the Gram matrix is singular for n = {n} < t - 1 = {t - 1}")
-        size = mo.commutant_size(t, group)
-        dense.check_entries(size ** 2, f"the {size}x{size} Gram matrix at t = {t}")
-    elif name == "optimal-reuse":
-        _require(cfg, "alpha", "v1")
-        if "vstar" not in cfg and "k" not in cfg:
-            raise ValueError("optimal-reuse needs either vstar or a T-gate count k")
-        for key in ("alpha", "v1", "vstar", "budget"):
-            if key in cfg:
-                _require_number(key, cfg[key])
-        for key, low in (("k", 0), ("max_reuse", 1)):
-            if key in cfg:
-                _require_at_least(key, cfg[key], low)
-    if "seed" in cfg:
-        _require_at_least("seed", cfg["seed"], 0)
+    keys = KEYS[name]
+    names = ["schema", "experiment"] + [key.name for key in keys]
+    unknown = [key for key in cfg if key not in names]
+    if unknown:
+        raise ValueError(f"config for {name!r} has unknown keys {unknown}")
+    for key in keys:
+        if key.name in cfg:
+            _check(key, cfg[key.name])
+    missing = [key.name for key in keys if key.default is REQUIRED and key.name not in cfg]
+    if missing:
+        raise ValueError(f"config for {name!r} is missing {missing}")
+    cfg = {**{key.name: key.default for key in keys}, **cfg}
+    if name in _RULES:
+        _RULES[name](cfg)
     return cfg
 
 
@@ -207,11 +243,9 @@ def run_estimate(cfg, threads=1):
     spec = EnsembleSpec.from_json(cfg["ensemble"])
     run = RunConfig(ensemble=spec, measurements=cfg["measurements"],
                     reuse=cfg["reuse"], batches=cfg["batches"], seed=cfg["seed"])
-    state, obs = stabilizer_pair(spec.n)
-    o_cfg = cfg.get("observable", {"type": "pair"})
-    if o_cfg["type"] == "pauli":
-        obs = ObservableSpec.pauli(PauliString.from_label(o_cfg["label"]))
-    return estimate(run, state, obs, records_out=cfg.get("records_out"))
+    state, pair = stabilizer_pair(spec.n)
+    obs = _observable(cfg["observable"]) or pair
+    return estimate(run, state, obs, records_out=cfg["records_out"])
 
 
 def run_variance_scan(cfg, threads=1):
@@ -256,25 +290,18 @@ def run_homeopathic_scan(cfg, threads=1):
 
 def run_moment_table(cfg, threads=1):
     rows = []
-    max_m = cfg["max_m"]
-    for n in cfg["n_list"]:
-        for m in range(max_m + 1):
-            val = tl.clifford_moment(n, m)
+    for n in cfg["n_list"] + (["inf"] if cfg["include_limit"] else []):
+        for m in range(cfg["max_m"] + 1):
+            val = tl.limiting_moment(m) if n == "inf" else tl.clifford_moment(n, m)
             rows.append({"n": n, "m": m, "numerator": val.numerator,
-                         "denominator": val.denominator, "float_value": float(val)})
-    if cfg.get("include_limit", True):
-        for m in range(max_m + 1):
-            val = tl.limiting_moment(m)
-            rows.append({"n": "inf", "m": m, "numerator": val.numerator,
                          "denominator": val.denominator, "float_value": float(val)})
     return rows
 
 
 def run_tail_experiment(cfg, threads=1):
     spec = EnsembleSpec.from_json(cfg["ensemble"])
-    rng = substream(cfg["seed"], 0)
-    sizes = {key: cfg.get(key, default) for key, default in _TAIL_DEFAULTS.items()}
-    return tl.tail_experiment(spec, cfg["samples"], rng, **sizes)
+    return tl.tail_experiment(spec, cfg["samples"], substream(cfg["seed"], 0),
+                              budget=cfg["budget"], batches=cfg["batches"])
 
 
 def run_weingarten(cfg, threads=1):
@@ -294,18 +321,20 @@ def run_weingarten(cfg, threads=1):
 
 
 def run_optimal_reuse(cfg, threads=1):
-    vstar = cfg.get("vstar")
-    if vstar is None:
-        vstar = 30.0 * 0.75 ** cfg["k"]
-    model = tl.CostModel(alpha=cfg["alpha"], budget=cfg.get("budget", 1.0),
-                         v1=cfg["v1"], k=cfg.get("k", 0),
-                         max_reuse=cfg.get("max_reuse", 1024))
+    k = cfg["k"] or 0  # the row echoes k = 0 when only vstar is given
+    # 0.75**k is 0.0 from k = 2591 on; min() keeps an int past 2^1024 from overflowing
+    vstar = 30.0 * 0.75 ** min(k, 4000) if cfg["vstar"] is None else cfg["vstar"]
+    model = tl.CostModel(alpha=cfg["alpha"], budget=cfg["budget"], v1=cfg["v1"],
+                         max_reuse=cfg["max_reuse"])
     best = tl.optimal_reuse(model, vstar)
     objective = tl.reuse_objective(model, vstar, best)
+    if not math.isfinite(objective / model.budget):
+        raise ValueError(f"objective / budget = {objective!r} / {model.budget!r} at "
+                         f"R = {best} overflows a float")
     return [{
         "experiment": "optimal-reuse", "alpha": model.alpha,
         "budget": model.budget, "v1": model.v1, "vstar": vstar,
-        "k": model.k, "max_reuse": model.max_reuse,
+        "k": k, "max_reuse": model.max_reuse,
         "best_reuse": best, "objective": objective,
         "accuracy": objective / model.budget,
         "heuristic_reuse": tl.continuous_reuse_heuristic(model.alpha, model.v1, vstar),
@@ -324,7 +353,7 @@ _RUNNERS = {
 
 def run_experiment(cfg, threads=1):
     _require_at_least("threads", threads)
-    validate_config(cfg)
+    cfg = validate_config(cfg)
     return _RUNNERS[cfg["experiment"]](cfg, threads=threads)
 
 

@@ -252,7 +252,6 @@ class CostModel:
     alpha: float
     budget: float = 1.0
     v1: float = 1.0
-    k: int = 0
     max_reuse: int = 1024
 
     def __post_init__(self):

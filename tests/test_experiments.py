@@ -318,6 +318,17 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
              "alpha must be finite, got inf"),
             (["optimal-reuse", "--alpha", "2", "--v1", "nan", "--vstar", "0.1"],
              "v1 must be finite, got nan"),
+            (["optimal-reuse", "--alpha", "1e308", "--v1", "1e308", "--vstar", "0.1"],
+             "objective / budget = inf / 1.0 at R = 1 overflows a float"),
+            (["optimal-reuse", "--alpha", "1", "--v1", "1", "--vstar", "0", "--budget", "1e-320"],
+             "objective / budget = 1.0 / 1e-320 at R = 1 overflows a float"),
+            (["variance-scan", "--kind", "clifford", "--n", "2", "--measurements", "4",
+              "--reuse-list", "1,x", "--vstar-circuits", "2", "--seed", "1"],
+             "reuse_list entry must be an integer, got 'x'"),
+            (["moment-table", "--n-list", "2,,3", "--max-m", "2"],
+             "n_list entry must be an integer, got ''"),
+            (["homeopathic-scan", "--n", "2", "--k-list", "0,1.5", "--circuits", "2", "--seed", "1"],
+             "ensemble k must be an integer, got '1.5'"),
             (["weingarten", "--t", "2", "--n", "8000", "--group", "unitary",
               "--out", str(tmp_path / "wg.csv")], digits),
             (["moment-table", "--n-list", "5000", "--max-m", "2", "--format", "json"],
