@@ -18,8 +18,9 @@ MAX_ENTRIES = 2 ** 24
 
 
 def check_entries(entries, what):
-    """Refuse, before allocating, a dense array of more than MAX_ENTRIES entries."""
-    if entries > MAX_ENTRIES:
+    """Refuse, before allocating, a dense array of more than MAX_ENTRIES entries.
+    A count too large to build is given as its formula, a string, and refused."""
+    if isinstance(entries, str) or entries > MAX_ENTRIES:
         raise ValueError(f"{what} needs {entries} dense entries, over the "
                          f"budget of 2^24 = {MAX_ENTRIES}")
 

@@ -44,14 +44,16 @@ class EnsembleSpec:
         if self.k and self.kind != "homeopathic":
             raise ValueError("only the homeopathic ensemble takes a T-gate count")
         # largest n: the tableau sampler's, or the dense budget for one 2^n
-        # statevector (T-gate) or one 2^n x 2^n unitary (Haar)
+        # statevector (T-gate) or one 2^n x 2^n unitary (Haar), whose entry
+        # count is refused unbuilt past 64 bits
         if self.kind in ("clifford", "identity") and self.n > cl.MAX_SAMPLED_N:
             raise ValueError(f"{self.kind} circuits are sampled for n <= "
                              f"{cl.MAX_SAMPLED_N}, got n = {self.n}")
-        if self.kind == "homeopathic":
-            dense.check_entries(2 ** self.n, f"a T-gate statevector on {self.n} qubits")
-        if self.kind == "haar":
-            dense.check_entries(4 ** self.n, f"a haar circuit on {self.n} qubits")
+        if self.kind in ("homeopathic", "haar"):
+            bits = self.n if self.kind == "homeopathic" else 2 * self.n
+            what = "a T-gate statevector" if self.kind == "homeopathic" else "a haar circuit"
+            dense.check_entries(1 << bits if bits <= 64 else f"2^{bits}",
+                                f"{what} on {self.n} qubits")
 
     def to_json(self):
         return {"kind": self.kind, "n": self.n, "k": self.k}

@@ -160,6 +160,8 @@ def _weingarten_rules(cfg):
         raise ValueError(f"the unitary Gram matrix is singular for 2^{n} < t = {t}")
     if group == "clifford" and n < t - 1:
         raise ValueError(f"the Gram matrix is singular for n = {n} < t - 1 = {t - 1}")
+    if group == "unitary" and t > 20:       # t! is over the budget from t = 7 on
+        dense.check_entries(f"({t}!)^2", f"the {t}!x{t}! Gram matrix at t = {t}")
     size = mo.commutant_size(t, group)
     dense.check_entries(size ** 2, f"the {size}x{size} Gram matrix at t = {t}")
 
@@ -306,6 +308,11 @@ def run_tail_experiment(cfg, threads=1):
 
 def run_weingarten(cfg, threads=1):
     t, n, group = cfg["t"], cfg["n"], cfg["group"]
+    # the Gram diagonal 2^(t n) is written, and has more than L digits exactly
+    # when 2^(t n) >= 10^L, that is t n >= (10^L).bit_length()
+    limit = sys.get_int_max_str_digits()
+    if limit and t * n >= (10 ** limit).bit_length():
+        raise _too_many_digits()
     gram = mo.gram_matrix(t, n, group)
     wg = mo.weingarten_matrix(t, n, group)
     names = [lab.name() for lab in mo.group_labels(t, group)]
@@ -331,13 +338,18 @@ def run_optimal_reuse(cfg, threads=1):
     if not math.isfinite(objective / model.budget):
         raise ValueError(f"objective / budget = {objective!r} / {model.budget!r} at "
                          f"R = {best} overflows a float")
+    heuristic = tl.continuous_reuse_heuristic(model.alpha, model.v1, vstar)
+    # inf is the heuristic's own answer only for vstar = 0
+    if vstar and not math.isfinite(heuristic):
+        raise ValueError(f"heuristic_reuse sqrt((alpha - 1)(v1 - vstar) / vstar) at alpha = "
+                         f"{model.alpha!r}, v1 = {model.v1!r}, vstar = {vstar!r} overflows a float")
     return [{
         "experiment": "optimal-reuse", "alpha": model.alpha,
         "budget": model.budget, "v1": model.v1, "vstar": vstar,
         "k": k, "max_reuse": model.max_reuse,
         "best_reuse": best, "objective": objective,
         "accuracy": objective / model.budget,
-        "heuristic_reuse": tl.continuous_reuse_heuristic(model.alpha, model.v1, vstar),
+        "heuristic_reuse": heuristic,
     }]
 
 
@@ -377,6 +389,11 @@ def rows_to_csv(rows):
     return buf.getvalue()
 
 
+def _too_many_digits():
+    return ValueError(f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+                      "the interpreter's int-to-string limit; use a smaller n")
+
+
 def emit(result, fmt, path=None):
     """Serialize an experiment result (a dict is JSON whatever ``fmt`` says);
     returns the text and writes it if path is given.  Nothing is written
@@ -391,9 +408,7 @@ def emit(result, fmt, path=None):
     except ValueError as exc:
         if "integer string conversion" not in str(exc):
             raise
-        raise ValueError(f"an exact value has more than {sys.get_int_max_str_digits()} "
-                         "digits, the interpreter's int-to-string limit; use a smaller n") \
-            from None
+        raise _too_many_digits() from None
     if path:
         with open(path, "w") as fh:
             fh.write(text)

@@ -26,6 +26,10 @@ itself, and the ``tails`` pair samplers read it on |0^n>.
 Records are grouped into K batches and estimates are medians of batch means.
 ``estimate`` evaluates each circuit while it is in memory; ``record_values``
 evaluates records read back from their descriptors, to the same values.
+``conditional_means`` is the one place where E_x[X|U] is computed, over
+``act``: exactly and in poly(n) on Clifford circuits, from the Born vector
+otherwise.  ``conditional_mean``, ``estimate_vstar`` (V*) and the ``tails``
+pair conditional means call it.
 
 An outcome x is an int, qubit 0 its most significant bit.  Only a shadow
 record holds it as a bitstring of exactly n characters 0/1: ``_record``
@@ -41,8 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import clifford as cl
-from .ensembles import (EnsembleSpec, SampledCircuit, push_rows, sample_circuit,
-                        sample_circuits, statevectors, substream)
+from .ensembles import (EnsembleSpec, SampledCircuit, push_rows, sample_circuits,
+                        statevectors, substream)
 from .stabilizer import PauliString, StabilizerTableau
 
 
@@ -164,12 +168,21 @@ def shot_evaluator(o, circuit, action=None):
 
 
 def _pauli_evaluator(o, circuit):
-    """X for a Pauli on a Clifford or T-gate circuit, with no 2^n term.
+    """X for a Pauli on a Clifford or T-gate circuit, with no 2^n term: a sum
+    of ``_pauli_parities``."""
+    parities, d, tr = _pauli_parities(o, circuit), 2 ** o.n, o.trace()
+    return lambda x: (d + 1) * sum(w * (-1) ** (z & x).bit_count()
+                                   for z, w in parities) - tr
+
+
+def _pauli_parities(o, circuit):
+    """<x|U P U^dag|x> = sum of w (-1)^(z.x) over the (z, w) returned, for a
+    Pauli P on a Clifford or T-gate circuit.
 
     With U ~ (c - is P_k)...(c - is P_1) C (``push_rows``), U P U^dag is
     Q = C P C^dag pushed through the factors: a branch Q that anticommutes
     with P_j becomes (Q - i P_j Q)/sqrt(2).  The Z-type ones of the at most
-    2^k branches give <x|U P U^dag|x> as a sum of parities.
+    2^k branches are the parities; a Clifford circuit has one branch.
     """
     p = o.payload
     xs, zs, phases = push_rows([circuit], p.x[None], p.z[None], [p.phase])
@@ -186,10 +199,7 @@ def _pauli_evaluator(o, circuit):
             split[x, z] = split.get((x, z), 0) + c
         branches = split
     # <x|i^a Z^z|x> = i^a (-1)^(z.x), and the sum over branches is real
-    parities = [(z, c.real) for (x, z), c in branches.items() if x == 0]
-    d, tr = 2 ** o.n, o.trace()
-    return lambda x: (d + 1) * sum(w * (-1) ** (z & x).bit_count()
-                                   for z, w in parities) - tr
+    return [(z, c.real) for (x, z), c in branches.items() if x == 0]
 
 
 def _dense_evaluator(o, circuit):
@@ -323,14 +333,41 @@ def estimate(cfg, state, o, records_out=None):
 # ---------------------------------------------------------------------------
 # Conditional means and the reuse-limit variance V*.
 
+def conditional_means(circuits, state, o):
+    """Yield E_x[X | U], a float, for each of a list of same-spec circuits on
+    the state, in order; the list is emptied as ``act`` reads it.  With p (q)
+    the Z-basis law of U|psi> (U|S'>, p itself when S' is the state), the
+    projector gives (2^n + 1)(sum_x p_x q_x - 2^-n): exact on a Clifford
+    circuit (``z_overlap``), else off the normalized Born vectors.  On a
+    Clifford circuit p is uniform on x0 + V, so a Pauli parity (-1)^(z.x)
+    averages to (-1)^(z.x0) if z is orthogonal to V, else to 0; other
+    circuits sum p_x X(x) over the Born vector.
+    """
+    if circuits and circuits[0].n != o.n:
+        raise ValueError("circuit and observable act on different qubit counts")
+    d = 2 ** o.n
+    others = None if o.kind == "pauli" or o.payload is state else act(list(circuits), o.payload)
+    for circuit, p in act(circuits, state):
+        q = p if others is None else next(others)[1]
+        if o.kind == "stab_projector" and circuit.kind == "clifford":
+            yield float((d + 1) * (p.z_overlap(q) - Fraction(1, d)))
+        elif o.kind == "stab_projector":
+            p = p / p.sum()
+            q = p if others is None else q / q.sum()
+            yield float((d + 1) * ((p * q).sum() - 2.0 ** -o.n))
+        elif circuit.kind == "clifford":
+            x0, basis, _ = p.z_support()
+            mean = sum(w * (-1) ** (z & x0).bit_count() for z, w in _pauli_parities(o, circuit)
+                       if not any((z & b).bit_count() % 2 for b in basis))
+            yield float((d + 1) * mean - o.trace())
+        else:
+            value = shot_evaluator(o, circuit)
+            yield float(sum(p[x] * float(value(x)) for x in np.flatnonzero(p).tolist()))
+
+
 def conditional_mean(o, circuit, state):
-    """E_x[X | U] = sum_x p_x X(x), with p = |U psi|^2 from ``act`` (on a
-    Clifford circuit, of the rotated tableau's statevector), exactly
-    contracted over the outcomes of positive probability."""
-    action = next(act([circuit], state))[1]
-    p = np.abs(action.statevector()) ** 2 if circuit.kind == "clifford" else action
-    value = shot_evaluator(o, circuit)
-    return float(sum(p[x] * float(value(x)) for x in np.flatnonzero(p).tolist()))
+    """E_x[X | U]: the one-circuit case of ``conditional_means``."""
+    return next(conditional_means([circuit], state, o))
 
 
 def estimate_vstar(spec, state, o, circuits, rng):
@@ -338,13 +375,13 @@ def estimate_vstar(spec, state, o, circuits, rng):
 
     This is the variance floor of the estimator under unlimited reuse; the
     inner expectation is contracted exactly so no R -> infinity
-    extrapolation or nested sampling is involved.
+    extrapolation or nested sampling is involved.  The circuits are drawn
+    one after another from ``rng``.
     """
     if circuits < 2:
         raise ValueError("need at least two circuits for a variance")
-    vals = np.empty(circuits)
-    for i in range(circuits):
-        vals[i] = conditional_mean(o, sample_circuit(spec, rng), state)
+    vals = np.fromiter(conditional_means(sample_circuits(spec, [rng] * circuits), state, o),
+                       float, circuits)
     return float(np.var(vals, ddof=1))
 
 

@@ -204,6 +204,22 @@ class StabilizerTableau:
                 y ^= row
         return Fraction(0) if y else Fraction(1, 2 ** len(pivots))
 
+    def z_overlap(self, other):
+        """Exact sum_x p_x q_x of this and another tableau's Z-basis laws, as a
+        Fraction: both are uniform on x0 + V and y0 + W, so it is 2^-dim(V+W) when
+        x0 ^ y0 is in V + W, and 0 otherwise."""
+        (x0, basis, _), (y0, others, _) = self.z_support(), other.z_support()
+        span = []       # a basis of V + W with distinct leading bits, largest first
+
+        def reduced(v):
+            for b in span:
+                v = min(v, v ^ b)   # clears b's leading bit
+            return v
+        for row in basis + others:
+            if row := reduced(row):
+                span = sorted(span + [row], reverse=True)
+        return Fraction(0) if reduced(x0 ^ y0) else Fraction(1, 2 ** len(span))
+
     def statevector(self):
         """Dense statevector (arbitrary global phase): the count-1 case of
         ``statevectors``."""

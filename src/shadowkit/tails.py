@@ -16,8 +16,9 @@ bounds.  For Haar circuits the moment generating function is bounded and a
 Bernstein-type tail holds.
 
 Haar and T-gate circuits are the protocol specialized to this pair: their
-Born vectors on |0^n> are ``protocol.act``'s actions, and the R shots of a
-circuit are ``protocol.measure`` draws from its vector.
+Born vectors on |0^n> are ``protocol.act``'s actions, their conditional
+means are ``protocol.conditional_means``, and the R shots of a circuit are
+``protocol.measure`` draws from its vector.
 """
 
 import math
@@ -29,7 +30,7 @@ import numpy as np
 from . import bits as f2
 from . import clifford as cl
 from .ensembles import SampledCircuit, sample_circuits
-from .protocol import act, measure, median_of_means
+from .protocol import act, conditional_means, measure, median_of_means, stabilizer_pair
 from .stabilizer import StabilizerTableau
 
 
@@ -118,23 +119,17 @@ def _circuit_fixed_xvalues(spec, rng, count):
     return None
 
 
-def _pair_born_vectors(spec, rng, count):
-    """Rotated Born vectors |<x|U|0^n>|^2 for count circuits, unnormalized as
-    ``protocol.act`` gives them, made as the returned iterator is read.
-
-    Every circuit is drawn here, before any vector is made (T-gate circuits
-    in one batch of segments), so a caller's later draws from ``rng`` come
-    after all of them.
-    """
+def _pair_circuits(spec, rng, count):
+    """count circuits of ``spec``, every one drawn here (T-gate circuits in one
+    batch of segments), so a caller's later draws from ``rng`` come after
+    all of them."""
     n = spec.n
     if spec.kind == "homeopathic":
         per = spec.k + 1
         segments = cl.sample_uniform_batch(n, rng, count * per)
-        circuits = [SampledCircuit("homeopathic", n, segments=segments[i * per:(i + 1) * per])
-                    for i in range(count)]
-    else:
-        circuits = sample_circuits(spec, [rng] * count)
-    return (action for _, action in act(circuits, StabilizerTableau.zero_state(n)))
+        return [SampledCircuit("homeopathic", n, segments=segments[i * per:(i + 1) * per])
+                for i in range(count)]
+    return sample_circuits(spec, [rng] * count)
 
 
 def sample_pair_xvalues(spec, rng, count, reuse=1):
@@ -150,25 +145,22 @@ def sample_pair_xvalues(spec, rng, count, reuse=1):
     n = spec.n
     d = 2 ** n
     out = np.empty(count)
-    for i, a in enumerate(_pair_born_vectors(spec, rng, count)):
+    zero = StabilizerTableau.zero_state(n)
+    for i, (_, a) in enumerate(act(_pair_circuits(spec, rng, count), zero)):
         p = a / a.sum()
         out[i] = (d + 1) * (p[measure(a, reuse, rng)].mean() - 2.0 ** -n)
     return out
 
 
 def pair_conditional_means(spec, rng, count):
-    """Exact E_x[X|U] per circuit for the stabilizer pair.
-
-    Equals (2^n+1)(sum_x p_x^2 - 2^-n) with p the rotated Born vector; on
-    the Clifford path p is flat on its support so this is the single-shot
-    value itself.
-    """
+    """Exact E_x[X|U] per circuit for the stabilizer pair: the rank collapse
+    where the circuit alone fixes X, else ``protocol.conditional_means`` on
+    |0^n>, (2^n+1)(sum_x p_x^2 - 2^-n) with p the rotated Born vector."""
     fixed = _circuit_fixed_xvalues(spec, rng, count)
     if fixed is not None:
         return fixed
-    d = 2 ** spec.n
-    born = (a / a.sum() for a in _pair_born_vectors(spec, rng, count))
-    return np.fromiter(((d + 1) * ((p * p).sum() - 2.0 ** -spec.n) for p in born),
+    state, o = stabilizer_pair(spec.n)
+    return np.fromiter(conditional_means(_pair_circuits(spec, rng, count), state, o),
                        float, count)
 
 

@@ -108,14 +108,15 @@ def test_t_gate_statevector_peaks_under_four_vectors():
 
 
 def test_t_gate_born_vectors_match_dense_oracle():
-    """The Pauli-branch Born vectors of ``_pair_born_vectors`` against
-    |U psi|^2 of the dense segment product on the same circuits; at k = 0 they are the Clifford
-    value 2^-d on the Z-basis support (to the last bit of the normalization)."""
+    """The Pauli-branch Born vectors of ``act`` on the ``tails`` pair circuits
+    against |U psi|^2 of the dense segment product on the same circuits; at k = 0 they are the
+    Clifford value 2^-d on the Z-basis support (to the last bit of the normalization)."""
     for n in range(1, 7):
+        zero = StabilizerTableau.zero_state(n)
         for k in range(9):
             spec, count, seed = en.EnsembleSpec("homeopathic", n, k=k), 3, 10 * n + k
-            probs = [a / a.sum() for a in
-                     tl._pair_born_vectors(spec, np.random.default_rng(seed), count)]
+            circuits = tl._pair_circuits(spec, np.random.default_rng(seed), count)
+            probs = [a / a.sum() for _, a in pr.act(circuits, zero)]
             segments = cl.sample_uniform_batch(n, np.random.default_rng(seed), count * (k + 1))
             psi = StabilizerTableau.zero_state(n).statevector()
             for i in range(count):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -332,8 +333,22 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
             (["weingarten", "--t", "2", "--n", "8000", "--group", "unitary",
               "--out", str(tmp_path / "wg.csv")], digits),
             (["moment-table", "--n-list", "5000", "--max-m", "2", "--format", "json"],
-             digits)):
+             digits),
+            (["optimal-reuse", "--alpha", "1e300", "--v1", "1e10", "--vstar", "1e-300",
+              "--format", "json"],
+             "heuristic_reuse sqrt((alpha - 1)(v1 - vstar) / vstar) at alpha = 1e+300, "
+             "v1 = 10000000000.0, vstar = 1e-300 overflows a float"),
+            # refused from n or t alone, before 2^n or t! is built
+            (["homeopathic-scan", "--n", "100000000", "--k-list", "0", "--circuits", "2",
+              "--seed", "1"],
+             "a T-gate statevector on 100000000 qubits needs 2^100000000 dense entries, "
+             "over the budget of 2^24 = 16777216"),
+            (["weingarten", "--t", "100000", "--n", "17", "--group", "unitary"],
+             "the 100000!x100000! Gram matrix at t = 100000 needs (100000!)^2 dense entries, "
+             "over the budget of 2^24 = 16777216")):
+        start = time.perf_counter()
         assert cli.main(argv) == 2
+        assert time.perf_counter() - start < 1.0, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"shadowkit {argv[0]}: error: {message}\n"
@@ -465,6 +480,31 @@ def test_cli_moment_table_bad_sizes_are_one_line_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"shadowkit moment-table: error: {message}\n"
+
+
+def test_weingarten_refuses_past_the_digit_limit_before_arithmetic(capsys, tmp_path):
+    """The Gram diagonal 2^(t n) is written: at t = 1 the largest n whose 2^n
+    has at most the limit's digits runs, and the next n, like t = 2 at
+    n = 10^6, is refused at once with emit's message and no file."""
+    limit = sys.get_int_max_str_digits()
+    n = (10 ** limit).bit_length() - 1
+    assert len(str(2 ** n)) == limit and 2 ** (n + 1) >= 10 ** limit
+    out = tmp_path / "wg.csv"
+    assert cli.main(["weingarten", "--t", "1", "--n", str(n), "--group", "unitary",
+                     "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [len(row["numerator"]) for row in rows if row["matrix"] == "gram"] == [limit]
+    out.unlink()
+    for t, big in ((1, n + 1), (2, 10 ** 6)):
+        start = time.perf_counter()
+        assert cli.main(["weingarten", "--t", str(t), "--n", str(big), "--group", "unitary",
+                         "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == (f"shadowkit weingarten: error: an exact value has more than "
+                                f"{limit} digits, the interpreter's int-to-string limit; "
+                                "use a smaller n\n")
+        assert not out.exists()
 
 
 def test_cli_weingarten_unitary_needs_only_2n_at_least_t(tmp_path):

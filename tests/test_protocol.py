@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from shadowkit import bits as f2
 from shadowkit import clifford as cl
 from shadowkit import moments as mo
 from shadowkit import protocol as pr
@@ -350,16 +352,87 @@ def test_malformed_record_lines_are_one_line_errors(tmp_path):
         pr.read_records(path)
 
 
-def test_conditional_mean_refuses_an_oversized_statevector():
-    """A Clifford circuit at n = 25 is sampled, but its 2^25-entry statevector
-    is over the dense budget: refused before it is allocated."""
-    n = 25
-    state, o = pr.stabilizer_pair(n)
-    circuit = sample_circuit(EnsembleSpec("clifford", n), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="a statevector on 25 qubits needs 33554432 dense"):
-        pr.conditional_mean(o, circuit, state)
-    with pytest.raises(ValueError, match="over the budget of 2\\^24"):
-        pr.estimate_vstar(EnsembleSpec("clifford", n), state, o, 2, np.random.default_rng(0))
+def test_clifford_conditional_means_are_exact_past_the_dense_budget():
+    """Clifford circuits at n = 25 and 31, where one 2^n statevector is over the
+    dense budget: ``conditional_mean`` and ``estimate_vstar`` give the pair value
+    (2^n+1)(2^-d - 2^-n) of the rotated support dimension d, to the bit, and
+    allocate nothing near 2^n entries."""
+    for n in (25, 31):
+        state, o = pr.stabilizer_pair(n)
+        spec = EnsembleSpec("clifford", n)
+        tracemalloc.start()
+        circuits = sample_circuits(spec, [np.random.default_rng(n)] * 3)
+        dims = [len(state.apply_clifford(c.element).z_support()[2]) for c in circuits]
+        want = [float((2 ** n + 1) * (Fraction(1, 2 ** d) - Fraction(1, 2 ** n))) for d in dims]
+        assert [pr.conditional_mean(o, c, state) for c in circuits] == want
+        vstar = pr.estimate_vstar(spec, state, o, 3, np.random.default_rng(n))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert vstar == float(np.var(want, ddof=1))
+        assert peak < 2 ** 20, (n, peak)     # 2^25 complex entries are 512 MiB
+
+
+def test_conditional_means_match_dense_oracle():
+    """Clifford, identity and Haar circuits at n <= 5 against the dense
+    unitary: the projector of the state and of an independent state, and
+    random signed Paulis, X-containing ones included."""
+    rng = np.random.default_rng(22)
+    x_paulis = 0
+    for n in range(1, 6):
+        for kind in ("clifford", "identity", "haar"):
+            for _ in range(6):
+                circuit = sample_circuit(EnsembleSpec(kind, n), rng)
+                state = cl.random_stabilizer_tableau(n, rng)
+                paulis = [PauliString.random(n, rng) for _ in range(3)]
+                x_paulis += sum(bool(p.x.any()) for p in paulis)
+                for o in [pr.ObservableSpec.stabilizer_projector(state),
+                          pr.ObservableSpec.stabilizer_projector(
+                              cl.random_stabilizer_tableau(n, rng))] + \
+                         [pr.ObservableSpec.pauli(p) for p in paulis]:
+                    assert abs(pr.conditional_mean(o, circuit, state)
+                               - conditional_mean_dense(o, circuit, state)) < 1e-12, (n, kind)
+    assert x_paulis > 150
+
+
+def test_clifford_projector_conditional_means_are_exact():
+    """On a Clifford circuit the projector's conditional mean is the float of
+    (2^n+1)(2^-dim(V+W) - 2^-n) when the two rotated supports meet, else of
+    -(2^n+1) 2^-n, with dim(V+W) the F2 rank of the two rotated X-parts;
+    ``z_overlap`` is sum_x p_x q_x of the exact Born probabilities."""
+    rng = np.random.default_rng(23)
+    met = 0
+    for n in range(1, 7):
+        d = 2 ** n
+        for _ in range(20):
+            circuit = sample_circuit(EnsembleSpec("clifford", n), rng)
+            state = cl.random_stabilizer_tableau(n, rng)
+            for target in (state, cl.random_stabilizer_tableau(n, rng)):
+                u, v = (t.apply_clifford(circuit.element) for t in (state, target))
+                overlap = sum(u.z_probability(x) * v.z_probability(x) for x in range(d))
+                assert u.z_overlap(v) == overlap
+                dim = int(f2.rank_f2_batch(np.vstack([u.xs, v.xs])[None])[0])
+                meet = Fraction(1, 2 ** dim) if overlap else Fraction(0)
+                met += bool(overlap)
+                o = pr.ObservableSpec.stabilizer_projector(target)
+                assert pr.conditional_mean(o, circuit, state) == \
+                    float((d + 1) * (meet - Fraction(1, d)))
+    assert 120 < met < 240
+
+
+@pytest.mark.parametrize("kind, k", [("clifford", 0), ("identity", 0), ("homeopathic", 2),
+                                     ("haar", 0)])
+def test_conditional_means_of_a_list_are_each_circuits_mean(kind, k):
+    """``conditional_means`` over a list gives ``conditional_mean`` of each
+    circuit, in order, to the bit, for every observable form."""
+    rng = np.random.default_rng(24)
+    n = 3
+    state = cl.random_stabilizer_tableau(n, rng)
+    circuits = sample_circuits(EnsembleSpec(kind, n, k=k), [rng] * 5)
+    for o in (pr.ObservableSpec.stabilizer_projector(state),
+              pr.ObservableSpec.stabilizer_projector(cl.random_stabilizer_tableau(n, rng)),
+              pr.ObservableSpec.pauli(PauliString.from_label("-XZY"))):
+        got = list(pr.conditional_means(list(circuits), state, o))
+        assert got == [pr.conditional_mean(o, c, state) for c in circuits]
 
 
 def test_estimate_equals_estimate_from_its_records(tmp_path):

@@ -204,7 +204,7 @@ def test_pair_born_vectors_batches_are_one_circuit_at_a_time_bytes():
         zero = StabilizerTableau.zero_state(n)
         for count in (1, cap - 1, cap, cap + 1):
             rng, twin = np.random.default_rng(count), np.random.default_rng(count)
-            got = [a.tobytes() for a in tl._pair_born_vectors(spec, rng, count)]
+            got = [a.tobytes() for _, a in pr.act(tl._pair_circuits(spec, rng, count), zero)]
             segments = cl.sample_uniform_batch(n, twin, count * (k + 1))
             want = [next(pr.act([SampledCircuit("homeopathic", n, segments=segments[i:i + k + 1])],
                                 zero))[1].tobytes() for i in range(0, len(segments), k + 1)]
