@@ -160,7 +160,8 @@ def _weingarten_rules(cfg):
         raise ValueError(f"the unitary Gram matrix is singular for 2^{n} < t = {t}")
     if group == "clifford" and n < t - 1:
         raise ValueError(f"the Gram matrix is singular for n = {n} < t - 1 = {t - 1}")
-    if group == "unitary" and t > 20:       # t! is over the budget from t = 7 on
+    # t! is over the budget from t = 7 on, and past 20! (64 bits) refused unbuilt
+    if group == "unitary" and t > 20:
         dense.check_entries(f"({t}!)^2", f"the {t}!x{t}! Gram matrix at t = {t}")
     size = mo.commutant_size(t, group)
     dense.check_entries(size ** 2, f"the {size}x{size} Gram matrix at t = {t}")
