@@ -5,14 +5,16 @@ the qubits (qubit 0 leftmost) and ``phase`` an exponent mod 4.  A tableau
 is a state's n stabilizer generator rows, with full mod-4 phase tracking so
 Born probabilities and estimator values come out as exact dyadic rationals;
 it keeps no destabilizer rows, since no measurement here needs them.  A
-tableau's Z-basis outcomes are uniform on an affine subspace x0 + span(B),
-derived once (``z_support``) from the generators alone and read by shot
-sampling, Born probabilities and the dense statevector.  Dense statevectors
-are made by kernels over a batch: ``statevectors`` for a list of tableaux and
-``apply_paulis`` for one Pauli per row of a (B, 2^n) array;
-``StabilizerTableau.statevector`` and ``PauliString.apply`` are their count-1
-cases.  An outcome is an int with qubit 0 the most significant bit;
-bitstrings exist only in shadow records.
+tableau's Z-basis outcomes are uniform on an affine subspace x0 + span(B)
+(Aaronson-Gottesman), derived from the generators alone and read by shot
+sampling (R shots from one draw), Born probabilities and the dense
+statevector.  Supports, like dense statevectors, are made by kernels over a
+batch: ``z_supports`` runs one packed-word Gauss-Jordan over a stack of
+tableaux (``tableaux`` builds a stack's tableaux with their supports),
+``statevectors`` takes a list of tableaux and ``apply_paulis`` one Pauli per
+row of a (B, 2^n) array; ``StabilizerTableau.z_support``, ``.statevector``
+and ``PauliString.apply`` are their count-1 cases.  An outcome is an int with
+qubit 0 the most significant bit; bitstrings exist only in shadow records.
 """
 
 from fractions import Fraction
@@ -153,56 +155,36 @@ class StabilizerTableau:
     def z_support(self):
         """(x0, basis, pivots), computed once: Z-basis outcomes are x0 + span(basis).
 
-        ``basis`` is the stabilizer X-parts in reduced row-echelon form, with pivot
-        columns ``pivots``; ``x0`` is 0 on every pivot.  Bit vectors are ints, qubit
-        0 the most significant bit.  Cached: no method changes a tableau once built.
+        The count-1 case of ``z_supports``.  Cached: no method changes a tableau
+        once built.
         """
         if self._z_support is None:
-            n = self.n
-            packed = np.packbits(np.hstack([self.xs, self.zs]), axis=1)
-            rows = [int.from_bytes(r.tobytes(), "big") >> (-2 * n % 8) for r in packed]
-            phases = self.phases.tolist()
-            # Gauss-Jordan on the 2n-bit rows (x|z), multiplied as Paulis so phases
-            # stay exact: X-parts end in RREF, and the pure-Z rows (which commute
-            # with them) pivot on the other qubits, so x0 is 0 on the X pivots.
-            pivots = []
-            for col in range(2 * n):
-                bit, r = 1 << (2 * n - 1 - col), len(pivots)
-                p = next((i for i in range(r, n) if rows[i] & bit), None)
-                if p is None or col - n in pivots:
-                    continue
-                for m in (rows, phases):
-                    m[r], m[p] = m[p], m[r]
-                for i in range(n):
-                    if i != r and rows[i] & bit:
-                        phases[i] += phases[r] + 2 * (rows[i] & rows[r] >> n).bit_count()
-                        rows[i] ^= rows[r]
-                pivots.append(col)
-            # a pure-Z row Z^a with sign (-1)^b asks a.x = b: x = b on its pivot
-            x0 = sum((s >> 1 & 1) << (2 * n - 1 - c)
-                     for s, c in zip(phases, pivots) if c >= n)
-            d = sum(c < n for c in pivots)
-            self._z_support = x0, [row >> n for row in rows[:d]], pivots[:d]
+            self._z_support = z_supports(self.xs[None], self.zs[None], self.phases[None])[0]
         return self._z_support
 
-    def sample_z_basis(self, rng):
-        """One Z-basis outcome x, an int, drawn from |<x|S>|^2: one fair bit per
+    def sample_z_basis(self, rng, count):
+        """count Z-basis outcomes, ints, drawn from |<x|S>|^2: one fair bit per
         pivot, in qubit order, as qubit-by-qubit collapse draws them (q random iff
-        a pivot)."""
-        x, basis, _ = self.z_support()
-        for row, bit in zip(basis, rng.integers(2, size=len(basis)).tolist()):
-            if bit:
-                x ^= row
-        return x
+        a pivot), from one (count, d) draw."""
+        x0, basis, _ = self.z_support()
+        bits = rng.integers(2, size=(count, len(basis)))
+        return (np.bitwise_xor.reduce(bits * np.array(basis, dtype=np.int64), axis=1)
+                ^ x0).tolist()
 
-    def z_probability(self, x):
-        """Exact Born probability of outcome x (an int) as a Fraction."""
+    def in_z_support(self, x):
+        """Whether outcome x (an int) lies in the support x0 + span(basis)."""
         x0, basis, pivots = self.z_support()
         y = x0 ^ x
         for row, c in zip(basis, pivots):
             if y >> (self.n - 1 - c) & 1:
                 y ^= row
-        return Fraction(0) if y else Fraction(1, 2 ** len(pivots))
+        return not y
+
+    def z_probability(self, x):
+        """Exact Born probability of outcome x (an int) as a Fraction."""
+        if not self.in_z_support(x):
+            return Fraction(0)
+        return Fraction(1, 2 ** len(self.z_support()[2]))
 
     def z_overlap(self, other):
         """Exact sum_x p_x q_x of this and another tableau's Z-basis laws, as a
@@ -235,6 +217,68 @@ def _ints(bits):
     return bits.astype(np.int64) @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
 
 
+def z_supports(xs, zs, phases):
+    """(x0, basis, pivots) of each tableau of (B, n, n) stacks xs, zs and (B, n)
+    phases: its Z-basis outcomes are x0 + span(basis).
+
+    ``basis`` is the stabilizer X-parts in reduced row-echelon form, with pivot
+    columns ``pivots``; ``x0`` is 0 on every pivot.  Bit vectors are ints, qubit
+    0 the most significant bit.  One Gauss-Jordan runs over the whole stack: a
+    row (x|z) is one 64-bit word, column c at bit 2n - 1 - c (2n <= 62), and
+    rows are multiplied as Paulis, phases mod 4, so signs stay exact.
+    """
+    count, n = len(xs), np.shape(xs)[-1]
+    if n > 31:
+        raise ValueError(f"z_supports holds a 2n-bit row in one 64-bit word, so n <= 31; "
+                         f"got n = {n}")
+    words = _ints(np.concatenate([xs, zs], axis=-1).reshape(count, n, 2 * n))
+    phases = np.asarray(phases, dtype=np.int64).reshape(count, n) % 4
+    rank = np.zeros(count, dtype=np.int64)
+    pivots = np.full((count, n), -1)
+    x_pivot = np.zeros((count, n), dtype=bool)
+    batch, rows = np.arange(count), np.arange(n)
+    # X-parts end in RREF, and the pure-Z rows (which commute with them) pivot
+    # on the other qubits, so x0 is 0 on the X pivots
+    for col in range(2 * n):
+        if (rank == n).all():
+            break
+        shift = 2 * n - 1 - col
+        free = (words >> shift & 1).astype(bool) & (rows >= rank[:, None])
+        p = free.argmax(axis=1)
+        take = free[batch, p]
+        if col < n:
+            x_pivot[:, col] = take
+        else:
+            take &= ~x_pivot[:, col - n]
+        if not take.any():
+            continue
+        # the pivot row moves up to row r = rank (a no-op where nothing is taken)
+        r = np.minimum(rank, n - 1)
+        p = np.where(take, p, r)
+        for m in (words, phases):
+            m[batch, r], m[batch, p] = m[batch, p], m[batch, r]
+        word, phase = words[batch, r], phases[batch, r]
+        hit = (words >> shift & 1).astype(bool) & take[:, None] & (rows != r[:, None])
+        phases += hit * (phase[:, None] + 2 * np.bitwise_count(words & (word >> n)[:, None]))
+        phases &= 3
+        words ^= hit * word[:, None]
+        pivots[batch[take], rank[take]] = col
+        rank += take
+    # a pure-Z row Z^a with sign (-1)^b asks a.x = b: x = b on its pivot
+    x0 = ((phases >> 1 & 1) * (pivots >= n) << 2 * n - 1 - pivots).sum(axis=1)
+    return [(x, basis[:d], piv[:d]) for x, basis, piv, d in
+            zip(x0.tolist(), (words >> n).tolist(), pivots.tolist(), x_pivot.sum(axis=1).tolist())]
+
+
+def tableaux(xs, zs, phases):
+    """The tableaux of (B, n, n) stacks xs, zs and (B, n) phases, their Z-basis
+    supports found by one ``z_supports`` call."""
+    out = [StabilizerTableau(*t) for t in zip(xs, zs, phases)]
+    for tab, support in zip(out, z_supports(xs, zs, phases)):
+        tab._z_support = support
+    return out
+
+
 def apply_paulis(xs, zs, phases, vecs):
     """Row b of vecs (B, 2^n) times the Pauli i^phases[b] X^xs[b] Z^zs[b]
     (signed permutations, O(B 2^n)): entry j is i^phase (-1)^(z.s) vec[s] with
@@ -252,17 +296,17 @@ def apply_paulis(xs, zs, phases, vecs):
 
 def statevectors(tableaux):
     """Dense statevectors (B, 2^n) of same-n tableaux (arbitrary global phases):
-    the stabilizer projectors (1 + g)/2 applied to |x0> of ``z_support``, added
-    and halved in place, so at most three batches are held (two and
-    ``apply_paulis``' factors).  Every entry is i^a 2^-j, so the row sums of
-    squares, and with them the norms, are exact."""
+    the stabilizer projectors (1 + g)/2 applied to |x0> (the whole batch's x0
+    from one ``z_supports``), added and halved in place, so at most three
+    batches are held (two and ``apply_paulis``' factors).  Every entry is
+    i^a 2^-j, so the row sums of squares, and with them the norms, are exact."""
     n, count = tableaux[0].n, len(tableaux)
     what = f"{count} statevectors" if count > 1 else "a statevector"
     check_entries(count * 2 ** n, f"{what} on {n} qubits")
-    v = np.zeros((count, 2 ** n), dtype=complex)
-    v[np.arange(count), [t.z_support()[0] for t in tableaux]] = 1.0
     xs, zs, phases = (np.stack([getattr(t, a) for t in tableaux])
                       for a in ("xs", "zs", "phases"))
+    v = np.zeros((count, 2 ** n), dtype=complex)
+    v[np.arange(count), [x0 for x0, _, _ in z_supports(xs, zs, phases)]] = 1.0
     for i in range(n):
         w = apply_paulis(xs[:, i], zs[:, i], phases[:, i], v)
         np.add(v, w, out=w)

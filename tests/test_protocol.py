@@ -165,10 +165,16 @@ def test_record_values_bytes_are_pinned():
 def test_estimate_bytes_are_pinned(tmp_path):
     """The records file and the result of ``estimate`` on the stabilizer pair,
     for Clifford circuits across a chunk boundary, T-gate and Haar circuits.
-    The digests were taken before circuits were drawn in chunks."""
-    assert pr.CIRCUIT_CHUNK == 16
+    The n = 3 digests were taken before circuits were drawn in chunks, and
+    the n = 10 ones with chunks of 16 and one draw per shot.  The n = 10 case
+    runs CIRCUIT_CHUNK + 1 = 65 circuits, with support dimensions 8, 9 and
+    10, so its digests also hold the chunk size at 64."""
     state, o = pr.stabilizer_pair(3, scramble=cl.sample_uniform(3, np.random.default_rng(12)))
-    cases = [(EnsembleSpec("clifford", 3), 17 * 4, 1,
+    wide = pr.stabilizer_pair(10, scramble=cl.sample_uniform(10, np.random.default_rng(10)))
+    cases = [(EnsembleSpec("clifford", 10), (pr.CIRCUIT_CHUNK + 1) * 4, 5,
+              "d9e2168943522ca0227d4094d6500eddadb11045591b23c89442627f4490ce1d",
+              "38701b911d16950afd41d5f421c1ffc5e516c9120e5bcf359b4ea280c053147a"),
+             (EnsembleSpec("clifford", 3), 17 * 4, 1,
               "b418cb81d09a11ca4109a6097c4f709d668098889bc7a8d7f371b54e00487a29",
               "7bacfc651facc03ae96501ef42ad5100c6b47a1d8e586691b325924a00857518"),
              (EnsembleSpec("homeopathic", 3, k=2), 48, 3,
@@ -179,10 +185,27 @@ def test_estimate_bytes_are_pinned(tmp_path):
               "57debf92a4c699cf8fda552bf5c62d2802cf8e387bd349df6ce5fd883499a06e")]
     for spec, measurements, batches, records_sha, result_sha in cases:
         cfg = pr.RunConfig(spec, measurements, reuse=4, batches=batches, seed=1212)
-        path = tmp_path / f"{spec.kind}.jsonl"
-        out = pr.estimate(cfg, state, o, records_out=path)
+        path = tmp_path / f"{spec.kind}{spec.n}.jsonl"
+        out = pr.estimate(cfg, *(wide if spec.n == 10 else (state, o)), records_out=path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == records_sha, spec
         assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == result_sha, spec
+
+
+def test_estimate_bytes_do_not_depend_on_the_chunk_size(monkeypatch, tmp_path):
+    """Circuit t draws from its own substream, so ``estimate``'s records and
+    result are the same bytes for chunks of 1, 16 and 64 circuits (Clifford,
+    across several chunks, and T-gate)."""
+    state, o = pr.stabilizer_pair(6, scramble=cl.sample_uniform(6, np.random.default_rng(6)))
+    for spec, measurements in ((EnsembleSpec("clifford", 6), 130 * 3),
+                               (EnsembleSpec("homeopathic", 6, k=2), 66 * 3)):
+        runs = set()
+        for chunk in (1, 16, 64):
+            monkeypatch.setattr(pr, "CIRCUIT_CHUNK", chunk)
+            path = tmp_path / f"{spec.kind}{chunk}.jsonl"
+            cfg = pr.RunConfig(spec, measurements, reuse=3, batches=2, seed=77)
+            out = pr.estimate(cfg, state, o, records_out=path)
+            runs.add((path.read_bytes(), json.dumps(out)))
+        assert len(runs) == 1, spec
 
 
 def test_estimate_acts_once_per_circuit(monkeypatch):

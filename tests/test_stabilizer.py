@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from shadowkit import clifford as cl
-from shadowkit.stabilizer import PauliString, StabilizerTableau, apply_paulis, statevectors
+from shadowkit.ensembles import EnsembleSpec, SampledCircuit, push_rows, sample_circuits
+from shadowkit.stabilizer import (PauliString, StabilizerTableau, apply_paulis, statevectors,
+                                  tableaux, z_supports)
+
+from support_oracle import z_support_gauss_jordan
 
 HADAMARD = cl.CliffordElement(np.array([[0, 1], [1, 0]], dtype=np.uint8),
                               np.zeros(2, dtype=np.uint8))
@@ -63,10 +67,8 @@ def test_sampling_chi_square_against_dense_probabilities():
     tab = cl.random_stabilizer_tableau(4, rng)
     probs = np.abs(tab.statevector()) ** 2
     draw_rng = np.random.default_rng(13)
-    counts = np.zeros(16)
     shots = 100_000
-    for _ in range(shots):
-        counts[tab.sample_z_basis(draw_rng)] += 1
+    counts = np.bincount(tab.sample_z_basis(draw_rng, shots), minlength=16)
     support = probs > 1e-12
     assert counts[~support].sum() == 0
     _, p = stats.chisquare(counts[support], shots * probs[support] / probs[support].sum())
@@ -88,8 +90,8 @@ def test_pauli_apply_is_the_dense_pauli_exactly():
 def test_measurement_transcript_is_seed_deterministic():
     rng = np.random.default_rng(21)
     tab = cl.random_stabilizer_tableau(4, rng)
-    a = [tab.sample_z_basis(np.random.default_rng(5)) for _ in range(10)]
-    b = [tab.sample_z_basis(np.random.default_rng(5)) for _ in range(10)]
+    a = tab.sample_z_basis(np.random.default_rng(5), 10)
+    b = tab.sample_z_basis(np.random.default_rng(5), 10)
     assert a == b
 
 
@@ -156,3 +158,65 @@ def test_batched_kernels_are_their_count_1_cases_bit_for_bit():
         for p, v, g in zip(paulis, vecs, got):
             assert g.tobytes() == p.apply(v).tobytes()
 
+
+def test_sample_z_basis_draws_as_one_draw_per_shot():
+    """R shots from one (R, d) draw consume the stream as R draws of d bits
+    would (PCG64 hands out 32-bit halves one at a time), and each outcome is
+    x0 plus the basis rows its bits select."""
+    rng = np.random.default_rng(16)
+    for n in (1, 3, 6, 31):
+        tab = cl.random_stabilizer_tableau(n, rng)
+        x0, basis, _ = tab.z_support()
+        for reuse in (1, 2, 5):
+            got = tab.sample_z_basis(np.random.default_rng(reuse), reuse)
+            draws, want = np.random.default_rng(reuse), []
+            for _ in range(reuse):
+                x = x0
+                for row, bit in zip(basis, draws.integers(2, size=len(basis)).tolist()):
+                    x ^= row * bit
+                want.append(x)
+            assert got == want and all(type(x) is int for x in got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 20, 31])
+def test_z_supports_match_gauss_jordan_oracle(n):
+    """``z_supports`` over a stack equals the scalar Gauss-Jordan, tableau by
+    tableau, to the int: on Clifford-rotated random states, on the tableaux
+    of T-gate segment pushes, and on arbitrary (also rank-deficient) rows.
+    n = 31 fills 62 bits of a word.  ``z_support``, ``tableaux`` and the
+    empty stack are its count-1, list and count-0 cases."""
+    rng = np.random.default_rng(100 + n)
+    state = cl.random_stabilizer_tableau(n, rng)
+    rows = (np.broadcast_to(a, (12,) + a.shape) for a in (state.xs, state.zs, state.phases))
+    elements = [c.element for c in sample_circuits(EnsembleSpec("clifford", n), [rng] * 12)]
+    stacks = [cl.conjugate_rows_batch(elements, *rows)]
+    # built from segments, since a T-gate ensemble refuses n past the dense budget
+    segments = cl.sample_uniform_streams(n, [rng] * 24)
+    tgate = [SampledCircuit("homeopathic", n, segments=segments[i:i + 4]) for i in range(0, 24, 4)]
+    xs, zs, phases = push_rows(tgate, state.xs, state.zs, state.phases)
+    stacks.append((xs[:, :n], zs[:, :n], phases[:, :n]))
+    stacks.append((rng.integers(2, size=(12, n, n)), rng.integers(2, size=(12, n, n)),
+                   rng.integers(4, size=(12, n))))
+    stacks.append((np.zeros((2, n, n), dtype=np.uint8), np.zeros((2, n, n), dtype=np.uint8),
+                   np.zeros((2, n), dtype=np.int64)))
+    dims = set()
+    for xs, zs, phases in stacks:
+        got = z_supports(xs, zs, phases)
+        want = [z_support_gauss_jordan(*t) for t in zip(xs, zs, phases)]
+        assert got == want
+        assert all(type(v) is int for x0, basis, pivots in got for v in [x0, *basis, *pivots])
+        dims |= {len(pivots) for _, _, pivots in got}
+    for (xs, zs, phases), tab in zip(zip(*stacks[0]), tableaux(*stacks[0])):
+        assert tab.z_support() == z_support_gauss_jordan(xs, zs, phases)
+        assert StabilizerTableau(xs, zs, phases).z_support() == tab.z_support()
+    assert StabilizerTableau.zero_state(n).z_support() == (0, [], [])
+    assert z_supports(*(a[:0] for a in stacks[0])) == []
+    if n >= 3:
+        assert {d % 2 for d in dims} == {0, 1}
+
+
+def test_z_supports_refuse_rows_wider_than_a_word():
+    """Past n = 31 a 2n-bit row does not fit the 64-bit word: a one-line
+    error, not wrapped bits."""
+    with pytest.raises(ValueError, match="n <= 31; got n = 32"):
+        StabilizerTableau.zero_state(32).z_support()
