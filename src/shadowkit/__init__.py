@@ -14,9 +14,9 @@ The package has three layers:
   reuse-cost optimizer), ``experiments``/``cli`` (reproducible runs).
 
 numpy is the only runtime dependency.  The dense and sparse reference
-implementations (frame operators and their inverse, the commutant operators
-R_T and Pi4, the brute-force commutant enumeration) are test oracles and
-live with the tests.
+implementations (Pauli, observable and Clifford matrices, frame operators
+and their inverse, the commutant operators R_T and Pi4, the brute-force
+commutant enumeration) are test oracles and live with the tests.
 """
 
 from .clifford import CliffordElement, sample_uniform

@@ -17,7 +17,9 @@ group without repetition.
 
 Pauli rows are conjugated by one kernel with an optional leading batch
 axis: ``conjugate_rows_batch`` stacks a list of elements, and
-``CliffordElement.conjugate_rows`` is its one-element case.
+``CliffordElement.conjugate_rows`` is its one-element case.  An element is
+never made dense: states and T-gate circuits are evolved by conjugating
+Pauli rows, and the tests build Clifford unitaries as an oracle.
 """
 
 import functools
@@ -25,7 +27,6 @@ import functools
 import numpy as np
 
 from . import bits as f2
-from . import dense
 from .stabilizer import StabilizerTableau
 
 
@@ -248,28 +249,6 @@ class CliffordElement:
         if ((phases - target_xz) % 2).any():
             raise AssertionError("composition produced a non-Hermitian image")
         return CliffordElement(s, alpha.astype(np.uint8))
-
-    def to_dense(self):
-        """A unitary realizing this element (global phase arbitrary).
-
-        Column x is the image of X^x applied to the rotated zero state:
-        U|x> = (U X^x U^dag) U|0^n>.
-        """
-        n = self.n
-        dense.check_entries(4 ** n, f"a dense Clifford on {n} qubits")
-        psi0 = StabilizerTableau.zero_state(n).apply_clifford(self).statevector()
-        dim = 2 ** n
-        idx = np.arange(dim)
-        xbits = ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-        imgs, img_z, phases = self.conjugate_rows(
-            xbits, np.zeros((dim, n), dtype=np.uint8), np.zeros(dim, dtype=np.int64))
-        weights = 1 << np.arange(n - 1, -1, -1)
-        a_int = imgs @ weights                     # image X-bit patterns
-        b_int = img_z @ weights
-        src = idx[:, None] ^ a_int[None, :]        # source index per (row, col)
-        signs = 1 - 2 * (np.bitwise_count(src & b_int[None, :]) & 1).astype(np.int64)
-        i_pow = np.array([1, 1j, -1, -1j])[phases]
-        return i_pow[None, :] * signs * psi0[src]
 
     def key(self):
         return (self.n, self.symplectic.tobytes(), self.alpha.tobytes())

@@ -8,8 +8,10 @@ Clifford segments (``push_rows``) writes it as k Pauli-branch factors after
 one Clifford, so it acts on a stabilizer state in O(k 2^n).  Both work on a
 list of same-(n, k) circuits at once: ``push_rows`` conjugates every
 circuit's rows by its j-th segment in one batched call, and ``statevectors``
-gives a (circuits, 2^n) array.  Only Clifford and Haar circuits have a
-``dense`` unitary.  ``protocol.act`` is where any circuit acts on a state.
+gives a (circuits, 2^n) array.  Only a Haar circuit has a ``dense`` unitary,
+the one 2^n x 2^n array the package builds.  ``protocol.act`` is where any
+circuit acts on a state.  ``require_at_least`` is the one int check of the
+library's inputs.
 """
 
 from dataclasses import dataclass, field
@@ -19,9 +21,18 @@ import numpy as np
 from . import clifford as cl
 from . import dense
 from . import stabilizer
-from .stabilizer import StabilizerTableau, apply_paulis
+from .stabilizer import apply_paulis
 
 KINDS = ("haar", "clifford", "homeopathic", "identity")
+
+
+def require_at_least(name, value, low=1):
+    """Refuse anything but an int (not a bool) of at least ``low``; a low of
+    None checks the type alone."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -33,13 +44,9 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        for name in ("n", "k"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"ensemble {name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ValueError(f"ensemble n must be at least 1, got {self.n}")
-        if self.k < 0:
+        require_at_least("ensemble n", self.n)
+        require_at_least("ensemble k", self.k, None)
+        if self.k < 0:      # the bound's message names the T-gate count
             raise ValueError("T-gate count must be >= 0")
         if self.k and self.kind != "homeopathic":
             raise ValueError("only the homeopathic ensemble takes a T-gate count")
@@ -109,13 +116,11 @@ class SampledCircuit:
         return len(self.segments) - 1 if self.segments is not None else 0
 
     def dense(self):
-        if self.kind not in ("clifford", "haar"):
+        """The unitary of a Haar circuit, built once; no other kind is made dense."""
+        if self.kind != "haar":
             raise ValueError(f"no dense unitary is built for a {self.kind} circuit")
         if self._dense is None:
-            if self.kind == "clifford":
-                self._dense = self.element.to_dense()
-            else:
-                self._dense = haar_unitary(2 ** self.n, substream(self.haar_seed))
+            self._dense = haar_unitary(2 ** self.n, substream(self.haar_seed))
         return self._dense
 
     def descriptor(self):
@@ -178,8 +183,7 @@ def statevectors(circuits, state):
     c - is P_j, O(B k 2^n) with no dense Clifford."""
     m = state.n
     xs, zs, phases = push_rows(circuits, state.xs, state.zs, state.phases)
-    v = stabilizer.statevectors([StabilizerTableau(*t) for t in
-                                 zip(xs[:, :m], zs[:, :m], phases[:, :m])])
+    v = stabilizer.statevectors(xs[:, :m], zs[:, :m], phases[:, :m])
     c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
     for j in range(m, xs.shape[1]):
         # v <- c v - is P_j v in place; w is freed before the next ``apply_paulis``

@@ -22,7 +22,7 @@ import numpy as np
 from . import dense
 from . import moments as mo
 from . import tails as tl
-from .ensembles import EnsembleSpec, substream
+from .ensembles import EnsembleSpec, require_at_least, substream
 from .protocol import ObservableSpec, RunConfig, estimate, stabilizer_pair
 from .stabilizer import PauliString
 
@@ -75,14 +75,6 @@ KEYS = {
 EXPERIMENTS = tuple(KEYS)
 
 
-def _require_at_least(name, value, low=1):
-    """An int (not a bool) of at least ``low``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
-
-
 def _observable(o_cfg):
     """The Pauli ObservableSpec an observable config names, None for the pair."""
     if not isinstance(o_cfg, dict):
@@ -112,7 +104,7 @@ _PLAIN = {float: ((int, float), "a number"), bool: (bool, "true or false"),  # i
 def _check(key, value):
     """Refuse a given value of the wrong type or under the key's bound."""
     if key.type is int:
-        _require_at_least(key.name, value, key.low)
+        require_at_least(key.name, value, key.low)
     elif key.type is EnsembleSpec:
         EnsembleSpec.from_json(value)
     elif key.type is ObservableSpec:
@@ -131,7 +123,7 @@ def _check(key, value):
         if key.type is list and not value:
             raise ValueError(f"{key.name} must not be empty")
         for entry in value if key.type is list and key.low is not None else ():
-            _require_at_least(f"{key.name} entry", entry, key.low)
+            require_at_least(f"{key.name} entry", entry, key.low)
 
 
 def _estimate_rules(cfg):
@@ -365,7 +357,7 @@ _RUNNERS = {
 }
 
 def run_experiment(cfg, threads=1):
-    _require_at_least("threads", threads)
+    require_at_least("threads", threads)
     cfg = validate_config(cfg)
     return _RUNNERS[cfg["experiment"]](cfg, threads=threads)
 

@@ -7,12 +7,14 @@ The single-shot estimator for a circuit U and outcome x is
 which is the inverse-frame-operator estimator for any of the supported
 ensembles (all have the 2-design frame operator).  A record holds one
 circuit and its R outcomes, so X is evaluated per circuit: ``shot_evaluator``
-does the circuit's work once and returns x -> X.  A Haar circuit uses its
-dense unitary.  On a Clifford or T-gate circuit a Pauli is a sum of parities
-over at most 2^k signed Pauli branches (one exact parity on a Clifford), and
-a stabilizer projector is read off the rotated tableau's Z-basis support on
-a Clifford (two exact dyadic values per circuit, on and off the support, so
-a shot costs one membership test) or the Born vector of ``act``.
+does the circuit's work once and returns x -> X.  A stabilizer projector is
+read off the circuit's ``act`` on its state: the rotated tableau's Z-basis
+support on a Clifford (two exact dyadic values per circuit, on and off the
+support, so a shot costs one membership test), else the Born vector
+|U psi'|^2.  A Pauli is a sum of parities over at most 2^k signed Pauli
+branches on a Clifford or T-gate circuit (one exact parity on a Clifford),
+and on a Haar circuit row x of its unitary u gives Re(u[x] . P u[x]^*), in
+O(2^n) per shot.  No observable is ever made dense.
 
 States are stabilizer tableaux.  Acquisition draws N/R circuits and
 measures each one R times.  Every circuit index owns a deterministic rng
@@ -48,8 +50,8 @@ import numpy as np
 
 from . import clifford as cl
 from . import stabilizer
-from .ensembles import (EnsembleSpec, SampledCircuit, push_rows, sample_circuits,
-                        statevectors, substream)
+from .ensembles import (EnsembleSpec, SampledCircuit, push_rows, require_at_least,
+                        sample_circuits, statevectors, substream)
 from .stabilizer import PauliString, StabilizerTableau
 
 
@@ -72,13 +74,6 @@ class ObservableSpec:
             raise ValueError(f"Pauli {p.label()} is not Hermitian")
         return cls("pauli", p, p.n)
 
-    def dense(self):
-        d = 2 ** self.n
-        if self.kind == "stab_projector":
-            v = self.payload.statevector()
-            return np.outer(v, v.conj()) - np.eye(d) / d
-        return self.payload.dense()
-
     def trace(self):
         p = self.payload
         if self.kind == "stab_projector" or p.x.any() or p.z.any():
@@ -96,8 +91,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("measurements", "reuse", "batches"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            require_at_least(name, getattr(self, name))
+        require_at_least("seed", self.seed, 0)
         if self.measurements % (self.reuse * self.batches):
             raise ValueError("N must be a multiple of R*K")
 
@@ -160,8 +155,6 @@ def shot_evaluator(o, circuit, action=None):
     if circuit.n != o.n:
         raise ValueError("circuit and observable act on different qubit counts")
     d = 2 ** o.n
-    if circuit.kind == "haar":
-        return _dense_evaluator(o, circuit)
     if o.kind == "pauli":
         return _pauli_evaluator(o, circuit)
     acted = next(act([circuit], o.payload))[1] if action is None else action
@@ -173,9 +166,14 @@ def shot_evaluator(o, circuit, action=None):
 
 
 def _pauli_evaluator(o, circuit):
-    """X for a Pauli on a Clifford or T-gate circuit, with no 2^n term: a sum
-    of ``_pauli_parities``."""
-    parities, d, tr = _pauli_parities(o, circuit), 2 ** o.n, o.trace()
+    """X for a Pauli P: on a Haar circuit <x|U P U^dag|x> = u[x] . P u[x]^* from
+    row x of its unitary u, O(2^n) per shot; else, with no 2^n term, a sum of
+    ``_pauli_parities``."""
+    d, tr = 2 ** o.n, o.trace()
+    if circuit.kind == "haar":
+        u, p, tr = circuit.dense(), o.payload, float(tr)
+        return lambda x: (d + 1) * float(np.real(u[x] @ p.apply(u[x].conj()))) - tr
+    parities = _pauli_parities(o, circuit)
     return lambda x: (d + 1) * sum(w * (-1) ** (z & x).bit_count()
                                    for z, w in parities) - tr
 
@@ -205,16 +203,6 @@ def _pauli_parities(o, circuit):
         branches = split
     # <x|i^a Z^z|x> = i^a (-1)^(z.x), and the sum over branches is real
     return [(z, c.real) for (x, z), c in branches.items() if x == 0]
-
-
-def _dense_evaluator(o, circuit):
-    u, mat = circuit.dense(), o.dense()
-    tr = float(o.trace())
-
-    def value(x):
-        row = u[x, :]
-        return (2 ** o.n + 1) * float(np.real(row @ mat @ row.conj())) - tr
-    return value
 
 
 def single_shot(o, circuit, x):
@@ -299,6 +287,7 @@ def acquire(cfg, state):
 
 def median_of_means(values, batches):
     """Median of K consecutive-batch means; even K takes the lower median."""
+    require_at_least("batches", batches)
     values = np.asarray(values, dtype=float)
     if len(values) % batches:
         raise ValueError("value count must be divisible by the batch count")
@@ -386,8 +375,7 @@ def estimate_vstar(spec, state, o, circuits, rng):
     extrapolation or nested sampling is involved.  The circuits are drawn
     one after another from ``rng``.
     """
-    if circuits < 2:
-        raise ValueError("need at least two circuits for a variance")
+    require_at_least("circuits", circuits, 2)
     vals = np.fromiter(conditional_means(sample_circuits(spec, [rng] * circuits), state, o),
                        float, circuits)
     return float(np.var(vals, ddof=1))

@@ -11,7 +11,7 @@ sampling (R shots from one draw), Born probabilities and the dense
 statevector.  Supports, like dense statevectors, are made by kernels over a
 batch: ``z_supports`` runs one packed-word Gauss-Jordan over a stack of
 tableaux (``tableaux`` builds a stack's tableaux with their supports),
-``statevectors`` takes a list of tableaux and ``apply_paulis`` one Pauli per
+``statevectors`` takes the same stacks and ``apply_paulis`` one Pauli per
 row of a (B, 2^n) array; ``StabilizerTableau.z_support``, ``.statevector``
 and ``PauliString.apply`` are their count-1 cases.  An outcome is an int with
 qubit 0 the most significant bit; bitstrings exist only in shadow records.
@@ -111,18 +111,6 @@ class PauliString:
         """Apply to a dense statevector: the count-1 case of ``apply_paulis``."""
         return apply_paulis(self.x[None], self.z[None], [self.phase], vec[None])[0]
 
-    def dense(self):
-        from .dense import kron_all, I2, X, Z
-        factors = []
-        for xj, zj in zip(self.x, self.z):
-            f = I2
-            if xj:
-                f = X
-            if zj:
-                f = f @ Z
-            factors.append(f)
-        return (1j ** self.phase) * kron_all(factors)
-
 
 class StabilizerTableau:
     """Pure stabilizer state as its n stabilizer generator rows."""
@@ -205,7 +193,7 @@ class StabilizerTableau:
     def statevector(self):
         """Dense statevector (arbitrary global phase): the count-1 case of
         ``statevectors``."""
-        return statevectors([self])[0]
+        return statevectors(self.xs[None], self.zs[None], self.phases[None])[0]
 
 
 # i^phase * (+1 or -1), indexed [phase, sign bit] as ``apply_paulis`` reads it.
@@ -294,17 +282,16 @@ def apply_paulis(xs, zs, phases, vecs):
     return out
 
 
-def statevectors(tableaux):
-    """Dense statevectors (B, 2^n) of same-n tableaux (arbitrary global phases):
-    the stabilizer projectors (1 + g)/2 applied to |x0> (the whole batch's x0
-    from one ``z_supports``), added and halved in place, so at most three
-    batches are held (two and ``apply_paulis``' factors).  Every entry is
-    i^a 2^-j, so the row sums of squares, and with them the norms, are exact."""
-    n, count = tableaux[0].n, len(tableaux)
+def statevectors(xs, zs, phases):
+    """Dense statevectors (B, 2^n), arbitrary global phases, of the tableaux of
+    (B, n, n) stacks xs, zs and (B, n) phases: the stabilizer projectors
+    (1 + g)/2 applied to |x0> (the whole batch's x0 from one ``z_supports``),
+    added and halved in place, so at most three batches are held (two and
+    ``apply_paulis``' factors).  Every entry is i^a 2^-j, so the row sums of
+    squares, and with them the norms, are exact."""
+    count, n = len(xs), np.shape(xs)[-1]
     what = f"{count} statevectors" if count > 1 else "a statevector"
     check_entries(count * 2 ** n, f"{what} on {n} qubits")
-    xs, zs, phases = (np.stack([getattr(t, a) for t in tableaux])
-                      for a in ("xs", "zs", "phases"))
     v = np.zeros((count, 2 ** n), dtype=complex)
     v[np.arange(count), [x0 for x0, _, _ in z_supports(xs, zs, phases)]] = 1.0
     for i in range(n):

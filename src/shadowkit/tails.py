@@ -29,7 +29,7 @@ import numpy as np
 
 from . import bits as f2
 from . import clifford as cl
-from .ensembles import SampledCircuit, sample_circuits
+from .ensembles import SampledCircuit, require_at_least, sample_circuits
 from .protocol import act, conditional_means, measure, median_of_means, stabilizer_pair
 from .stabilizer import StabilizerTableau
 
@@ -184,6 +184,8 @@ def variance_of_sample_variance(values):
 def check_replications(samples, budget, batches):
     """Refuse a tail experiment whose budget does not split into its batches,
     or whose samples do not fill one replication of budget values."""
+    for name, value in (("samples", samples), ("budget", budget), ("batches", batches)):
+        require_at_least(name, value)
     if budget % batches:
         raise ValueError(f"budget {budget} must be a multiple of batches {batches}")
     if budget > samples:

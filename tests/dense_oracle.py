@@ -1,8 +1,10 @@
 """Dense oracles for the circuit and estimator paths.
 
-The library never builds the unitary of a T-gate circuit; these helpers do,
-as the product of its Clifford segments and T gates, so the branch paths can
-be checked against plain 2^n x 2^n linear algebra.  They also hold the
+The library builds no dense operator but a Haar circuit's unitary.  These
+helpers build the rest: Pauli and observable matrices, the unitary of a
+Clifford element, and that of a T-gate circuit as the product of its
+Clifford segments and T gates, so the tableau and branch paths can be
+checked against plain 2^n x 2^n linear algebra.  They also hold the
 vectorized (Liouville) picture: vectorization is column-major,
 ``vectorize(A)[i + d*j] = A[i, j]``, so that ``vectorize(U @ X @ U.conj().T)
 == np.kron(U.conj(), U) @ vectorize(X)``, and the frame operators act on
@@ -14,12 +16,60 @@ import numpy as np
 from shadowkit import clifford as cl
 from shadowkit.dense import check_entries
 from shadowkit.ensembles import sample_circuit
+from shadowkit.stabilizer import StabilizerTableau
 
 ATOL_UNITARY = 1e-10
 
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
+
+
+def kron_all(factors):
+    out = np.array([[1.0 + 0j]])
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def pauli_dense(p):
+    """The matrix i^phase X^x Z^z of a PauliString, qubit 0 the leftmost factor."""
+    return (1j ** p.phase) * kron_all([(X if xj else I2) @ (Z if zj else I2)
+                                       for xj, zj in zip(p.x, p.z)])
+
+
+def observable_dense(o):
+    """The matrix of an ObservableSpec: |S><S| - I/2^n or its Pauli."""
+    if o.kind == "pauli":
+        return pauli_dense(o.payload)
+    d, v = 2 ** o.n, o.payload.statevector()
+    return np.outer(v, v.conj()) - np.eye(d) / d
+
+
+def clifford_unitary(c):
+    """A unitary realizing a CliffordElement (global phase arbitrary).
+
+    Column x is the image of X^x applied to the rotated zero state:
+    U|x> = (U X^x U^dag) U|0^n>.
+    """
+    n = c.n
+    check_entries(4 ** n, f"a dense Clifford on {n} qubits")
+    psi0 = StabilizerTableau.zero_state(n).apply_clifford(c).statevector()
+    dim = 2 ** n
+    idx = np.arange(dim)
+    xbits = ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    imgs, img_z, phases = c.conjugate_rows(
+        xbits, np.zeros((dim, n), dtype=np.uint8), np.zeros(dim, dtype=np.int64))
+    weights = 1 << np.arange(n - 1, -1, -1)
+    a_int = imgs @ weights                     # image X-bit patterns
+    b_int = img_z @ weights
+    src = idx[:, None] ^ a_int[None, :]        # source index per (row, col)
+    signs = 1 - 2 * (np.bitwise_count(src & b_int[None, :]) & 1).astype(np.int64)
+    i_pow = np.array([1, 1j, -1, -1j])[phases]
+    return i_pow[None, :] * signs * psi0[src]
 
 
 def basis_state(x, n):
@@ -74,7 +124,7 @@ def frame_operator_empirical(spec, samples, rng):
     dim = 2 ** spec.n
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     for _ in range(samples):
-        _frame_contribution(sample_circuit(spec, rng).dense(), out)
+        _frame_contribution(circuit_unitary(sample_circuit(spec, rng)), out)
     return out / samples
 
 
@@ -84,7 +134,7 @@ def frame_operator_exact_clifford(n):
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     count = 0
     for c in cl.enumerate_group(n):
-        _frame_contribution(c.to_dense(), out)
+        _frame_contribution(clifford_unitary(c), out)
         count += 1
     return out / count
 
@@ -110,26 +160,30 @@ def t_gate_dense(n):
 
 
 def circuit_unitary(circuit):
-    """The dense unitary of any sampled circuit: C_k T ... C_1 T C_0 for a
-    T-gate circuit, the circuit's own ``dense`` otherwise."""
-    if circuit.kind != "homeopathic":
+    """The dense unitary of any sampled circuit: a Haar circuit's own
+    ``dense``, a Clifford circuit's element, and C_k T ... C_1 T C_0 for a
+    T-gate circuit."""
+    if circuit.kind == "haar":
         return circuit.dense()
+    if circuit.kind == "clifford":
+        return clifford_unitary(circuit.element)
     tg = t_gate_dense(circuit.n)
-    u = circuit.segments[0].to_dense()
+    u = clifford_unitary(circuit.segments[0])
     for seg in circuit.segments[1:]:
-        u = seg.to_dense() @ tg @ u
+        u = clifford_unitary(seg) @ tg @ u
     return u
 
 
 def single_shot_dense(o, circuit, x):
     """X = (2^n + 1) <x|U O U^dag|x> - tr O from the dense unitary."""
     row = circuit_unitary(circuit)[int(x, 2), :]
-    return (2 ** o.n + 1) * float(np.real(row @ o.dense() @ row.conj())) - float(o.trace())
+    value = float(np.real(row @ observable_dense(o) @ row.conj()))
+    return (2 ** o.n + 1) * value - float(o.trace())
 
 
 def conditional_mean_dense(o, circuit, state):
     """E_x[X | U] from the dense unitary, contracted over all 2^n outcomes."""
     u = circuit_unitary(circuit)
     p = np.abs(u @ state.statevector()) ** 2
-    b = np.real(np.diag(u @ o.dense() @ u.conj().T))
+    b = np.real(np.diag(u @ observable_dense(o) @ u.conj().T))
     return float((2 ** o.n + 1) * np.dot(p, b) - float(o.trace()))

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from shadowkit import clifford as cl
-from shadowkit import dense
 from shadowkit import experiments as ex
 from shadowkit import moments as mo
 from shadowkit import protocol as pr
@@ -24,7 +23,7 @@ from shadowkit import tails as tl
 from shadowkit.ensembles import EnsembleSpec, SampledCircuit
 
 from commutant_oracle import r_T_matrix, rt_inner
-from dense_oracle import T_GATE, basis_state, tensor_power
+from dense_oracle import T_GATE, basis_state, kron_all, tensor_power
 
 
 def _report(name, ok, detail=""):
@@ -160,8 +159,7 @@ def test_criterion_6_overlap_identities():
     for lab in mo.commutant_labels(4):
         r1 = r_T_matrix(lab.subspace(), 1, dense=True)
         for x, xh in ((0, 1), (1, 0), (0, 0), (1, 1)):
-            big = dense.kron_all([basis_state(x, 1)] * 2
-                                 + [basis_state(xh, 1)] * 2)
+            big = kron_all([basis_state(x, 1)] * 2 + [basis_state(xh, 1)] * 2)
             want = np.real(np.trace(big.conj().T @ r1))
             a2_ok &= float(mo.basis_overlap_rT(x, xh, lab)) == pytest.approx(want)
     all_ok &= _report("criterion-6 basis overlap table", a2_ok, "all 30 labels, x = and != xhat")

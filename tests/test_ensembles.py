@@ -81,6 +81,14 @@ def test_homeopathic_marker_count_and_product():
             c.dense()
 
 
+def test_only_a_haar_circuit_is_made_dense():
+    rng = np.random.default_rng(3)
+    for spec in (en.EnsembleSpec("clifford", 2), en.EnsembleSpec("identity", 2)):
+        with pytest.raises(ValueError, match="no dense unitary"):
+            en.sample_circuit(spec, rng).dense()
+    assert is_unitary(en.sample_circuit(en.EnsembleSpec("haar", 2), rng).dense())
+
+
 def test_statevector_is_dense_action_up_to_phase():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 4):

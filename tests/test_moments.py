@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from shadowkit import clifford as cl
-from shadowkit import dense
 from shadowkit import exact
 from shadowkit import moments as mo
-from shadowkit.stabilizer import StabilizerTableau, statevectors
+from shadowkit.stabilizer import statevectors
 
 from commutant_oracle import (pi4_matrix, r_pi_matrix, r_T_matrix, rt_inner,
                               sigma_tt_enumerate)
-from dense_oracle import T_GATE, Y, basis_state, tensor_power
+from dense_oracle import T_GATE, X, Y, Z, basis_state, clifford_unitary, kron_all, tensor_power
 from weingarten_oracle import weingarten_unitary
 
 
@@ -81,8 +80,8 @@ def test_pi4_dual_construction_and_algebra():
             r = r_pi_matrix(pi, n, dense=True)
             assert np.allclose(p4 @ r, r @ p4)
     n1 = pi4_matrix(1, dense=True)
-    explicit = (np.eye(16) + tensor_power(dense.X, 4)
-                + tensor_power(Y, 4) + tensor_power(dense.Z, 4)) / 2
+    explicit = (np.eye(16) + tensor_power(X, 4)
+                + tensor_power(Y, 4) + tensor_power(Z, 4)) / 2
     assert np.allclose(n1, explicit)
     assert np.trace(n1) == pytest.approx(8.0)
 
@@ -257,7 +256,7 @@ def test_moment_operator_exhaustive_t_le_3():
     for t in (1, 2, 3):
         acc = np.zeros((4 ** t, 4 ** t), dtype=complex)
         for c in group:
-            u = c.to_dense()
+            u = clifford_unitary(c)
             rotated = u @ rho @ u.conj().T
             acc += tensor_power(rotated, t) if t > 1 else rotated
         acc /= len(group)
@@ -285,8 +284,7 @@ def test_moment_operator_monte_carlo_t4():
     while done < samples:
         batch = cl.sample_uniform_batch(n, rng, min(4096, samples - done))
         rows = (np.broadcast_to(a, (len(batch),) + a.shape) for a in (tab.xs, tab.zs, tab.phases))
-        w = statevectors([StabilizerTableau(*r) for r in
-                          zip(*cl.conjugate_rows_batch(batch, *rows))])
+        w = statevectors(*cl.conjugate_rows_batch(batch, *rows))
         # 16 fourth tensor powers (1 MB, cache-sized) at a time, as rows of np.kron(w2, w2)
         for start in range(0, len(batch), 16):
             part = w[start:start + 16]
@@ -317,7 +315,7 @@ def test_variance_formula_examples():
     assert mo.stabilizer_pair_variance(2) == 1
     for n in (1, 2, 3):
         assert mo.variance_formula(2 ** n, 1, 1, n) == 2 ** n
-    z1 = np.kron(dense.Z, np.eye(4))
+    z1 = np.kron(Z, np.eye(4))
     rho = basis_state(0, 3)
     assert variance_dense(z1, rho) == pytest.approx(8.0)
     assert variance_dense(np.zeros((4, 4)), np.eye(4) / 4) == 0.0
@@ -371,7 +369,7 @@ def test_basis_overlap_case_table():
             r = r_T_matrix(lab.subspace(), n, dense=True)
             for x, xh in ((0, 0), (0, 1), (1, 0)):
                 px, pxh = basis_state(x, n), basis_state(xh, n)
-                big = dense.kron_all([px, px, pxh, pxh])
+                big = kron_all([px, px, pxh, pxh])
                 want = np.real(np.trace(big.conj().T @ r))
                 got = float(mo.basis_overlap_rT(x, xh, lab))
                 assert got == pytest.approx(want), (lab.name(), x, xh)

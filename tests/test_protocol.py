@@ -16,7 +16,8 @@ from shadowkit import tails as tl
 from shadowkit.ensembles import EnsembleSpec, SampledCircuit, sample_circuit, sample_circuits
 from shadowkit.stabilizer import PauliString, StabilizerTableau
 
-from dense_oracle import circuit_unitary, conditional_mean_dense, single_shot_dense
+from dense_oracle import (circuit_unitary, conditional_mean_dense, observable_dense,
+                          single_shot_dense)
 
 IDENT1 = SampledCircuit("clifford", 1, element=cl.CliffordElement.identity(1))
 
@@ -86,10 +87,11 @@ def test_observable_traces():
     o = pr.ObservableSpec.stabilizer_projector(tab)
     assert o.trace() == 0
     assert mo.stabilizer_pair_traces(3)["tr_o2"] == Fraction(7, 8)
-    assert np.trace(o.dense() @ o.dense()) == pytest.approx(7 / 8)
-    assert np.trace(o.dense()) == pytest.approx(0.0)
+    assert np.trace(observable_dense(o) @ observable_dense(o)) == pytest.approx(7 / 8)
+    assert np.trace(observable_dense(o)) == pytest.approx(0.0)
     p = pr.ObservableSpec.pauli(PauliString.from_label("XZ"))
-    assert p.trace() == 0 and np.trace(p.dense() @ p.dense()) == pytest.approx(4)
+    assert p.trace() == 0
+    assert np.trace(observable_dense(p) @ observable_dense(p)) == pytest.approx(4)
 
 
 def test_median_of_means_examples():
@@ -100,6 +102,10 @@ def test_median_of_means_examples():
     assert pr.median_of_means([0, 0, 1, 1, 10, 10, 2, 2], 4) == 1
     with pytest.raises(ValueError):
         pr.median_of_means([1, 2, 3], 2)
+    for batches, message in ((0, "batches must be at least 1, got 0"),
+                             (1.0, "batches must be an integer, got 1.0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pr.median_of_means([1, 2, 3], batches)
 
 
 def test_run_config_divisibility():
@@ -110,6 +116,14 @@ def test_run_config_divisibility():
         sizes = {"measurements": 12, "reuse": 2, "batches": 2, field: 0}
         with pytest.raises(ValueError, match=field):
             pr.RunConfig(spec, **sizes)
+    # sizes and the seed are ints, not floats or bools, and the seed is at least 0
+    for args, seed, message in (((12.0, 4, 3), 0, "measurements must be an integer, got 12.0"),
+                                ((True, 1, 1), 0, "measurements must be an integer, got True"),
+                                ((12, 4, 3), True, "seed must be an integer, got True"),
+                                ((12, 4, 3), 1.5, "seed must be an integer, got 1.5"),
+                                ((12, 4, 3), -1, "seed must be at least 0, got -1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pr.RunConfig(spec, *args, seed=seed)
     cfg = pr.RunConfig(spec, measurements=24, reuse=4, batches=2, seed=7)
     assert cfg.circuits == 6
 
@@ -141,8 +155,7 @@ def test_acquire_records_bytes_are_pinned():
 
 def test_record_values_bytes_are_pinned():
     """Exact evaluated values for fixed records: the projector, an X-containing
-    and a Z-type signed Pauli on Clifford circuits, and the dense path for the
-    Haar ensemble."""
+    and a Z-type signed Pauli on Clifford circuits."""
     cases = []
     for n in (1, 2, 3, 10):
         rng = np.random.default_rng(n)
@@ -153,13 +166,21 @@ def test_record_values_bytes_are_pinned():
     for label in ("-XZZYI", "-ZIZZI"):
         obs = pr.ObservableSpec.pauli(PauliString.from_label(label))
         cases.append((EnsembleSpec("clifford", 5), state, obs))
-    state, obs = pr.stabilizer_pair(3, scramble=cl.sample_uniform(3, np.random.default_rng(3)))
-    cases.append((EnsembleSpec("haar", 3), state, obs))
     h = hashlib.sha256()
     for spec, state, obs in cases:
         cfg = pr.RunConfig(spec, measurements=64, reuse=4, batches=1, seed=2212)
         h.update(pr.record_values(pr.acquire(cfg, state), obs).tobytes())
-    assert h.hexdigest() == "619ceb4f84216e57689200d17c603362b4f468b3cfdb6b2bb2acd83e33691b14"
+    assert h.hexdigest() == "38502d230b166af34c4b1521f2b6897c992712d3d3f8ae33970a6b8b60735320"
+
+
+def test_haar_record_values_bytes_are_pinned():
+    """The Haar case of the record pins: the projector read off the Born
+    vector, pinned to the bit."""
+    state, obs = pr.stabilizer_pair(3, scramble=cl.sample_uniform(3, np.random.default_rng(3)))
+    cfg = pr.RunConfig(EnsembleSpec("haar", 3), measurements=64, reuse=4, batches=1, seed=2212)
+    values = pr.record_values(pr.acquire(cfg, state), obs)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == \
+        "2be9cb10c677a8e184f153fa222441495687d50a7e67f131ffa63718d0d6e100"
 
 
 def test_estimate_bytes_are_pinned(tmp_path):
@@ -168,7 +189,8 @@ def test_estimate_bytes_are_pinned(tmp_path):
     The n = 3 digests were taken before circuits were drawn in chunks, and
     the n = 10 ones with chunks of 16 and one draw per shot.  The n = 10 case
     runs CIRCUIT_CHUNK + 1 = 65 circuits, with support dimensions 8, 9 and
-    10, so its digests also hold the chunk size at 64."""
+    10, so its digests also hold the chunk size at 64.  The Haar result was
+    re-taken when its projector came to be read off the Born vector."""
     state, o = pr.stabilizer_pair(3, scramble=cl.sample_uniform(3, np.random.default_rng(12)))
     wide = pr.stabilizer_pair(10, scramble=cl.sample_uniform(10, np.random.default_rng(10)))
     cases = [(EnsembleSpec("clifford", 10), (pr.CIRCUIT_CHUNK + 1) * 4, 5,
@@ -182,7 +204,7 @@ def test_estimate_bytes_are_pinned(tmp_path):
               "fcfd30b0efcd13cc42425a81ab262236a1f4686e5969870cceaf6b59fb520f01"),
              (EnsembleSpec("haar", 3), 48, 3,
               "b605068a9656fa1456f00d644d23d80f82df77994106fe145d1f7944add49e57",
-              "57debf92a4c699cf8fda552bf5c62d2802cf8e387bd349df6ce5fd883499a06e")]
+              "18a2c9cbaf85b465047c066045cb8cfd75d923cea20490d359289d6421c01e34")]
     for spec, measurements, batches, records_sha, result_sha in cases:
         cfg = pr.RunConfig(spec, measurements, reuse=4, batches=batches, seed=1212)
         path = tmp_path / f"{spec.kind}{spec.n}.jsonl"
@@ -277,9 +299,21 @@ def test_t_gate_record_values_match_dense_oracle_and_are_pinned():
 
 
 def test_t_gate_evaluators_match_dense_oracle():
-    """shot_evaluator and conditional_mean on T-gate circuits, n <= 5 and
-    k <= 6, against the dense segment product on every outcome: random
-    signed Paulis (X-containing ones included) and stabilizer projectors."""
+    """shot_evaluator and conditional_mean on T-gate circuits (k <= 6) and Haar
+    circuits, n <= 5, against the dense unitary on every outcome: random
+    signed Paulis (X-containing ones included), signed Paulis of X and Y on
+    Haar circuits, and both stabilizer projectors."""
+    def check(circuit, state, paulis):
+        for o in [pr.ObservableSpec.stabilizer_projector(cl.random_stabilizer_tableau(n, rng)),
+                  pr.ObservableSpec.stabilizer_projector(state)] + \
+                 [pr.ObservableSpec.pauli(p) for p in paulis]:
+            value = pr.shot_evaluator(o, circuit)
+            for xi in range(2 ** n):
+                x = format(xi, f"0{n}b")
+                assert abs(float(value(xi)) - single_shot_dense(o, circuit, x)) < 1e-12
+            assert abs(pr.conditional_mean(o, circuit, state)
+                       - conditional_mean_dense(o, circuit, state)) < 1e-12
+
     rng = np.random.default_rng(21)
     x_paulis = 0
     for n in range(1, 6):
@@ -288,16 +322,36 @@ def test_t_gate_evaluators_match_dense_oracle():
             state = cl.random_stabilizer_tableau(n, rng)
             paulis = [PauliString.random(n, rng) for _ in range(3)]
             x_paulis += sum(bool(p.x.any()) for p in paulis)
-            for o in [pr.ObservableSpec.stabilizer_projector(cl.random_stabilizer_tableau(n, rng)),
-                      pr.ObservableSpec.stabilizer_projector(state)] + \
-                     [pr.ObservableSpec.pauli(p) for p in paulis]:
-                value = pr.shot_evaluator(o, circuit)
-                for xi in range(2 ** n):
-                    x = format(xi, f"0{n}b")
-                    assert abs(float(value(xi)) - single_shot_dense(o, circuit, x)) < 1e-12
-                assert abs(pr.conditional_mean(o, circuit, state)
-                           - conditional_mean_dense(o, circuit, state)) < 1e-12
+            check(circuit, state, paulis)
     assert x_paulis > 50
+    rng = np.random.default_rng(25)
+    for n in range(1, 6):
+        for _ in range(3):
+            circuit = sample_circuit(EnsembleSpec("haar", n), rng)
+            state = cl.random_stabilizer_tableau(n, rng)
+            words = ("-" + ("XY" * n)[:n], ("YX" * n)[:n], "-" + ("YZX" * n)[:n])
+            check(circuit, state, [PauliString.random(n, rng) for _ in range(2)]
+                  + [PauliString.from_label(w) for w in words])
+
+
+def test_haar_evaluators_build_no_dense_observable():
+    """At n = 9, with the Haar circuit's unitary already built, making
+    ``shot_evaluator`` for the pair projector and for an X-containing Pauli,
+    and 8 shots with each, allocate under 1 MiB: no 2^n x 2^n observable
+    (4 MiB here) is built."""
+    n = 9
+    rng = np.random.default_rng(9)
+    _, pair = pr.stabilizer_pair(n, scramble=cl.sample_uniform(n, rng))
+    pauli = pr.ObservableSpec.pauli(PauliString.from_label("-XYZIXYZIX"))
+    circuit = sample_circuit(EnsembleSpec("haar", n), rng)
+    circuit.dense()
+    tracemalloc.start()
+    for o in (pair, pauli):
+        value = pr.shot_evaluator(o, circuit)
+        assert all(np.isfinite(float(value(x))) for x in range(0, 2 ** n, 2 ** n // 8))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_measure_circuit_dense_branch_chi_square():
@@ -534,7 +588,7 @@ def test_many_observables_against_one_record_set(tmp_path):
         o = pr.ObservableSpec.pauli(PauliString.from_label(label))
         values = pr.record_values(records, o)
         est = pr.median_of_means(pr.record_values(records, o), 1)
-        truth = float(np.real(np.trace(o.dense() @ rho)))
+        truth = float(np.real(np.trace(observable_dense(o) @ rho)))
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert abs(est - truth) < 4 * se + 1e-9, (label, est, truth)
 
@@ -564,6 +618,11 @@ def test_estimate_vstar_identity_ensemble_is_zero():
     state, o = pr.stabilizer_pair(2)
     v = pr.estimate_vstar(EnsembleSpec("identity", 2), state, o, 50, rng)
     assert v == 0.0
+    # a variance needs an int count of at least two circuits
+    for circuits, message in ((1, "circuits must be at least 2, got 1"),
+                              (3.0, "circuits must be an integer, got 3.0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pr.estimate_vstar(EnsembleSpec("identity", 2), state, o, circuits, rng)
 
 
 def test_estimate_vstar_haar_suppressed():

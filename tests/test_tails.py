@@ -247,9 +247,13 @@ def test_tail_experiment_summary_fields():
 def test_tail_experiment_refuses_sizes_before_sampling():
     """Called from Python, ``tail_experiment`` refuses what ``validate_config``
     refuses, before it draws from ``rng``: no replication (budget above
-    samples), or a budget that the batches do not divide."""
+    samples), a budget that the batches do not divide, or a size that is not
+    an int of at least 1."""
     for budget, batches, message in ((50, 5, "budget 50 must be at most samples 10"),
-                                     (10, 3, "budget 10 must be a multiple of batches 3")):
+                                     (10, 3, "budget 10 must be a multiple of batches 3"),
+                                     (10, 0, "batches must be at least 1, got 0"),
+                                     (10.0, 5, "budget must be an integer, got 10.0"),
+                                     (0, 5, "budget must be at least 1, got 0")):
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=f"^{message}$"):
