@@ -10,6 +10,7 @@ is opened; identical (config, seed) pairs give byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,6 +40,7 @@ def _add_flags(p, key):
                        choices=key.type if isinstance(key.type, tuple) else None)
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="shadowkit",

@@ -87,10 +87,16 @@ def haar_unitary(dim, rng):
     """Exactly Haar-distributed unitary: QR of a complex Gaussian matrix
     with the R-diagonal phase correction."""
     dense.check_entries(dim * dim, f"a {dim}x{dim} Haar unitary")
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+    # built and scaled in place: the same draws and values as
+    # (normal + 1j * normal) / sqrt(2) and q * (d / |d|), with fewer dim x dim copies
+    z = np.empty((dim, dim), dtype=complex)
+    z.real = rng.normal(size=(dim, dim))
+    z.imag = rng.normal(size=(dim, dim))
+    z /= np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
-    return q * (d / np.abs(d))
+    q *= d / np.abs(d)
+    return q
 
 
 _DESCRIPTOR_PARTS = {"identity": 2, "clifford": 3, "haar": 3, "homeopathic": 4}

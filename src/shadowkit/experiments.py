@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
@@ -243,6 +244,21 @@ def run_estimate(cfg, threads=1):
     return estimate(run, state, obs, records_out=cfg["records_out"])
 
 
+# A tabular result: its column names, and rows, an iterable of value tuples in
+# column order that may be iterated more than once.
+Table = namedtuple("Table", "columns rows")
+
+
+class _Lazy:
+    """Rows made afresh by a generator function on each iteration."""
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __iter__(self):
+        return self._rows()
+
+
 def run_variance_scan(cfg, threads=1):
     spec = EnsembleSpec.from_json(cfg["ensemble"])
     n = spec.n
@@ -257,13 +273,11 @@ def run_variance_scan(cfg, threads=1):
         vr, vr_se = tl.variance_of_sample_variance(xr)
         pred = mo.thrifty_variance_predict(v1, vstar, reuse)
         pred_se = (reuse - 1) / reuse * vstar_se
-        rows.append({"experiment": "variance-scan", "kind": spec.kind, "n": n,
-                     "k": spec.k, "R": reuse, "N": cfg["measurements"],
-                     "circuits": circuits, "v1_exact": v1,
-                     "vstar": vstar, "vstar_se": vstar_se,
-                     "estimate": vr, "std_error": float(np.hypot(vr_se, pred_se)),
-                     "theory": pred, "theory_source": "var_thrift"})
-    return rows
+        rows.append(("variance-scan", spec.kind, n, spec.k, reuse, cfg["measurements"],
+                     circuits, v1, vstar, vstar_se, vr, float(np.hypot(vr_se, pred_se)),
+                     pred, "var_thrift"))
+    return Table(("experiment", "kind", "n", "k", "R", "N", "circuits", "v1_exact", "vstar",
+                  "vstar_se", "estimate", "std_error", "theory", "theory_source"), rows)
 
 
 def run_homeopathic_scan(cfg, threads=1):
@@ -276,11 +290,10 @@ def run_homeopathic_scan(cfg, threads=1):
         vals = pair_vstar_samples(spec, seed + k, cfg["circuits"], threads)
         vstar, se = tl.variance_of_sample_variance(vals)
         bound = mo.vstar_interpolation_bound(tr_o2, k, n)
-        rows.append({"experiment": "homeopathic-scan", "kind": "homeopathic",
-                     "n": n, "k": k, "circuits": cfg["circuits"], "tr_o2": tr_o2,
-                     "estimate": vstar, "std_error": se,
-                     "theory": bound, "theory_source": "vstar_bound"})
-    return rows
+        rows.append(("homeopathic-scan", "homeopathic", n, k, cfg["circuits"], tr_o2,
+                     vstar, se, bound, "vstar_bound"))
+    return Table(("experiment", "kind", "n", "k", "circuits", "tr_o2", "estimate",
+                  "std_error", "theory", "theory_source"), rows)
 
 
 def run_moment_table(cfg, threads=1):
@@ -288,9 +301,8 @@ def run_moment_table(cfg, threads=1):
     for n in cfg["n_list"] + (["inf"] if cfg["include_limit"] else []):
         for m in range(cfg["max_m"] + 1):
             val = tl.limiting_moment(m) if n == "inf" else tl.clifford_moment(n, m)
-            rows.append({"n": n, "m": m, "numerator": val.numerator,
-                         "denominator": val.denominator, "float_value": float(val)})
-    return rows
+            rows.append((n, m, val.numerator, val.denominator, float(val)))
+    return Table(("n", "m", "numerator", "denominator", "float_value"), rows)
 
 
 def run_tail_experiment(cfg, threads=1):
@@ -306,18 +318,22 @@ def run_weingarten(cfg, threads=1):
     limit = sys.get_int_max_str_digits()
     if limit and t * n >= (10 ** limit).bit_length():
         raise _too_many_digits()
-    gram = mo.gram_matrix(t, n, group)
-    wg = mo.weingarten_matrix(t, n, group)
+    matrices = mo.gram_matrix(t, n, group), mo.weingarten_matrix(t, n, group)
+    orb, reps, _ = mo._orbital_table(t, group)
+    # G and W are constant on each orbital: one (numerator, denominator) per
+    # orbital, read at its representative (an int or a Fraction)
+    cells = [[(val.numerator, val.denominator) for val in (matrix[pair] for pair in reps)]
+             for matrix in matrices]
     names = [lab.name() for lab in mo.group_labels(t, group)]
-    rows = []
-    for matrix_name, matrix in (("gram", gram), ("weingarten", wg)):
-        for i, ri in enumerate(names):
-            for j, cj in enumerate(names):
-                val = matrix[i, j]  # an int or a Fraction
-                rows.append({"matrix": matrix_name, "t": t, "n": n, "group": group,
-                             "row": ri, "col": cj,
-                             "numerator": val.numerator, "denominator": val.denominator})
-    return rows
+
+    def rows():
+        for matrix, cell in zip(("gram", "weingarten"), cells):
+            for row, orb_row in zip(names, orb):
+                for col, e in zip(names, orb_row):
+                    yield (matrix, t, n, group, row, col, *cell[e])
+
+    return Table(("matrix", "t", "n", "group", "row", "col", "numerator", "denominator"),
+                 _Lazy(rows))
 
 
 def run_optimal_reuse(cfg, threads=1):
@@ -336,14 +352,10 @@ def run_optimal_reuse(cfg, threads=1):
     if vstar and not math.isfinite(heuristic):
         raise ValueError(f"heuristic_reuse sqrt((alpha - 1)(v1 - vstar) / vstar) at alpha = "
                          f"{model.alpha!r}, v1 = {model.v1!r}, vstar = {vstar!r} overflows a float")
-    return [{
-        "experiment": "optimal-reuse", "alpha": model.alpha,
-        "budget": model.budget, "v1": model.v1, "vstar": vstar,
-        "k": k, "max_reuse": model.max_reuse,
-        "best_reuse": best, "objective": objective,
-        "accuracy": objective / model.budget,
-        "heuristic_reuse": heuristic,
-    }]
+    return Table(("experiment", "alpha", "budget", "v1", "vstar", "k", "max_reuse",
+                  "best_reuse", "objective", "accuracy", "heuristic_reuse"),
+                 [("optimal-reuse", model.alpha, model.budget, model.v1, vstar, k,
+                   model.max_reuse, best, objective, objective / model.budget, heuristic)])
 
 
 _RUNNERS = {
@@ -365,21 +377,46 @@ def run_experiment(cfg, threads=1):
 # ---------------------------------------------------------------------------
 # Emission.
 
-def _format_value(v):
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+_CSV_PLAIN = frozenset((int, str, bool, type(None)))
 
 
-def rows_to_csv(rows):
-    """CSV with the columns in order of first appearance over the rows."""
-    fields = list(dict.fromkeys(key for row in rows for key in row))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_format_value(row[k]) if k in row else "" for k in fields])
-    return buf.getvalue()
+def _write_csv(table, fh):
+    """A header, then one line per row: floats at 17 significant digits, None
+    blank, anything else as str."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        # csv.writer writes these types as str (None blank); a row of only
+        # them, such as every exact row, skips the per-value pass
+        if not _CSV_PLAIN.issuperset(map(type, row)):
+            row = [format(v, ".17g") if isinstance(v, float) else v for v in row]
+        writer.writerow(row)
+
+
+def _write_json(table, fh):
+    """The bytes of json.dumps(rows as dicts, sort_keys=True, indent=2) + "\n",
+    one row at a time."""
+    sep = "[\n  "
+    for row in table.rows:
+        fh.write(sep + json.dumps(dict(zip(table.columns, row)), sort_keys=True,
+                                  indent=2).replace("\n", "\n  "))
+        sep = ",\n  "
+    fh.write("[]\n" if sep == "[\n  " else "\n]\n")
+
+
+def _write_all_or_nothing(path, write):
+    """write(fh) into a new file beside path, renamed over path once it is
+    complete; on any error the new file is removed and path left as it was."""
+    path = os.path.realpath(path)  # a symlinked path keeps its link
+    tmp = os.path.join(os.path.dirname(path), f".shadowkit-{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _too_many_digits():
@@ -388,21 +425,27 @@ def _too_many_digits():
 
 
 def emit(result, fmt, path=None):
-    """Serialize an experiment result (a dict is JSON whatever ``fmt`` says);
-    returns the text and writes it if path is given.  Nothing is written
-    when an exact int is past the interpreter's int-to-string limit."""
+    """Serialize an experiment result: a Table as CSV or JSON rows, a dict as
+    JSON whatever ``fmt`` says.  Returns the text, or "" for a Table streamed
+    to ``path``.  ``path`` is written all or nothing, through a temporary file
+    in its directory and a rename, so a failure (such as an exact int past the
+    interpreter's int-to-string limit) creates or changes no file."""
     try:
-        if isinstance(result, dict) or fmt == "json":
+        if isinstance(result, dict):
             text = json.dumps(result, sort_keys=True, indent=2) + "\n"
-        elif fmt == "csv":
-            text = rows_to_csv(result)
+            write = lambda fh: fh.write(text)
+        elif fmt in ("csv", "json"):
+            text = ""
+            write = functools.partial(_write_csv if fmt == "csv" else _write_json, result)
         else:
             raise ValueError(f"unknown format {fmt!r}")
+        if path:
+            _write_all_or_nothing(path, write)
+            return text
+        buf = io.StringIO()
+        write(buf)
+        return buf.getvalue()
     except ValueError as exc:
         if "integer string conversion" not in str(exc):
             raise
         raise _too_many_digits() from None
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

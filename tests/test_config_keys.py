@@ -76,17 +76,22 @@ def test_unknown_keys_are_refused(capsys, tmp_path, monkeypatch, experiment, cfg
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def dict_rows(table):
+    """A Table's rows as dicts keyed by its columns."""
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
 def test_runners_read_the_table_defaults():
     """An absent key reads its table default; optimal-reuse echoes the given k, or 0."""
-    rows = ex.run_experiment({"schema": 1, "experiment": "optimal-reuse", "alpha": 2.0,
-                              "v1": 3.0, "k": 40, "max_reuse": 8})
+    rows = dict_rows(ex.run_experiment({"schema": 1, "experiment": "optimal-reuse",
+                                        "alpha": 2.0, "v1": 3.0, "k": 40, "max_reuse": 8}))
     assert (rows[0]["k"], rows[0]["budget"], rows[0]["vstar"]) == (40, 1.0, 30.0 * 0.75 ** 40)
-    rows = ex.run_experiment({"schema": 1, "experiment": "optimal-reuse", "alpha": 2.0,
-                              "v1": 3.0, "vstar": 0.5})
+    rows = dict_rows(ex.run_experiment({"schema": 1, "experiment": "optimal-reuse",
+                                        "alpha": 2.0, "v1": 3.0, "vstar": 0.5}))
     assert (rows[0]["k"], rows[0]["max_reuse"]) == (0, 1024)
     # 0.75**k underflows to 0.0 long before an int k stops converting to a float
-    rows = ex.run_experiment({"schema": 1, "experiment": "optimal-reuse", "alpha": 2.0,
-                              "v1": 3.0, "k": 2 ** 1100, "max_reuse": 8})
+    rows = dict_rows(ex.run_experiment({"schema": 1, "experiment": "optimal-reuse",
+                                        "alpha": 2.0, "v1": 3.0, "k": 2 ** 1100, "max_reuse": 8}))
     assert (rows[0]["vstar"], rows[0]["best_reuse"]) == (0.0, 8)
     cfg = ex.validate_config({"schema": 1, "experiment": "tail-experiment", "seed": 0,
                               "ensemble": {"kind": "clifford", "n": 3}, "samples": 10_000})

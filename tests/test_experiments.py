@@ -125,33 +125,39 @@ def test_config_validation_errors():
             ex.validate_config({**wg, **bad})
 
 
-def test_emit_csv_columns_follow_first_appearance():
-    row = {"a": 1, "b": 2.5, "estimate": 1.0}
-    text = ex.emit([row], "csv")
+def dict_rows(table):
+    """A Table's rows as dicts keyed by its columns."""
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
+def test_emit_csv_header_digits_and_blank_cells():
+    table = ex.Table(("a", "b", "estimate"), [(1, 2.5, 1.0)])
+    text = ex.emit(table, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "a,b,estimate"
     assert lines[1] == "1,2.5,1"
-    later = {"c": 3, "a": 2}
-    assert ex.emit([row, later], "csv") == "a,b,estimate,c\n1,2.5,1,\n2,,,3\n"
+    # floats at 17 significant digits; None is a blank cell
+    later = ex.Table(("a", "b", "estimate", "c"), [(1, 0.1, 1.0, None), (2, None, None, 3)])
+    assert ex.emit(later, "csv") == \
+        "a,b,estimate,c\n1,0.10000000000000001,1,\n2,,,3\n"
 
 
 def test_emit_round_trip():
-    rows = [{"n": 2, "m": i, "estimate": float(i) / 3, "std_error": 0.1,
-             "theory": float(i), "theory_source": "src"}
-            for i in range(4)]
-    text = ex.emit(rows, "csv")
+    rows = [(2, i, float(i) / 3, 0.1, float(i), "src") for i in range(4)]
+    table = ex.Table(("n", "m", "estimate", "std_error", "theory", "theory_source"), rows)
+    text = ex.emit(table, "csv")
     parsed = list(csv.DictReader(io.StringIO(text)))
     assert len(parsed) == 4
     for i, rec in enumerate(parsed):
         assert int(rec["n"]) == 2 and int(rec["m"]) == i
         assert float(rec["estimate"]) == float(i) / 3   # 17 digits round-trip
-    as_json = json.loads(ex.emit(rows, "json"))
+    as_json = json.loads(ex.emit(table, "json"))
     assert as_json[0]["theory_source"] == "src"
 
 
 def test_weingarten_rows():
-    rows = ex.run_experiment({"schema": 1, "experiment": "weingarten",
-                              "t": 4, "n": 3, "group": "clifford"})
+    rows = dict_rows(ex.run_experiment({"schema": 1, "experiment": "weingarten",
+                                        "t": 4, "n": 3, "group": "clifford"}))
     assert len(rows) == 2 * 30 * 30
     assert rows[0]["matrix"] == "gram" and rows[0]["row"] == "e"
     assert rows[0]["numerator"] == 2 ** 12 and rows[0]["denominator"] == 1
@@ -161,8 +167,8 @@ def test_weingarten_rows():
 
 
 def test_moment_table_rows():
-    rows = ex.run_experiment({"schema": 1, "experiment": "moment-table",
-                              "n_list": [2], "max_m": 2, "include_limit": True})
+    rows = dict_rows(ex.run_experiment({"schema": 1, "experiment": "moment-table",
+                                        "n_list": [2], "max_m": 2, "include_limit": True}))
     finite = [f for f in rows if f["n"] == 2]
     assert [(f["numerator"], f["denominator"]) for f in finite] == \
         [(1, 1), (3, 4), (25, 16)]
@@ -171,12 +177,12 @@ def test_moment_table_rows():
 
 
 def test_optimal_reuse_row():
-    rows = ex.run_experiment({"schema": 1, "experiment": "optimal-reuse",
-                              "alpha": 100.0, "v1": 3.0, "vstar": 0.1,
-                              "max_reuse": 1000})
+    rows = dict_rows(ex.run_experiment({"schema": 1, "experiment": "optimal-reuse",
+                                        "alpha": 100.0, "v1": 3.0, "vstar": 0.1,
+                                        "max_reuse": 1000}))
     assert abs(rows[0]["best_reuse"] - rows[0]["heuristic_reuse"]) <= 1.0
-    rows = ex.run_experiment({"schema": 1, "experiment": "optimal-reuse",
-                              "alpha": 2.0, "v1": 3.0, "k": 40, "max_reuse": 8})
+    rows = dict_rows(ex.run_experiment({"schema": 1, "experiment": "optimal-reuse",
+                                        "alpha": 2.0, "v1": 3.0, "k": 40, "max_reuse": 8}))
     assert rows[0]["best_reuse"] == 8    # vstar ~ 0 at huge k
 
 
@@ -185,7 +191,7 @@ def test_variance_scan_theory_within_3se():
            "ensemble": {"kind": "clifford", "n": 3, "k": 0},
            "measurements": 24000, "reuse_list": [1, 2, 8],
            "vstar_circuits": 3000, "seed": 11}
-    for row in ex.run_experiment(cfg):
+    for row in dict_rows(ex.run_experiment(cfg)):
         assert row["theory_source"] == "var_thrift"
         assert abs(row["estimate"] - row["theory"]) <= 3 * row["std_error"] + 1e-9
 
@@ -193,7 +199,7 @@ def test_variance_scan_theory_within_3se():
 def test_homeopathic_scan_below_bound():
     cfg = {"schema": 1, "experiment": "homeopathic-scan",
            "n": 3, "k_list": [0, 2], "circuits": 500, "seed": 13}
-    rows = ex.run_experiment(cfg)
+    rows = dict_rows(ex.run_experiment(cfg))
     for row in rows:
         assert row["theory_source"] == "vstar_bound"
         assert row["estimate"] <= row["theory"]
@@ -245,12 +251,132 @@ def test_shipped_configs_run_and_are_deterministic(path):
     assert first.strip()
     # every empirical column with a theory counterpart stays coherent
     if not isinstance(result, dict):
-        for row in result:
+        for row in dict_rows(result):
             if row.get("theory_source") == "var_thrift":
                 assert abs(row["estimate"] - row["theory"]) <= \
                     3 * row["std_error"] + 1e-9
             elif row.get("theory_source") == "vstar_bound":
                 assert row["estimate"] <= row["theory"]
+
+
+# sha256 of `shadowkit <experiment> --config <file> --format csv|json --threads 1` on
+# stdout, for each shipped config; estimate and tail-experiment give a dict, JSON in both
+_SHIPPED_DIGESTS = {
+    "estimate_clifford.json": (
+        "b5380dccf379b90f7ff72df0c20a332b9fb73e17ac9ff4556d8ace70e87cc01c",
+        "b5380dccf379b90f7ff72df0c20a332b9fb73e17ac9ff4556d8ace70e87cc01c"),
+    "homeopathic_scan.json": (
+        "eac8ae78c7201860efeb98931cddde393efd51fc981e95037f7e11693be3b305",
+        "f99949a1585cf7b937dfd57a3f39568cfd2376803d333c3a6a7d3b7272e777a7"),
+    "moment_table.json": (
+        "bbf92123249a40d49c12a33da919bad8e38b6a827502cd3d909ea463d5490797",
+        "e2d09873d6d4843161814fb50a9c46db4bc2abbb349451e4ae3a44c6cdfce7c9"),
+    "optimal_reuse.json": (
+        "88cb67668fee761c86276cdc2820edb47ce7307bf49909966228722e1250434b",
+        "0a8d76c8392f603ef0ad88f0c2c50cff8a34747dadb3898389068431825629c6"),
+    "tail_experiment.json": (
+        "6373a84340db5248a69ac134babbf0ddbc2e22dc2d745fb2bc6f48b10c7020a9",
+        "6373a84340db5248a69ac134babbf0ddbc2e22dc2d745fb2bc6f48b10c7020a9"),
+    "variance_scan_clifford.json": (
+        "a55c6e7cce75e09edda662f0798a03596194312b497a0bf7632038032fec7714",
+        "2f56b8fb762e519880a998137421a08d81f7828e046656832f3899b3f1803c9f"),
+    "variance_scan_haar.json": (
+        "fa0a1bdc8d18b11ee65bbbbc28ef61ce7106f93d23a6ce949e6c7e76887ac121",
+        "63d1b35c47387e67808033aeb089003dbe1a6c7d0297095b92f1a8afa3db0176"),
+    "weingarten_t4.json": (
+        "ead6c59cabdbb244ecbeff238e48b0b5431442f238ad47b78843e09014d493c7",
+        "030ba585f379669d8d5d51dd28709085d3bdf2e675dfb771060d3c3fde7c3e46"),
+}
+
+
+@pytest.mark.parametrize("path", shipped_configs(), ids=lambda p: p.name)
+def test_shipped_config_bytes_are_pinned(path, capsys):
+    experiment = load_config(path)["experiment"]
+    for fmt, digest in zip(("csv", "json"), _SHIPPED_DIGESTS[path.name]):
+        assert cli.main([experiment, "--config", str(path), "--format", fmt,
+                         "--threads", "1"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
+
+
+def test_weingarten_json_bytes_are_pinned(capsys):
+    """Every Gram and Weingarten JSON for t = 1..3, n = t-1..10 and both groups."""
+    h = hashlib.sha256()
+    for t in (1, 2, 3):
+        for n in range(t - 1, 11):
+            for group in ("unitary", "clifford"):
+                assert cli.main(["weingarten", "--t", str(t), "--n", str(n), "--group", group,
+                                 "--format", "json"]) == 0
+                h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == "45a972858865a47d09abd38411a38a287e8b285589fce1d822e2cc6af28088d9"
+
+
+def _failing_weingarten(monkeypatch):
+    """Make weingarten's rows raise after 100 of them."""
+    run = ex.run_weingarten
+
+    def failing(cfg, threads=1):
+        table = run(cfg, threads)
+
+        def rows():
+            for i, row in enumerate(table.rows):
+                if i == 100:
+                    raise ValueError("row 100 failed")
+                yield row
+
+        return ex.Table(table.columns, rows())
+
+    monkeypatch.setitem(ex._RUNNERS, "weingarten", failing)
+    return ["weingarten", "--t", "4", "--n", "3", "--group", "clifford"], "row 100 failed"
+
+
+def _digit_limit(monkeypatch):
+    """moment-table's m = 2 value at n = 5000, past the int-to-string limit."""
+    limit = sys.get_int_max_str_digits()
+    return (["moment-table", "--n-list", "5000", "--max-m", "2"],
+            f"an exact value has more than {limit} digits, the interpreter's "
+            "int-to-string limit; use a smaller n")
+
+
+@pytest.mark.parametrize("failure", [_digit_limit, _failing_weingarten])
+def test_failed_output_writes_no_byte(capsys, tmp_path, monkeypatch, failure):
+    """A run that fails while rows are written leaves no --out file and no
+    temporary sibling, keeps a file already at --out byte for byte, and
+    writes nothing to stdout."""
+    argv, message = failure(monkeypatch)
+    out = tmp_path / "F"
+    for before in (None, b"old bytes\n"):
+        if before is not None:
+            out.write_bytes(before)
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"shadowkit {argv[0]}: error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["F"])
+        if before is not None:
+            assert out.read_bytes() == before
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"shadowkit {argv[0]}: error: {message}\n"
+
+
+def test_one_parser_serves_every_call(capsys):
+    """One process builds one parser, and no flag value of a call reaches the
+    next: each call gives the bytes of a run on a newly built parser."""
+    runs = (["weingarten", "--t", "2", "--n", "1", "--group", "unitary", "--format", "json"],
+            ["moment-table", "--n-list", "1,2", "--max-m", "2"],
+            ["weingarten", "--t", "3", "--n", "2", "--group", "clifford"],
+            ["estimate", "--kind", "clifford", "--n", "2", "--measurements", "4",
+             "--reuse", "2", "--batches", "1", "--seed", "1"])
+    shared = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        shared.append(capsys.readouterr().out)
+    assert cli.build_parser() is cli.build_parser()
+    for argv, text in zip(runs, shared):
+        cli.build_parser.cache_clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == text, argv
 
 
 def test_cli_overrides_and_output(tmp_path, capsys):
