@@ -87,16 +87,10 @@ def haar_unitary(dim, rng):
     """Exactly Haar-distributed unitary: QR of a complex Gaussian matrix
     with the R-diagonal phase correction."""
     dense.check_entries(dim * dim, f"a {dim}x{dim} Haar unitary")
-    # built and scaled in place: the same draws and values as
-    # (normal + 1j * normal) / sqrt(2) and q * (d / |d|), with fewer dim x dim copies
-    z = np.empty((dim, dim), dtype=complex)
-    z.real = rng.normal(size=(dim, dim))
-    z.imag = rng.normal(size=(dim, dim))
-    z /= np.sqrt(2)
+    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
-    q *= d / np.abs(d)
-    return q
+    return q * (d / np.abs(d))
 
 
 _DESCRIPTOR_PARTS = {"identity": 2, "clifford": 3, "haar": 3, "homeopathic": 4}
@@ -122,7 +116,8 @@ class SampledCircuit:
         return len(self.segments) - 1 if self.segments is not None else 0
 
     def dense(self):
-        """The unitary of a Haar circuit, built once; no other kind is made dense."""
+        """The unitary of a Haar circuit, built once and kept until ``protocol.act``
+        moves past the circuit; no other kind is made dense."""
         if self.kind != "haar":
             raise ValueError(f"no dense unitary is built for a {self.kind} circuit")
         if self._dense is None:

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
@@ -245,18 +246,8 @@ def run_estimate(cfg, threads=1):
 
 
 # A tabular result: its column names, and rows, an iterable of value tuples in
-# column order that may be iterated more than once.
+# column order.
 Table = namedtuple("Table", "columns rows")
-
-
-class _Lazy:
-    """Rows made afresh by a generator function on each iteration."""
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def __iter__(self):
-        return self._rows()
 
 
 def run_variance_scan(cfg, threads=1):
@@ -318,22 +309,17 @@ def run_weingarten(cfg, threads=1):
     limit = sys.get_int_max_str_digits()
     if limit and t * n >= (10 ** limit).bit_length():
         raise _too_many_digits()
-    matrices = mo.gram_matrix(t, n, group), mo.weingarten_matrix(t, n, group)
-    orb, reps, _ = mo._orbital_table(t, group)
+    orb, *values = mo.orbital_values(t, n, group)
     # G and W are constant on each orbital: one (numerator, denominator) per
-    # orbital, read at its representative (an int or a Fraction)
-    cells = [[(val.numerator, val.denominator) for val in (matrix[pair] for pair in reps)]
-             for matrix in matrices]
+    # orbital (an int or a Fraction)
+    cells = [[(val.numerator, val.denominator) for val in vals] for vals in values]
     names = [lab.name() for lab in mo.group_labels(t, group)]
-
-    def rows():
-        for matrix, cell in zip(("gram", "weingarten"), cells):
-            for row, orb_row in zip(names, orb):
-                for col, e in zip(names, orb_row):
-                    yield (matrix, t, n, group, row, col, *cell[e])
-
+    rows = ((matrix, t, n, group, row, col, *cell[e])
+            for matrix, cell in zip(("gram", "weingarten"), cells)
+            for row, orb_row in zip(names, orb)
+            for col, e in zip(names, orb_row))
     return Table(("matrix", "t", "n", "group", "row", "col", "numerator", "denominator"),
-                 _Lazy(rows))
+                 rows)
 
 
 def run_optimal_reuse(cfg, threads=1):
@@ -406,16 +392,31 @@ def _write_json(table, fh):
 
 def _write_all_or_nothing(path, write):
     """write(fh) into a new file beside path, renamed over path once it is
-    complete; on any error the new file is removed and path left as it was."""
-    path = os.path.realpath(path)  # a symlinked path keeps its link
-    tmp = os.path.join(os.path.dirname(path), f".shadowkit-{os.urandom(8).hex()}.tmp")
-    try:
-        with open(tmp, "x") as fh:
+    complete; on any error the new file is removed and path left as it was.
+
+    Only an absent path, or a regular file that its real path names, can be
+    replaced by a rename.  Anything else, such as /dev/null, a FIFO or
+    /dev/stdout, is opened and written in place.  A replaced file keeps its
+    permission bits, not its hard links.
+    """
+    real = os.path.realpath(path)  # a symlinked path keeps its link
+    if os.path.exists(path) and not (os.path.isfile(real) and os.path.samefile(path, real)):
+        with open(path, "w") as fh:
             write(fh)
-        os.replace(tmp, path)
+        return
+    tmp = os.path.join(os.path.dirname(real), f".shadowkit-{os.urandom(8).hex()}.tmp")
+    try:
+        fh = open(tmp, "x")
+    except OSError as exc:  # named by the path asked for, as open(path, "w") would be
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            if os.path.exists(real):
+                shutil.copymode(real, tmp)
+            write(fh)
+        os.replace(tmp, real)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        os.remove(tmp)
         raise
 
 
@@ -427,9 +428,10 @@ def _too_many_digits():
 def emit(result, fmt, path=None):
     """Serialize an experiment result: a Table as CSV or JSON rows, a dict as
     JSON whatever ``fmt`` says.  Returns the text, or "" for a Table streamed
-    to ``path``.  ``path`` is written all or nothing, through a temporary file
-    in its directory and a rename, so a failure (such as an exact int past the
-    interpreter's int-to-string limit) creates or changes no file."""
+    to ``path``, whose text is never held whole.  A regular file at ``path``
+    is written all or nothing, through a temporary file in its directory and
+    a rename, so a failure (such as an exact int past the interpreter's
+    int-to-string limit) creates or changes no file."""
     try:
         if isinstance(result, dict):
             text = json.dumps(result, sort_keys=True, indent=2) + "\n"

@@ -235,11 +235,18 @@ def commutant_size(t, group):
     return len(group_labels(t, group))
 
 
+def _expand(orb, values):
+    """The matrix with values[orb[i][j]] at (i, j)."""
+    return np.array([[values[e] for e in row] for row in orb], dtype=object)
+
+
+def _gram_values(t, n, group):
+    return [2 ** (d * n) for d in _orbital_table(t, group)[2]]
+
+
 def gram_matrix(t, n, group):
     """G[T,T'] = 2^(dim(T cap T') n), exact integers read off the orbitals."""
-    orb, _, dims = _orbital_table(t, group)
-    powers = [2 ** (d * n) for d in dims]
-    return np.array([[powers[e] for e in row] for row in orb], dtype=object)
+    return _expand(_orbital_table(t, group)[0], _gram_values(t, n, group))
 
 
 @functools.cache
@@ -279,27 +286,34 @@ def _orbital_table(t, group):
     return tuple(map(tuple, orb)), tuple(reps), dims
 
 
-def weingarten_matrix(t, n, group):
-    """Exact rational inverse of the Gram matrix, solved on its orbitals.
+def orbital_values(t, n, group):
+    """(orb, g, w): orb[i][j] is the orbital of the label pair (i, j), and
+    g[e] (an int) and w[e] (a Fraction) are G and W = G^-1 on orbital e.
 
-    G and so W = G^-1 are constant on the orbitals of ``_orbital_table``, so
-    G W = I reduces to one equation per orbital representative (i, j):
+    G and so W are constant on the orbitals of ``_orbital_table``, so G W = I
+    reduces to one equation per orbital representative (i, j):
     sum_k A[e, k] w_k = [i == j], with A[e, k] the sum of G[i, l] over the l
     with orb[l][j] = k.  The orbital indicators span an algebra that holds G,
     so A is singular exactly when G is: for 2^n < t (unitary) or n < t-1
     (Clifford), which ``validate_config`` refuses, ``exact.inverse`` raises
     ZeroDivisionError.
     """
-    orb, reps, dims = _orbital_table(t, group)
-    powers = [2 ** (d * n) for d in dims]
+    orb, reps, _ = _orbital_table(t, group)
+    g = _gram_values(t, n, group)
     system = np.zeros((len(reps), len(reps)), dtype=object)
     for e, (i, j) in enumerate(reps):
         for orb_il, row in zip(orb[i], orb):
-            system[e, row[j]] += powers[orb_il]
+            system[e, row[j]] += g[orb_il]
     inv = exact.inverse(system)
     diagonal = [e for e, (i, j) in enumerate(reps) if i == j]
-    w = [sum(inv[k, e] for e in diagonal) for k in range(len(reps))]
-    return np.array([[w[k] for k in row] for row in orb], dtype=object)
+    return orb, g, [sum(inv[k, e] for e in diagonal) for k in range(len(reps))]
+
+
+def weingarten_matrix(t, n, group):
+    """Exact rational inverse of the Gram matrix, solved on its orbitals
+    (``orbital_values``)."""
+    orb, _, w = orbital_values(t, n, group)
+    return _expand(orb, w)
 
 
 def state_average_coefficient(t, n, group):

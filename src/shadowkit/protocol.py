@@ -227,8 +227,9 @@ def act(circuits, state):
     ``conjugate_rows_batch`` and its Z-basis supports found by one
     ``stabilizer.tableaux``; T-gate Born vectors come from ``statevectors``
     BORN_BATCH_ENTRIES entries at a time; a Haar circuit multiplies the
-    state's statevector, made once.  The list is emptied as it is read, so
-    no Haar unitary outlives its circuit."""
+    state's statevector, made once.  The list is emptied as it is read, and
+    a Haar circuit's unitary is dropped when the next circuit is asked for
+    (``dense`` would build it again), so one unitary is alive at a time."""
     circuits.reverse()
     kind = circuits[-1].kind if circuits else None
     if kind == "clifford":
@@ -242,6 +243,7 @@ def act(circuits, state):
         while circuits:
             circuit = circuits.pop()
             yield circuit, np.abs(circuit.dense() @ psi) ** 2
+            circuit._dense = None  # the caller has moved on: free U before the next is built
     elif kind:
         size = max(1, BORN_BATCH_ENTRIES >> state.n)
         while circuits:

@@ -4,8 +4,10 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from importlib import resources
@@ -245,6 +247,8 @@ def test_chunked_starts_at_most_one_worker_per_chunk(monkeypatch):
 def test_shipped_configs_run_and_are_deterministic(path):
     cfg = load_config(path)
     result = ex.run_experiment(dict(cfg))
+    if not isinstance(result, dict):  # rows are read twice below
+        result = ex.Table(result.columns, list(result.rows))
     first = ex.emit(result, "csv")
     second = ex.emit(ex.run_experiment(dict(cfg)), "csv")
     assert first == second
@@ -358,6 +362,39 @@ def test_failed_output_writes_no_byte(capsys, tmp_path, monkeypatch, failure):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"shadowkit {argv[0]}: error: {message}\n"
+
+
+def test_out_writes_devices_and_fifos_in_place(capsys, tmp_path):
+    """--out a device, a FIFO or /dev/stdout on a pipe writes to it and leaves
+    the node as it was; a replaced regular file keeps its permission bits;
+    a missing directory is named by the path asked for."""
+    argv = ["moment-table", "--n-list", "2,3", "--max-m", "3"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    assert cli.main(argv + ["--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert cli.main(argv + ["--out", str(fifo)]) == 0
+    reader.join(30)
+    assert got == [want] and stat.S_ISFIFO(os.stat(fifo).st_mode)
+    src = str(Path(ex.__file__).resolve().parents[1])
+    piped = subprocess.run([sys.executable, "-m", "shadowkit.cli", *argv, "--out", "/dev/stdout"],
+                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, want, "")
+    out = tmp_path / "F"
+    out.write_text("old bytes\n")
+    out.chmod(0o640)
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == want and stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "fifo"]
+    missing = tmp_path / "missing" / "F"
+    assert cli.main(argv + ["--out", str(missing)]) == 2
+    assert capsys.readouterr().err == ("shadowkit moment-table: error: [Errno 2] No such file "
+                                       f"or directory: '{missing}'\n")
 
 
 def test_one_parser_serves_every_call(capsys):

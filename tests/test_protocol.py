@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from scipy import stats
 
 from shadowkit import bits as f2
 from shadowkit import clifford as cl
+from shadowkit import ensembles
 from shadowkit import moments as mo
 from shadowkit import protocol as pr
 from shadowkit import tails as tl
@@ -277,6 +279,27 @@ def test_act_makes_the_haar_state_vector_once(monkeypatch):
     assert [c for c, _ in got] == circuits
     for c, p in got:
         assert np.array_equal(p, np.abs(c.dense() @ psi) ** 2)
+
+
+@pytest.mark.parametrize("label", [None, "XZY"])
+def test_haar_estimate_builds_each_unitary_once_with_the_last_one_freed(monkeypatch, label):
+    """A Haar estimate, on the projector (the action serves it) or on a Pauli
+    (the evaluator reads U again), builds one unitary per circuit, and each
+    unitary is freed before the next is built."""
+    built = []
+    haar_unitary = ensembles.haar_unitary
+
+    def recorded(dim, rng):
+        assert [ref for ref in built if ref() is not None] == []
+        u = haar_unitary(dim, rng)
+        built.append(weakref.ref(u))
+        return u
+    monkeypatch.setattr(ensembles, "haar_unitary", recorded)
+    state, pair = pr.stabilizer_pair(3)
+    o = pair if label is None else pr.ObservableSpec.pauli(PauliString.from_label(label))
+    cfg = pr.RunConfig(EnsembleSpec("haar", 3), measurements=10, reuse=2, batches=1, seed=3)
+    pr.estimate(cfg, state, o)
+    assert len(built) == 5
 
 
 def test_t_gate_record_values_match_dense_oracle_and_are_pinned():
