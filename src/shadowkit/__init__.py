@@ -4,9 +4,10 @@ The package has three layers:
 
 * simulation: ``stabilizer`` (Pauli strings, tableaux of n stabilizer
   rows, Z-basis support), ``clifford`` (symplectic group elements, exactly
-  uniform sampling, enumeration for n <= 2), ``dense`` (the dense-size
-  budget), ``ensembles`` (Haar, Clifford, and T-gate-interpolated circuit
-  families);
+  uniform sampling, one Pauli-row conjugation kernel), ``bits`` (F2 rank
+  and row-echelon form), ``dense`` (the dense-size budget), ``ensembles``
+  (Haar, Clifford, and T-gate-interpolated circuit families), all on one
+  F2 row layout: an (x|z) row is one int64 word;
 * estimation: ``protocol`` (single-shot estimator evaluated once per circuit,
   acquisition with reuse, median of means, conditional-mean variances);
 * analysis: ``moments`` (commutant bases, exact Gram/Weingarten matrices,
@@ -16,7 +17,8 @@ The package has three layers:
 numpy is the only runtime dependency.  The dense and sparse reference
 implementations (Pauli, observable and Clifford matrices, frame operators
 and their inverse, the commutant operators R_T and Pi4, the brute-force
-commutant enumeration) are test oracles and live with the tests.
+commutant enumeration, enumeration of C_n for n <= 2, the uint8
+conjugation kernel) are test oracles and live with the tests.
 """
 
 from .clifford import CliffordElement, sample_uniform

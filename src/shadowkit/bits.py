@@ -1,4 +1,6 @@
-"""Linear algebra over F2 on uint8 numpy arrays (0/1 entries)."""
+"""Linear algebra over F2: ``rank_f2_batch`` on the package's int64 row words
+(``stabilizer``), and ``rref_f2`` on a 0/1 uint8 matrix, for the exact
+engine's 2t-bit subspaces, built once per (t, group) and cached."""
 
 import numpy as np
 
@@ -27,30 +29,19 @@ def rref_f2(m):
     return a[:r], tuple(pivots)
 
 
-def mat_mul_f2(a, b):
-    return (np.asarray(a, dtype=np.uint8).astype(np.int64) @
-            np.asarray(b, dtype=np.uint8).astype(np.int64)) % 2
+def rank_f2_batch(words):
+    """Ranks over F2 of a batch of row sets, (B, rows) int64 words -> (B,).
 
-
-def rank_f2_batch(mats):
-    """Ranks of a batch of binary matrices, shape (B, rows, cols) -> (B,).
-
-    Rows are packed into little-endian uint64 words (bit c of word c // 64
-    is column c).  Column c is cleared from the rows not yet used as a
-    pivot by the first of them that has it (which clears itself, and is
-    never read again), so no row moves.
+    Bit c is cleared from every row by the first row that has it, which
+    clears itself, so a pivot row is zero from then on and no row moves.
     """
-    a = np.ascontiguousarray(mats, dtype=np.uint8) & 1
-    nb, rows, cols = a.shape
-    a = np.pad(a, ((0, 0), (0, 0), (0, -cols % 64)))
-    words = np.packbits(a, axis=-1, bitorder="little").view("<u8")
-    used = np.zeros((nb, rows), dtype=bool)
+    words = np.array(words, dtype=np.int64)
+    nb = len(words)
+    rank = np.zeros(nb, dtype=np.int64)
     batch = np.arange(nb)
-    for c in range(cols):
-        if used.all():
-            break
-        hits = (words[:, :, c // 64] >> (c % 64) & 1).astype(bool) & ~used
+    for c in range(int(words.max(initial=0)).bit_length()):
+        hits = (words >> c & 1).astype(bool)
         pivot = hits.argmax(axis=1)
-        used[batch, pivot] |= hits[batch, pivot]
-        words ^= hits[..., None] * words[batch, pivot][:, None, :]
-    return used.sum(axis=1)
+        rank += hits[batch, pivot]
+        words ^= hits * words[batch, pivot][:, None]
+    return rank

@@ -12,6 +12,7 @@ is opened; identical (config, seed) pairs give byte-identical output.
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .ensembles import EnsembleSpec
@@ -98,7 +99,13 @@ def main(argv=None):
     """Run one subcommand; returns the exit status (2 for bad input or a file error)."""
     args = build_parser().parse_args(argv)
     try:
-        result = run_experiment(config_from_args(args), threads=args.threads)
+        cfg = config_from_args(args)
+        records = cfg.get("records_out") if args.experiment == "estimate" else None
+        # the records are written first, and --out would replace them
+        if args.out and isinstance(records, str) and \
+                os.path.realpath(records) == os.path.realpath(args.out):
+            raise ValueError(f"--records-out and --out name the same file {args.out!r}")
+        result = run_experiment(cfg, threads=args.threads)
         text = emit(result, args.format, path=args.out)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"shadowkit {args.experiment}: error: {exc}\n")

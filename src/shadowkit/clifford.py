@@ -6,53 +6,36 @@ bits.  Column j of S gives the X/Z bits of the conjugated generator
 (X_0..X_{n-1}, Z_0..Z_{n-1} in that order) and ``alpha[j]`` its sign, the
 image being the Hermitian Pauli ``(-1)**alpha[j] * i**(x.z) * X^x Z^z``.
 This pair determines the unitary up to global phase, and every choice of
-``(S, alpha)`` is a valid element, so the group order is
-``2**(n**2 + 2n) * prod_{j=1..n} (4**j - 1)``.
+``(S, alpha)`` is a valid element.  An element holds the 2n columns of S as
+(x|z) row words, the layout of ``stabilizer``; only the hex descriptor
+(``to_hex``/``from_hex``) spells S out as a 0/1 matrix.
 
 Uniform sampling builds the symplectic factor by the transvection
 construction of Koenig and Smolin, which is an explicit bijection from
 mixed-radix index tuples onto the symplectic group; sampling the tuple
-uniformly is therefore exactly uniform, and iterating it enumerates the
-group without repetition.
+uniformly is therefore exactly uniform.
 
-Pauli rows are conjugated by one kernel with an optional leading batch
-axis: ``conjugate_rows_batch`` stacks a list of elements, and
-``CliffordElement.conjugate_rows`` is its one-element case.  An element is
-never made dense: states and T-gate circuits are evolved by conjugating
-Pauli rows, and the tests build Clifford unitaries as an oracle.
+Pauli row words are conjugated by one XOR and popcount kernel with an
+optional leading batch axis: ``conjugate_rows_batch`` stacks a list of
+elements, and ``CliffordElement.conjugate_rows`` is its one-element case.
+An element is never made dense: states and T-gate circuits are evolved by
+conjugating Pauli rows, and the tests build Clifford unitaries as an oracle.
 """
 
 import functools
 
 import numpy as np
 
-from . import bits as f2
-from .stabilizer import StabilizerTableau
 
-
-def symplectic_order(n):
-    order = 1
-    for j in range(1, n + 1):
-        order *= (4 ** j - 1) * 2 ** (2 * j - 1)
-    return order
-
-
-def clifford_order(n):
-    """|C_n| modulo global phase: one element per (S, alpha) pair."""
-    return 4 ** n * symplectic_order(n)
-
-
-def symplectic_form(n):
-    j = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    j[:n, n:] = np.eye(n, dtype=np.uint8)
-    j[n:, :n] = np.eye(n, dtype=np.uint8)
-    return j
-
-
-def is_symplectic(s):
-    n = s.shape[0] // 2
-    j = symplectic_form(n)
-    return (f2.mat_mul_f2(f2.mat_mul_f2(s.T, j), s) == j).all()
+def is_symplectic(images):
+    """Whether 2n column words are the columns of a symplectic S (S^T J S = J):
+    the symplectic product of columns i and j is 1 exactly when |i - j| = n."""
+    images = np.asarray(images, dtype=np.int64)
+    n = len(images) // 2
+    swapped = images >> n | (images & (1 << n) - 1) << n
+    product = np.bitwise_count(images[:, None] & swapped) & 1
+    j = np.arange(2 * n)
+    return bool((product == (abs(j[:, None] - j) == n)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +47,7 @@ def is_symplectic(s):
 # (x_i, z_i) pairs (the "direct sum" convention), and a vector or matrix row
 # is one uint64 word whose bit i is direct-sum coordinate i (2n <= 62 at
 # MAX_SAMPLED_N), so a transvection is AND, popcount and XOR.  The result is
-# unpacked and permuted into the standard block convention at the end.
-
-def _bits(values, width):
-    """Little-endian binary digits of nonnegative integers below 2**63."""
-    raw = np.asarray(values, dtype="<i8")[..., None].view(np.uint8)
-    return np.unpackbits(raw, axis=-1, count=width, bitorder="little")
-
+# transposed into the standard block convention's column words at the end.
 
 _X_BITS = np.uint64(0x5555555555555555)
 
@@ -86,10 +63,11 @@ def _parity(v, mask):
 
 
 def _build_symplectic(k, free):
-    """Standard-convention symplectic matrices from index components.
+    """Column words (count, 2n) of standard-convention symplectic matrices
+    from index components.
 
     ``k`` and ``free`` have shape (n, count), row l - 1 holding level l.
-    This is the only construction: sampling and enumeration both feed it.
+    This is the only construction: every sampler feeds it.
     Level l's four transvection words (t0, t1, h0, f1) satisfy
     Z_t1 Z_t0 e1 = f1, f1 holding the bits of k (Koenig and Smolin's
     find_transvection with x = e1).
@@ -121,23 +99,25 @@ def _build_symplectic(k, free):
         block = g[:, nn - 2 * level:]
         for h, h_swapped in zip(vectors[level - 1], swapped[level - 1]):
             block ^= _parity(block, h_swapped) * h
-    # standard position i reads direct-sum position 2i (x_i) or 2i+1 (z_i)
+    # standard position i is direct-sum position 2i (x_i) or 2i+1 (z_i); column
+    # word j holds S[c, j] = bit gather[j] of row gather[c] at bit 2n-1-c
     gather = np.concatenate([np.arange(0, nn, 2), np.arange(1, nn, 2)])
-    g = g.take(gather, axis=1).astype("<u8", copy=False).view(np.uint8)
-    g = np.unpackbits(g.reshape(count, nn, 8), axis=-1, count=nn, bitorder="little")
-    return g.take(gather, axis=2)
+    square = np.zeros((count, 64), dtype=np.uint64)
+    square[:, :nn] = g.take(gather[::-1], axis=1)
+    return _transpose(square).take(gather, axis=1).view(np.int64)
 
 
-def _components_from_index(index, n):
-    k = np.empty((n, 1), dtype=np.int64)
-    free = np.empty((n, 1), dtype=np.int64)
-    for level in range(n, 0, -1):
-        s = 4 ** level - 1
-        k[level - 1] = index % s + 1
-        index //= s
-        free[level - 1] = index % 2 ** (2 * level - 1)
-        index >>= 2 * level - 1
-    return k, free
+def _transpose(square):
+    """Bit transposes of (count, 64) uint64 words in place, bit i of word r to
+    bit r of word i: each of six steps swaps the off-diagonal blocks of every
+    2j x 2j block (Hacker's Delight, section 7-3)."""
+    for j in (32, 16, 8, 4, 2, 1):
+        low = np.uint64(sum((1 << j) - 1 << i for i in range(0, 64, 2 * j)))
+        top, bottom = np.moveaxis(square.reshape(len(square), 32 // j, 2, j), 2, 0)
+        swap = (top >> np.uint64(j) ^ bottom) & low
+        bottom ^= swap
+        top ^= swap << np.uint64(j)
+    return square
 
 
 # Level l draws k_l below 4**l as an int64, and a row of the 2n x 2n
@@ -176,82 +156,63 @@ def _draw_components(n, rng, count):
 
 
 def sample_symplectic_batch(n, rng, count):
-    """count standard-convention symplectic matrices, exactly uniform."""
+    """The column words (count, 2n) of count standard-convention symplectic
+    matrices, exactly uniform."""
     _check_sampled_n(n)
     return _build_symplectic(*_draw_components(n, rng, count))
-
-
-def symplectic_from_index(index, n):
-    """Standard-convention symplectic matrix with canonical index ``index``."""
-    _check_sampled_n(n)
-    if not 0 <= index < symplectic_order(n):
-        raise ValueError("symplectic index out of range")
-    return _build_symplectic(*_components_from_index(index, n))[0]
 
 
 # ---------------------------------------------------------------------------
 # Conjugating Pauli rows.  Both functions take an optional leading batch axis:
 # element b of a stack acts on row block b.
 
-def _conjugate(s, alpha, xs, zs, phases):
-    """Pauli rows (xs, zs, phases) conjugated by the elements (s, alpha): the
-    images' phases q_j and the reordering form M are read off the columns."""
-    n = xs.shape[-1]
-    s = s.astype(np.int64)
-    xz = (s[..., :n, :] * s[..., n:, :]).sum(axis=-2)     # x.z per column
-    q = (xz + 2 * alpha.astype(np.int64)) % 4
-    m = np.triu((s[..., n:, :].swapaxes(-1, -2) @ s[..., :n, :]) % 2, 1)  # z_j . x_j', j<j'
-    v = np.concatenate([xs, zs], axis=-1).astype(np.int64)
-    new_bits = (v @ s.swapaxes(-1, -2)) % 2
-    quad = ((v @ m) * v).sum(axis=-1) % 2
-    new_phases = (np.asarray(phases) + (v @ q[..., None])[..., 0] + 2 * quad) % 4
-    return (new_bits[..., :n].astype(np.uint8),
-            new_bits[..., n:].astype(np.uint8), new_phases)
+def _conjugate(images, alpha, rows, phases):
+    """Pauli row words and their phases conjugated by the elements (images,
+    alpha).  Row v maps to the XOR of the images j it selects (v_j = 1), in
+    order: each adds its phase q_j = x.z + 2 alpha_j, plus 2 when its x-half
+    meets the z-halves of the images selected before it an odd number of
+    times, which reorders the product of X^x Z^z factors."""
+    nn = images.shape[-1]
+    n = nn // 2
+    q = np.bitwise_count(images >> n & images) + 2 * alpha.astype(np.int64)
+    rows, phases = np.asarray(rows, dtype=np.int64), np.array(phases, dtype=np.int64)
+    out = np.zeros(rows.shape, dtype=np.int64)
+    for j in range(nn):
+        image = images[..., j, None]
+        selected = rows >> nn - 1 - j & 1
+        # out's z-half is the XOR of the z-halves selected so far
+        phases += selected * (q[..., j, None] + 2 * np.bitwise_count(out & image >> n))
+        out ^= selected * image
+    return out, phases & 3
 
 
-def conjugate_rows_batch(elements, xs, zs, phases):
-    """Rows (B, r, n) and phases (B, r), block b conjugated by elements[b]:
+def conjugate_rows_batch(elements, rows, phases):
+    """Row words (B, r) and phases (B, r), block b conjugated by elements[b]:
     the same integers as ``elements[b].conjugate_rows`` on that block."""
-    return _conjugate(np.stack([e.symplectic for e in elements]),
-                      np.stack([e.alpha for e in elements]), xs, zs, phases)
+    return _conjugate(np.stack([e.images for e in elements]),
+                      np.stack([e.alpha for e in elements]), rows, phases)
 
 
 class CliffordElement:
-    __slots__ = ("symplectic", "alpha", "n")
+    """(S, alpha) as the 2n column words of S, ``images``, and 2n sign bits."""
+    __slots__ = ("images", "alpha", "n")
 
-    def __init__(self, symplectic, alpha):
-        self.symplectic = np.asarray(symplectic, dtype=np.uint8) & 1
+    def __init__(self, images, alpha):
+        self.images = np.asarray(images, dtype=np.int64)
         self.alpha = np.asarray(alpha, dtype=np.uint8) & 1
-        self.n = self.symplectic.shape[0] // 2
+        self.n = len(self.images) // 2
 
     @classmethod
     def identity(cls, n):
-        return cls(np.eye(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8))
+        return cls(1 << np.arange(2 * n - 1, -1, -1), np.zeros(2 * n, dtype=np.uint8))
 
-    def conjugate_rows(self, xs, zs, phases):
-        """Conjugate a batch of Pauli rows: returns new (xs, zs, phases); the
-        one-element case of ``conjugate_rows_batch``."""
-        return _conjugate(self.symplectic, self.alpha, xs, zs, phases)
-
-    def compose(self, other):
-        """Element implementing 'apply other, then self'."""
-        if self.n != other.n:
-            raise ValueError("qubit count mismatch")
-        n = self.n
-        s = f2.mat_mul_f2(self.symplectic, other.symplectic).astype(np.uint8)
-        ob = other.symplectic.astype(np.int64)
-        oq = (ob[:n] * ob[n:]).sum(axis=0) + 2 * other.alpha.astype(np.int64)
-        xs, zs, phases = self.conjugate_rows(other.symplectic[:n].T,
-                                             other.symplectic[n:].T, oq % 4)
-        sx = s.astype(np.int64)
-        target_xz = (sx[:n] * sx[n:]).sum(axis=0)
-        alpha = ((phases - target_xz) // 2) % 2
-        if ((phases - target_xz) % 2).any():
-            raise AssertionError("composition produced a non-Hermitian image")
-        return CliffordElement(s, alpha.astype(np.uint8))
+    def conjugate_rows(self, rows, phases):
+        """Conjugate Pauli row words and their phases: returns new (rows,
+        phases); the one-element case of ``conjugate_rows_batch``."""
+        return _conjugate(self.images, self.alpha, rows, phases)
 
     def key(self):
-        return (self.n, self.symplectic.tobytes(), self.alpha.tobytes())
+        return (self.n, self.images.tobytes(), self.alpha.tobytes())
 
     def __eq__(self, other):
         return self.key() == other.key()
@@ -260,7 +221,11 @@ class CliffordElement:
         return hash(self.key())
 
     def to_hex(self):
-        bits = np.concatenate([self.symplectic.reshape(-1), self.alpha])
+        """S row by row, then alpha, as packed bits in hex."""
+        nn = 2 * self.n
+        # bit 2n-1-c of column word j, S[c, j], is column 64-2n+c of its bits
+        cols = np.unpackbits(self.images.astype(">i8").view(np.uint8).reshape(nn, 8), axis=1)
+        bits = np.concatenate([cols[:, 64 - nn:].T.reshape(-1), self.alpha])
         return np.packbits(bits).tobytes().hex()
 
     @classmethod
@@ -271,9 +236,11 @@ class CliffordElement:
         if len(raw) != 8 * ((need + 7) // 8) or raw[need:].any():
             raise ValueError(f"hex payload {hexstr!r} is not an n={n} Clifford element")
         s = raw[:4 * n * n].reshape(2 * n, 2 * n)
-        if not is_symplectic(s):
+        # column j of S, zero-padded to 64 bits, is the big-endian word j
+        images = np.packbits(np.pad(s.T, ((0, 0), (64 - 2 * n, 0)))).view(">i8")
+        if not is_symplectic(images):
             raise ValueError(f"hex payload {hexstr!r} is not symplectic")
-        return cls(s, raw[4 * n * n:need])
+        return cls(images, raw[4 * n * n:need])
 
     def __repr__(self):
         return f"CliffordElement(n={self.n}, {self.to_hex()[:16]}...)"
@@ -306,19 +273,3 @@ def sample_uniform_batch(n, rng, count):
     mats = sample_symplectic_batch(n, rng, count)
     alphas = rng.integers(2, size=(count, 2 * n), dtype=np.uint8)
     return [CliffordElement(s, a) for s, a in zip(mats, alphas)]
-
-
-def enumerate_group(n):
-    """All of C_n (mod phase), each element exactly once.  n <= 2 only."""
-    if n not in (1, 2):
-        raise ValueError("exhaustive enumeration supported for n in {1, 2}")
-    for index in range(symplectic_order(n)):
-        s = symplectic_from_index(index, n)
-        for abits in range(4 ** n):
-            alpha = _bits(abits, 2 * n)
-            yield CliffordElement(s, alpha)
-
-
-def random_stabilizer_tableau(n, rng):
-    """Uniformly random pure stabilizer state, as a tableau."""
-    return StabilizerTableau.zero_state(n).apply_clifford(sample_uniform(n, rng))

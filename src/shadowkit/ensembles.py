@@ -3,7 +3,7 @@ Clifford circuits interleaved with k T-gates, behind one sampling interface.
 The ``identity`` control ensemble draws the identity Clifford, so its
 circuits run on the tableau path and serialize as ``clifford:n:<hex>``.
 
-A T-gate circuit is never made dense: pushing Pauli rows through its
+A T-gate circuit is never made dense: pushing (x|z) row words through its
 Clifford segments (``push_rows``) writes it as k Pauli-branch factors after
 one Clifford, so it acts on a stabilizer state in O(k 2^n).  Both work on a
 list of same-(n, k) circuits at once: ``push_rows`` conjugates every
@@ -152,29 +152,26 @@ class SampledCircuit:
         return cls(kind, n, segments=segs)
 
 
-def push_rows(circuits, xs, zs, phases):
-    """Conjugate the Pauli rows (r, n) by C = C_k...C_0 of each of B same-(n, k)
-    Clifford (k = 0) or T-gate circuits, in one batched conjugation per
-    segment; returns rows (B, r + k, n) and phases (B, r + k): block b is the
-    rows through circuit b, then its k branch Paulis P_j.
+def push_rows(circuits, rows, phases):
+    """Conjugate the Pauli row words (r,) by C = C_k...C_0 of each of B
+    same-(n, k) Clifford (k = 0) or T-gate circuits, in one batched
+    conjugation per segment; returns row words and phases (B, r + k): block b
+    is the rows through circuit b, then its k branch Paulis P_j.
 
     Up to phase T = cos(pi/8) I - i sin(pi/8) Z_0, so pushing each T through
     the later segments gives U ~ (c - is P_k)...(c - is P_1) C with
     P_j = (C_k...C_j) Z_0 (C_k...C_j)^dag: a Z_0 row joins before segment j.
     """
-    rows, (n, k) = len(xs), (circuits[0].n, circuits[0].k)
-    shape = (len(circuits), rows + k)
-    out_x, out_z = np.zeros(shape + (n,), dtype=np.uint8), np.zeros(shape + (n,), dtype=np.uint8)
-    out_x[:, :rows], out_z[:, :rows], out_z[:, rows:, 0] = xs, zs, 1
-    out_phases = np.zeros(shape, dtype=np.int64)
-    out_phases[:, :rows] = phases
+    r, (n, k) = len(rows), (circuits[0].n, circuits[0].k)
+    out = np.full((len(circuits), r + k), 1 << n - 1, dtype=np.int64)   # Z_0
+    out_phases = np.zeros(out.shape, dtype=np.int64)
+    out[:, :r], out_phases[:, :r] = rows, phases
     for j in range(k + 1):
-        # row rows + j - 1, the Z_0 of the T before segment j, joins here
-        r = rows + j
+        # row r + j - 1, the Z_0 of the T before segment j, joins here
         segments = [c.segments[j] if c.kind == "homeopathic" else c.element for c in circuits]
-        out_x[:, :r], out_z[:, :r], out_phases[:, :r] = cl.conjugate_rows_batch(
-            segments, out_x[:, :r], out_z[:, :r], out_phases[:, :r])
-    return out_x, out_z, out_phases
+        out[:, :r + j], out_phases[:, :r + j] = cl.conjugate_rows_batch(
+            segments, out[:, :r + j], out_phases[:, :r + j])
+    return out, out_phases
 
 
 def statevectors(circuits, state):
@@ -183,12 +180,12 @@ def statevectors(circuits, state):
     statevectors of C|S> from one ``push_rows``, times the k branch factors
     c - is P_j, O(B k 2^n) with no dense Clifford."""
     m = state.n
-    xs, zs, phases = push_rows(circuits, state.xs, state.zs, state.phases)
-    v = stabilizer.statevectors(xs[:, :m], zs[:, :m], phases[:, :m])
+    rows, phases = push_rows(circuits, state.rows, state.phases)
+    v = stabilizer.statevectors(rows[:, :m], phases[:, :m])
     c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
-    for j in range(m, xs.shape[1]):
+    for j in range(m, rows.shape[1]):
         # v <- c v - is P_j v in place; w is freed before the next ``apply_paulis``
-        w = apply_paulis(xs[:, j], zs[:, j], phases[:, j], v)
+        w = apply_paulis(rows[:, j], phases[:, j], v)
         np.multiply(1j * s, w, out=w)
         np.multiply(c, v, out=v)
         np.subtract(v, w, out=v)

@@ -154,11 +154,12 @@ def _weingarten_rules(cfg):
         raise ValueError(f"the unitary Gram matrix is singular for 2^{n} < t = {t}")
     if group == "clifford" and n < t - 1:
         raise ValueError(f"the Gram matrix is singular for n = {n} < t - 1 = {t - 1}")
-    # t! is over the budget from t = 7 on, and past 20! (64 bits) refused unbuilt
+    # the orbital table has one entry per label pair: (t!)^2 is over the budget
+    # from t = 7 on, and past 20! (64 bits) refused unbuilt
     if group == "unitary" and t > 20:
-        dense.check_entries(f"({t}!)^2", f"the {t}!x{t}! Gram matrix at t = {t}")
+        dense.check_entries(f"({t}!)^2", f"the {t}!x{t}! label-pair orbital table at t = {t}")
     size = mo.commutant_size(t, group)
-    dense.check_entries(size ** 2, f"the {size}x{size} Gram matrix at t = {t}")
+    dense.check_entries(size ** 2, f"the {size}x{size} label-pair orbital table at t = {t}")
 
 
 def _optimal_reuse_rules(cfg):
@@ -242,7 +243,9 @@ def run_estimate(cfg, threads=1):
                     reuse=cfg["reuse"], batches=cfg["batches"], seed=cfg["seed"])
     state, pair = stabilizer_pair(spec.n)
     obs = _observable(cfg["observable"]) or pair
-    return estimate(run, state, obs, records_out=cfg["records_out"])
+    if cfg["records_out"] is None:
+        return estimate(run, state, obs)
+    return _write_all_or_nothing(cfg["records_out"], functools.partial(estimate, run, state, obs))
 
 
 # A tabular result: its column names, and rows, an iterable of value tuples in
@@ -391,8 +394,9 @@ def _write_json(table, fh):
 
 
 def _write_all_or_nothing(path, write):
-    """write(fh) into a new file beside path, renamed over path once it is
-    complete; on any error the new file is removed and path left as it was.
+    """Run write(fh) on a new file beside path, renamed over path once it is
+    complete, and return what write returns; on any error the new file is
+    removed and path left as it was.
 
     Only an absent path, or a regular file that its real path names, can be
     replaced by a rename.  Anything else, such as /dev/null, a FIFO or
@@ -402,8 +406,7 @@ def _write_all_or_nothing(path, write):
     real = os.path.realpath(path)  # a symlinked path keeps its link
     if os.path.exists(path) and not (os.path.isfile(real) and os.path.samefile(path, real)):
         with open(path, "w") as fh:
-            write(fh)
-        return
+            return write(fh)
     tmp = os.path.join(os.path.dirname(real), f".shadowkit-{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, "x")
@@ -413,11 +416,12 @@ def _write_all_or_nothing(path, write):
         with fh:
             if os.path.exists(real):
                 shutil.copymode(real, tmp)
-            write(fh)
+            result = write(fh)
         os.replace(tmp, real)
     except BaseException:
         os.remove(tmp)
         raise
+    return result
 
 
 def _too_many_digits():

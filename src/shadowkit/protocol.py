@@ -40,7 +40,6 @@ record holds it as a bitstring of exactly n characters 0/1: ``_record``
 writes it and ``parse_outcome`` reads it back, refusing anything else.
 """
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -52,7 +51,7 @@ from . import clifford as cl
 from . import stabilizer
 from .ensembles import (EnsembleSpec, SampledCircuit, push_rows, require_at_least,
                         sample_circuits, statevectors, substream)
-from .stabilizer import PauliString, StabilizerTableau
+from .stabilizer import StabilizerTableau, halves
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class ObservableSpec:
 
     def trace(self):
         p = self.payload
-        if self.kind == "stab_projector" or p.x.any() or p.z.any():
+        if self.kind == "stab_projector" or p.word:
             return Fraction(0)
         return Fraction(p.hermitian_sign() * 2 ** self.n)
 
@@ -188,16 +187,15 @@ def _pauli_parities(o, circuit):
     2^k branches are the parities; a Clifford circuit has one branch.
     """
     p = o.payload
-    xs, zs, phases = push_rows([circuit], p.x[None], p.z[None], [p.phase])
-    rows = [PauliString(*r) for r in zip(xs[0], zs[0], phases[0])]
-    branches = {(rows[0].x_int(), rows[0].z_int()): 1j ** rows[0].phase}
-    for b in rows[1:]:
-        bx, bz, split = b.x_int(), b.z_int(), {}
+    rows, phases = (a[0].tolist() for a in push_rows([circuit], [p.word], [p.phase]))
+    branches = {halves(rows[0], o.n): 1j ** phases[0]}
+    for b, phase in zip(rows[1:], phases[1:]):
+        (bx, bz), split = halves(b, o.n), {}
         for (x, z), c in branches.items():
             if ((x & bz).bit_count() + (z & bx).bit_count()) % 2:
                 c *= math.sqrt(0.5)
                 # -i P_j Q = -i^(1 + phase + 2 bz.x) X^(bx ^ x) Z^(bz ^ z)
-                key, a = (x ^ bx, z ^ bz), 1 + b.phase + 2 * (bz & x).bit_count()
+                key, a = (x ^ bx, z ^ bz), 1 + phase + 2 * (bz & x).bit_count()
                 split[key] = split.get(key, 0) - 1j ** a * c
             split[x, z] = split.get((x, z), 0) + c
         branches = split
@@ -233,8 +231,7 @@ def act(circuits, state):
     circuits.reverse()
     kind = circuits[-1].kind if circuits else None
     if kind == "clifford":
-        rows = (np.broadcast_to(a, (len(circuits),) + a.shape)
-                for a in (state.xs, state.zs, state.phases))
+        rows = (np.broadcast_to(a, (len(circuits),) + a.shape) for a in (state.rows, state.phases))
         elements = [c.element for c in reversed(circuits)]
         for rotated in stabilizer.tableaux(*cl.conjugate_rows_batch(elements, *rows)):
             yield circuits.pop(), rotated
@@ -313,17 +310,17 @@ def record_values(records, o):
 
 def estimate(cfg, state, o, records_out=None):
     """Full protocol: acquire, evaluate, median of K batch means; the
-    records are also written to the ``records_out`` path when one is given.
+    records are also written, one JSON line each, to ``records_out`` when it
+    is given, a text file open for writing.
     Each circuit is evaluated as sampled and then dropped, so no dense
     matrix outlives its circuit.  When O is the projector of the state's own
     tableau, the circuit's action on the state serves the evaluation too."""
     values = np.empty(cfg.circuits)
     shared = o.kind == "stab_projector" and o.payload is state
-    with (open(records_out, "w") if records_out else contextlib.nullcontext()) as sink:
-        for i, (circuit, action, outcomes) in enumerate(_circuit_shots(cfg, state)):
-            if sink:
-                sink.write(_record(circuit, outcomes).to_json() + "\n")
-            values[i] = _mean_value(o, circuit, outcomes, action if shared else None)
+    for i, (circuit, action, outcomes) in enumerate(_circuit_shots(cfg, state)):
+        if records_out:
+            records_out.write(_record(circuit, outcomes).to_json() + "\n")
+        values[i] = _mean_value(o, circuit, outcomes, action if shared else None)
     est = median_of_means(values, cfg.batches)
     return {"estimate": est, "K": cfg.batches, "R": cfg.reuse,
             "N": cfg.measurements, "seed": cfg.seed}

@@ -1,19 +1,21 @@
 """Signed Pauli strings and tableau-based stabilizer simulation.
 
-A Pauli is stored as ``i**phase * X^x Z^z`` with ``x, z`` bit vectors over
-the qubits (qubit 0 leftmost) and ``phase`` an exponent mod 4.  A tableau
-is a state's n stabilizer generator rows, with full mod-4 phase tracking so
-Born probabilities and estimator values come out as exact dyadic rationals;
-it keeps no destabilizer rows, since no measurement here needs them.  A
-tableau's Z-basis outcomes are uniform on an affine subspace x0 + span(B)
-(Aaronson-Gottesman), derived from the generators alone and read by shot
-sampling (R shots from one draw), Born probabilities and the dense
-statevector.  Supports, like dense statevectors, are made by kernels over a
-batch: ``z_supports`` runs one packed-word Gauss-Jordan over a stack of
+Every F2 row of the package is one (x|z) word: X^x Z^z on n <= 31 qubits is
+an int (int64 in arrays) with x in its high n bits and z in its low n bits,
+qubit 0 the most significant bit of each half (entry c of (x|z) is bit
+2n-1-c; ``halves`` splits it).  A Pauli ``i**phase * X^x Z^z`` is its word and
+``phase`` mod 4.  A tableau is a state's n stabilizer row words, with full
+mod-4 phase tracking so Born probabilities and estimator values come out as
+exact dyadic rationals; it keeps no destabilizer rows, since no measurement
+here needs them.  A tableau's Z-basis outcomes are uniform on an affine
+subspace x0 + span(B) (Aaronson-Gottesman), derived from the generators alone
+and read by shot sampling (R shots from one draw), Born probabilities and the
+dense statevector.  Supports, like dense statevectors, are made by kernels
+over a batch: ``z_supports`` runs one word Gauss-Jordan over a stack of
 tableaux (``tableaux`` builds a stack's tableaux with their supports),
-``statevectors`` takes the same stacks and ``apply_paulis`` one Pauli per
-row of a (B, 2^n) array; ``StabilizerTableau.z_support``, ``.statevector``
-and ``PauliString.apply`` are their count-1 cases.  An outcome is an int with
+``statevectors`` takes the same stacks and ``apply_paulis`` one Pauli per row
+of a (B, 2^n) array; ``StabilizerTableau.z_support``, ``.statevector`` and
+``PauliString.apply`` are their count-1 cases.  An outcome is an int with
 qubit 0 the most significant bit; bitstrings exist only in shadow records.
 """
 
@@ -27,24 +29,18 @@ _PAULI_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
 _SIGNS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
-def _bits_to_int(bits):
-    """The bit vector as an int, entry 0 the most significant bit."""
-    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
+def halves(words, n):
+    """(x, z) of n-qubit (x|z) row words, ints or int64 arrays."""
+    return words >> n, words & (1 << n) - 1
 
 
 class PauliString:
-    """A signed n-qubit Pauli operator ``i**phase * X^x Z^z``."""
+    """A signed n-qubit Pauli operator ``i**phase * X^x Z^z``, (x|z) one word."""
 
-    __slots__ = ("x", "z", "phase")
+    __slots__ = ("n", "word", "phase")
 
-    def __init__(self, x, z, phase=0):
-        self.x = np.asarray(x, dtype=np.uint8) & 1
-        self.z = np.asarray(z, dtype=np.uint8) & 1
-        self.phase = int(phase) % 4
-
-    @property
-    def n(self):
-        return len(self.x)
+    def __init__(self, n, word, phase=0):
+        self.n, self.word, self.phase = n, int(word), int(phase) % 4
 
     @classmethod
     def from_label(cls, label):
@@ -54,43 +50,36 @@ class PauliString:
             if label.startswith(prefix):
                 phase, label = ph, label[len(prefix):]
                 break
-        x = np.zeros(len(label), dtype=np.uint8)
-        z = np.zeros(len(label), dtype=np.uint8)
+        n, word = len(label), 0
         for j, ch in enumerate(label):
             if ch not in _PAULI_BITS:
                 raise ValueError(f"unknown Pauli letter {ch!r} in {label!r}")
             xj, zj, pj = _PAULI_BITS[ch]
-            x[j], z[j] = xj, zj
+            word |= xj << 2 * n - 1 - j | zj << n - 1 - j
             phase += pj
-        return cls(x, z, phase)
+        return cls(n, word, phase)
 
-    @classmethod
-    def random(cls, n, rng, signed=True):
-        x = rng.integers(2, size=n, dtype=np.uint8)
-        z = rng.integers(2, size=n, dtype=np.uint8)
-        base = int(np.dot(x, z)) % 2          # keep it Hermitian
-        phase = base + (2 * int(rng.integers(2)) if signed else 0)
-        return cls(x, z, phase)
+    def _y_count(self):
+        """x.z, the number of Y letters."""
+        return (self.word >> self.n & self.word).bit_count()
 
     def is_hermitian(self):
-        return (self.phase + int(np.dot(self.x, self.z))) % 2 == 0
+        return (self.phase + self._y_count()) % 2 == 0
 
     def hermitian_sign(self):
         """+1 or -1 for a Hermitian Pauli (sign in front of the IXYZ word)."""
-        s = (self.phase - int(np.dot(self.x, self.z))) % 4
+        s = (self.phase - self._y_count()) % 4
         if s % 2:
             raise ValueError("Pauli is not Hermitian")
         return 1 if s == 0 else -1
 
     def label(self):
-        word = []
-        for xj, zj in zip(self.x, self.z):
-            word.append("IXZY"[xj + 2 * zj])
-        s = (self.phase - int(np.dot(self.x, self.z))) % 4
-        return _SIGNS[s] + "".join(word)
+        n, w = self.n, self.word
+        word = ["IXZY"[(w >> 2 * n - 1 - j & 1) + 2 * (w >> n - 1 - j & 1)] for j in range(n)]
+        return _SIGNS[(self.phase - self._y_count()) % 4] + "".join(word)
 
     def key(self):
-        return (self.x.tobytes(), self.z.tobytes(), self.phase)
+        return (self.n, self.word, self.phase)
 
     def __eq__(self, other):
         return self.key() == other.key()
@@ -101,44 +90,35 @@ class PauliString:
     def __repr__(self):
         return f"PauliString({self.label()})"
 
-    def x_int(self):
-        return _bits_to_int(self.x)
-
-    def z_int(self):
-        return _bits_to_int(self.z)
-
     def apply(self, vec):
         """Apply to a dense statevector: the count-1 case of ``apply_paulis``."""
-        return apply_paulis(self.x[None], self.z[None], [self.phase], vec[None])[0]
+        return apply_paulis([self.word], [self.phase], vec[None])[0]
 
 
 class StabilizerTableau:
-    """Pure stabilizer state as its n stabilizer generator rows."""
+    """Pure stabilizer state as its n stabilizer generator row words."""
 
-    def __init__(self, xs, zs, phases):
-        self.xs = np.asarray(xs, dtype=np.uint8)
-        self.zs = np.asarray(zs, dtype=np.uint8)
+    def __init__(self, rows, phases):
+        self.rows = np.asarray(rows, dtype=np.int64)
         self.phases = np.asarray(phases, dtype=np.int64) % 4
-        self.n = self.xs.shape[1]
-        if self.xs.shape != (self.n, self.n):
-            raise ValueError("tableau must have n rows")
+        self.n = len(self.rows)
+        if self.rows.shape != (self.n,) or self.phases.shape != (self.n,):
+            raise ValueError("tableau must have n rows and n phases")
         self._z_support = None
 
     @classmethod
     def zero_state(cls, n):
         """|0...0>: stabilizers Z_j."""
-        return cls(np.zeros((n, n), dtype=np.uint8), np.eye(n, dtype=np.uint8),
-                   np.zeros(n, dtype=np.int64))
+        return cls(1 << np.arange(n - 1, -1, -1), np.zeros(n, dtype=np.int64))
 
     def row(self, i):
-        return PauliString(self.xs[i], self.zs[i], self.phases[i])
+        return PauliString(self.n, self.rows[i], self.phases[i])
 
     def apply_clifford(self, c):
         """Return the tableau of C|S>; delegates phase algebra to c."""
         if c.n != self.n:
             raise ValueError("qubit count mismatch")
-        xs, zs, phases = c.conjugate_rows(self.xs, self.zs, self.phases)
-        return StabilizerTableau(xs, zs, phases)
+        return StabilizerTableau(*c.conjugate_rows(self.rows, self.phases))
 
     def z_support(self):
         """(x0, basis, pivots), computed once: Z-basis outcomes are x0 + span(basis).
@@ -147,7 +127,7 @@ class StabilizerTableau:
         once built.
         """
         if self._z_support is None:
-            self._z_support = z_supports(self.xs[None], self.zs[None], self.phases[None])[0]
+            self._z_support = z_supports(self.rows[None], self.phases[None])[0]
         return self._z_support
 
     def sample_z_basis(self, rng, count):
@@ -193,33 +173,28 @@ class StabilizerTableau:
     def statevector(self):
         """Dense statevector (arbitrary global phase): the count-1 case of
         ``statevectors``."""
-        return statevectors(self.xs[None], self.zs[None], self.phases[None])[0]
+        return statevectors(self.rows[None], self.phases[None])[0]
 
 
 # i^phase * (+1 or -1), indexed [phase, sign bit] as ``apply_paulis`` reads it.
 _SIGNED_PHASES = np.array([(1j ** a) * np.array([1, -1]) for a in range(4)])
 
 
-def _ints(bits):
-    """Rows of bit vectors as int64, entry 0 the most significant bit."""
-    return bits.astype(np.int64) @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
-
-
-def z_supports(xs, zs, phases):
-    """(x0, basis, pivots) of each tableau of (B, n, n) stacks xs, zs and (B, n)
+def z_supports(rows, phases):
+    """(x0, basis, pivots) of each tableau of (B, n) stacks of row words and
     phases: its Z-basis outcomes are x0 + span(basis).
 
     ``basis`` is the stabilizer X-parts in reduced row-echelon form, with pivot
     columns ``pivots``; ``x0`` is 0 on every pivot.  Bit vectors are ints, qubit
-    0 the most significant bit.  One Gauss-Jordan runs over the whole stack: a
-    row (x|z) is one 64-bit word, column c at bit 2n - 1 - c (2n <= 62), and
-    rows are multiplied as Paulis, phases mod 4, so signs stay exact.
+    0 the most significant bit.  One Gauss-Jordan runs over the whole stack on
+    a copy of the words (2n <= 62 bits), and rows are multiplied as Paulis,
+    phases mod 4, so signs stay exact.
     """
-    count, n = len(xs), np.shape(xs)[-1]
+    count, n = np.shape(rows)
     if n > 31:
         raise ValueError(f"z_supports holds a 2n-bit row in one 64-bit word, so n <= 31; "
                          f"got n = {n}")
-    words = _ints(np.concatenate([xs, zs], axis=-1).reshape(count, n, 2 * n))
+    words = np.array(rows, dtype=np.int64)
     phases = np.asarray(phases, dtype=np.int64).reshape(count, n) % 4
     rank = np.zeros(count, dtype=np.int64)
     pivots = np.full((count, n), -1)
@@ -258,23 +233,24 @@ def z_supports(xs, zs, phases):
             zip(x0.tolist(), (words >> n).tolist(), pivots.tolist(), x_pivot.sum(axis=1).tolist())]
 
 
-def tableaux(xs, zs, phases):
-    """The tableaux of (B, n, n) stacks xs, zs and (B, n) phases, their Z-basis
+def tableaux(rows, phases):
+    """The tableaux of (B, n) stacks of row words and phases, their Z-basis
     supports found by one ``z_supports`` call."""
-    out = [StabilizerTableau(*t) for t in zip(xs, zs, phases)]
-    for tab, support in zip(out, z_supports(xs, zs, phases)):
+    out = [StabilizerTableau(*t) for t in zip(rows, phases)]
+    for tab, support in zip(out, z_supports(rows, phases)):
         tab._z_support = support
     return out
 
 
-def apply_paulis(xs, zs, phases, vecs):
-    """Row b of vecs (B, 2^n) times the Pauli i^phases[b] X^xs[b] Z^zs[b]
-    (signed permutations, O(B 2^n)): entry j is i^phase (-1)^(z.s) vec[s] with
-    s = j ^ x, from one gather and one in-place complex multiply by
-    i^phase * (+1 or -1)."""
+def apply_paulis(words, phases, vecs):
+    """Row b of vecs (B, 2^n) times the Pauli i^phases[b] X^x Z^z of row word
+    words[b] (signed permutations, O(B 2^n)): entry j is i^phase (-1)^(z.s)
+    vec[s] with s = j ^ x, from one gather and one in-place complex multiply
+    by i^phase * (+1 or -1)."""
+    x, z = halves(np.asarray(words, dtype=np.int64)[:, None], vecs.shape[-1].bit_length() - 1)
     # flat index b 2^n + s = (b 2^n + j) ^ x, since x < 2^n; z masks the b bits
-    src = np.arange(vecs.size).reshape(vecs.shape) ^ _ints(xs)[:, None]
-    neg = np.bitwise_count(src & _ints(zs)[:, None]) & 1
+    src = np.arange(vecs.size).reshape(vecs.shape) ^ x
+    neg = np.bitwise_count(src & z) & 1
     out = vecs.reshape(-1)[src]
     del src                 # so at most out, vecs and the factors are held
     signed = _SIGNED_PHASES[np.asarray(phases) % 4]
@@ -282,20 +258,20 @@ def apply_paulis(xs, zs, phases, vecs):
     return out
 
 
-def statevectors(xs, zs, phases):
+def statevectors(rows, phases):
     """Dense statevectors (B, 2^n), arbitrary global phases, of the tableaux of
-    (B, n, n) stacks xs, zs and (B, n) phases: the stabilizer projectors
+    (B, n) stacks of row words and phases: the stabilizer projectors
     (1 + g)/2 applied to |x0> (the whole batch's x0 from one ``z_supports``),
     added and halved in place, so at most three batches are held (two and
     ``apply_paulis``' factors).  Every entry is i^a 2^-j, so the row sums of
     squares, and with them the norms, are exact."""
-    count, n = len(xs), np.shape(xs)[-1]
+    count, n = np.shape(rows)
     what = f"{count} statevectors" if count > 1 else "a statevector"
     check_entries(count * 2 ** n, f"{what} on {n} qubits")
     v = np.zeros((count, 2 ** n), dtype=complex)
-    v[np.arange(count), [x0 for x0, _, _ in z_supports(xs, zs, phases)]] = 1.0
+    v[np.arange(count), [x0 for x0, _, _ in z_supports(rows, phases)]] = 1.0
     for i in range(n):
-        w = apply_paulis(xs[:, i], zs[:, i], phases[:, i], v)
+        w = apply_paulis(rows[:, i], phases[:, i], v)
         np.add(v, w, out=w)
         w /= 2
         v = w

@@ -90,15 +90,15 @@ SUPPORT_DIM_CHUNK = 4096
 def sample_pair_support_dims(n, rng, count):
     """Support dimensions d of C|0^n> for uniform C, drawn in batches.
 
-    Only the symplectic part matters: d is the F2 rank of the x-block of
-    the transformed Z generators, i.e. of S[:n, n:].
+    Only the symplectic part matters: d is the F2 rank of the x-halves of
+    the transformed Z generators, the column words S[:, n:] shifted by n.
     """
     out = np.empty(count, dtype=np.int64)
     done = 0
     while done < count:
         b = min(SUPPORT_DIM_CHUNK, count - done)
         s = cl.sample_symplectic_batch(n, rng, b)
-        out[done:done + b] = f2.rank_f2_batch(s[:, :n, n:])
+        out[done:done + b] = f2.rank_f2_batch(s[:, n:] >> n)
         done += b
     return out
 

@@ -13,10 +13,11 @@ vectorized operators.
 
 import numpy as np
 
-from shadowkit import clifford as cl
 from shadowkit.dense import check_entries
 from shadowkit.ensembles import sample_circuit
 from shadowkit.stabilizer import StabilizerTableau
+
+from clifford_oracle import enumerate_group
 
 ATOL_UNITARY = 1e-10
 
@@ -37,8 +38,9 @@ def kron_all(factors):
 
 def pauli_dense(p):
     """The matrix i^phase X^x Z^z of a PauliString, qubit 0 the leftmost factor."""
-    return (1j ** p.phase) * kron_all([(X if xj else I2) @ (Z if zj else I2)
-                                       for xj, zj in zip(p.x, p.z)])
+    n, w = p.n, p.word
+    return (1j ** p.phase) * kron_all([(X if w >> 2 * n - 1 - j & 1 else I2) @
+                                       (Z if w >> n - 1 - j & 1 else I2) for j in range(n)])
 
 
 def observable_dense(o):
@@ -60,12 +62,8 @@ def clifford_unitary(c):
     psi0 = StabilizerTableau.zero_state(n).apply_clifford(c).statevector()
     dim = 2 ** n
     idx = np.arange(dim)
-    xbits = ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    imgs, img_z, phases = c.conjugate_rows(
-        xbits, np.zeros((dim, n), dtype=np.uint8), np.zeros(dim, dtype=np.int64))
-    weights = 1 << np.arange(n - 1, -1, -1)
-    a_int = imgs @ weights                     # image X-bit patterns
-    b_int = img_z @ weights
+    images, phases = c.conjugate_rows(idx << n, np.zeros(dim, dtype=np.int64))   # of X^x
+    a_int, b_int = images >> n, images & dim - 1   # image X- and Z-bit patterns
     src = idx[:, None] ^ a_int[None, :]        # source index per (row, col)
     signs = 1 - 2 * (np.bitwise_count(src & b_int[None, :]) & 1).astype(np.int64)
     i_pow = np.array([1, 1j, -1, -1j])[phases]
@@ -133,7 +131,7 @@ def frame_operator_exact_clifford(n):
     dim = 2 ** n
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     count = 0
-    for c in cl.enumerate_group(n):
+    for c in enumerate_group(n):
         _frame_contribution(clifford_unitary(c), out)
         count += 1
     return out / count

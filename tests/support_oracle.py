@@ -4,18 +4,15 @@ One tableau at a time, on Python-int rows, in the column order the batched
 kernel follows; it must give the same (x0, basis, pivots) to the int.
 """
 
-import numpy as np
 
-
-def z_support_gauss_jordan(xs, zs, phases):
-    """(x0, basis, pivots) of one tableau's n stabilizer rows xs, zs (n, n)
-    and phases (n,): Z-basis outcomes are x0 + span(basis), ``basis`` the
-    X-parts in reduced row-echelon form with pivot columns ``pivots`` and x0
-    0 on every pivot; bit vectors are ints, qubit 0 the most significant bit."""
-    n = len(xs)
-    packed = np.packbits(np.hstack([xs, zs]).astype(np.uint8), axis=1)
-    rows = [int.from_bytes(r.tobytes(), "big") >> (-2 * n % 8) for r in packed]
-    phases = (np.asarray(phases, dtype=np.int64) % 4).tolist()
+def z_support_gauss_jordan(rows, phases):
+    """(x0, basis, pivots) of one tableau's n stabilizer row words and phases
+    (n,): Z-basis outcomes are x0 + span(basis), ``basis`` the X-parts in
+    reduced row-echelon form with pivot columns ``pivots`` and x0 0 on every
+    pivot; bit vectors are ints, qubit 0 the most significant bit."""
+    n = len(rows)
+    rows = [int(r) for r in rows]
+    phases = [int(p) % 4 for p in phases]
     # Gauss-Jordan on the 2n-bit rows (x|z), multiplied as Paulis so phases
     # stay exact: X-parts end in RREF, and the pure-Z rows (which commute
     # with them) pivot on the other qubits, so x0 is 0 on the X pivots.

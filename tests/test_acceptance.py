@@ -22,6 +22,7 @@ from shadowkit import protocol as pr
 from shadowkit import tails as tl
 from shadowkit.ensembles import EnsembleSpec, SampledCircuit
 
+from clifford_oracle import enumerate_group
 from commutant_oracle import r_T_matrix, rt_inner
 from dense_oracle import T_GATE, basis_state, kron_all, tensor_power
 
@@ -39,7 +40,7 @@ def test_criterion_1_exact_n2_oracle():
     e1 = Fraction(0)
     e2 = Fraction(0)
     count = 0
-    for c in cl.enumerate_group(n):
+    for c in enumerate_group(n):
         evaluate = pr.shot_evaluator(obs, SampledCircuit("clifford", n, element=c))
         rotated = state.apply_clifford(c)
         for xi in range(2 ** n):

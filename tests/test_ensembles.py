@@ -12,6 +12,7 @@ from shadowkit import protocol as pr
 from shadowkit import tails as tl
 from shadowkit.stabilizer import StabilizerTableau
 
+from clifford_oracle import random_stabilizer_tableau
 from dense_oracle import (T_GATE, basis_state, circuit_unitary, devectorize,
                           frame_operator_depolarizing, frame_operator_empirical,
                           frame_operator_exact_clifford, inverse_frame_apply, is_unitary,
@@ -92,7 +93,7 @@ def test_only_a_haar_circuit_is_made_dense():
 def test_statevector_is_dense_action_up_to_phase():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 4):
-        state = cl.random_stabilizer_tableau(n, rng)
+        state = random_stabilizer_tableau(n, rng)
         psi = state.statevector()
         for spec in (en.EnsembleSpec("haar", n), en.EnsembleSpec("clifford", n),
                      en.EnsembleSpec("identity", n), en.EnsembleSpec("homeopathic", n, k=0),
@@ -150,7 +151,7 @@ def test_statevectors_match_one_at_a_time():
     Clifford circuits."""
     for n in range(1, 7):
         rng = np.random.default_rng(40 + n)
-        state = cl.random_stabilizer_tableau(n, rng)
+        state = random_stabilizer_tableau(n, rng)
         specs = [en.EnsembleSpec("clifford", n)] + [en.EnsembleSpec("homeopathic", n, k=k)
                                                     for k in range(9)]
         for spec in specs:
@@ -169,7 +170,7 @@ def test_statevectors_at_the_batch_cap():
                  en.EnsembleSpec("clifford", 6), en.EnsembleSpec("homeopathic", 12, k=1)):
         cap = pr.BORN_BATCH_ENTRIES >> spec.n
         rng = np.random.default_rng(spec.n + spec.k)
-        state = cl.random_stabilizer_tableau(spec.n, rng)
+        state = random_stabilizer_tableau(spec.n, rng)
         circuits = en.sample_circuits(spec, [rng] * (cap + 1))
         singles = [en.statevectors([c], state)[0].tobytes() for c in circuits]
         for size in (1, cap - 1, cap, cap + 1):
@@ -181,7 +182,7 @@ def test_statevectors_at_the_batch_cap():
 @settings(max_examples=60, deadline=None)
 def test_branch_statevector_is_dense_segment_product(seed, n, k):
     rng = np.random.default_rng(seed)
-    state = cl.random_stabilizer_tableau(n, rng)
+    state = random_stabilizer_tableau(n, rng)
     c = en.sample_circuit(en.EnsembleSpec("homeopathic", n, k=k), rng)
     want = circuit_unitary(c) @ state.statevector()
     assert abs(abs(np.vdot(want, en.statevectors([c], state)[0])) - 1) < 1e-12
@@ -287,7 +288,7 @@ def test_descriptor_round_trips_every_kind(seed, kind, n, k):
     c = en.sample_circuit(en.EnsembleSpec(kind, n, k=k if kind == "homeopathic" else 0), rng)
     c2 = en.SampledCircuit.from_descriptor(c.descriptor())
     assert c2.descriptor() == c.descriptor()
-    state = cl.random_stabilizer_tableau(n, rng)
+    state = random_stabilizer_tableau(n, rng)
     assert np.array_equal(_statevector(c, state), _statevector(c2, state))
 
 

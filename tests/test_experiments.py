@@ -465,7 +465,7 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
             (["weingarten", "--t", "4", "--n", "2", "--group", "clifford"],
              "the Gram matrix is singular for n = 2 < t - 1 = 3"),
             (["weingarten", "--t", "7", "--n", "6", "--group", "unitary"],
-             "the 5040x5040 Gram matrix at t = 7 needs 25401600 dense entries, "
+             "the 5040x5040 label-pair orbital table at t = 7 needs 25401600 dense entries, "
              "over the budget of 2^24 = 16777216"),
             (["variance-scan", "--kind", "clifford", "--n", "2", "--measurements", "8",
               "--reuse-list", "8", "--vstar-circuits", "4", "--seed", "1"],
@@ -507,8 +507,8 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
              "a T-gate statevector on 100000000 qubits needs 2^100000000 dense entries, "
              "over the budget of 2^24 = 16777216"),
             (["weingarten", "--t", "100000", "--n", "17", "--group", "unitary"],
-             "the 100000!x100000! Gram matrix at t = 100000 needs (100000!)^2 dense entries, "
-             "over the budget of 2^24 = 16777216")):
+             "the 100000!x100000! label-pair orbital table at t = 100000 needs (100000!)^2 "
+             "dense entries, over the budget of 2^24 = 16777216")):
         start = time.perf_counter()
         assert cli.main(argv) == 2
         assert time.perf_counter() - start < 1.0, argv
@@ -517,6 +517,18 @@ def test_cli_bad_config_is_one_line_error(capsys, tmp_path):
         assert captured.err == f"shadowkit {argv[0]}: error: {message}\n"
     assert not (tmp_path / "wg.csv").exists()
     assert sys.get_int_max_str_digits() == limit
+    # --records-out and --out naming one file, also through a symlink, would
+    # lose the records: refused, and nothing is written
+    same, link = tmp_path / "same.txt", tmp_path / "link.txt"
+    link.symlink_to(same)
+    small = ["estimate", "--kind", "clifford", "--n", "3", "--measurements", "8", "--reuse", "2",
+             "--batches", "1", "--seed", "1", "--out", str(same)]
+    for records in (same, link):
+        assert cli.main(small + ["--records-out", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not same.exists()
+        assert captured.err == (f"shadowkit estimate: error: --records-out and --out name the "
+                                f"same file {str(same)!r}\n")
     # a malformed estimate observable, which only a config file can give
     estimate = {"ensemble": {"kind": "clifford", "n": 3}, "measurements": 12, "reuse": 1,
                 "batches": 1, "seed": 1}
@@ -746,6 +758,31 @@ def test_cli_config_plus_seed_override(tmp_path):
     a, b = json.loads(out1.read_text()), json.loads(out2.read_text())
     assert a["seed"] == 1 and b["seed"] == 2
     assert set(a) == {"estimate", "K", "R", "N", "seed"}
+
+
+def test_failed_estimate_leaves_no_records_file(monkeypatch, tmp_path):
+    """The records file is written all or nothing: a failure at circuit 100 of
+    500 leaves no file and no temporary sibling, and a file that was already
+    there keeps its bytes."""
+    record = pr._record
+    argv = ["estimate", "--kind", "clifford", "--n", "3", "--measurements", "1000", "--reuse",
+            "2", "--batches", "1", "--seed", "1", "--records-out", str(tmp_path / "records")]
+    for before in (None, b"earlier contents\n"):
+        if before is not None:
+            (tmp_path / "records").write_bytes(before)
+        calls = []
+
+        def failing(circuit, outcomes):
+            calls.append(circuit)
+            if len(calls) == 101:
+                raise RuntimeError("failed at circuit 100")
+            return record(circuit, outcomes)
+        monkeypatch.setattr(pr, "_record", failing)
+        with pytest.raises(RuntimeError, match="circuit 100"):
+            cli.main(argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if before is None else ["records"])
+        if before is not None:
+            assert (tmp_path / "records").read_bytes() == before
 
 
 def test_cli_records_out(tmp_path):

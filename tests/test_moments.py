@@ -8,6 +8,7 @@ from shadowkit import exact
 from shadowkit import moments as mo
 from shadowkit.stabilizer import statevectors
 
+from clifford_oracle import enumerate_group, random_stabilizer_tableau
 from commutant_oracle import (pi4_matrix, r_pi_matrix, r_T_matrix, rt_inner,
                               sigma_tt_enumerate)
 from dense_oracle import T_GATE, X, Y, Z, basis_state, clifford_unitary, kron_all, tensor_power
@@ -249,10 +250,10 @@ def test_moment_operator_exhaustive_t_le_3():
     uniform combination of the commutant basis, for t <= 3."""
     n = 2
     rng = np.random.default_rng(3)
-    tab = cl.random_stabilizer_tableau(n, rng)
+    tab = random_stabilizer_tableau(n, rng)
     v = tab.statevector()
     rho = np.outer(v, v.conj())
-    group = list(cl.enumerate_group(n))
+    group = list(enumerate_group(n))
     for t in (1, 2, 3):
         acc = np.zeros((4 ** t, 4 ** t), dtype=complex)
         for c in group:
@@ -272,7 +273,7 @@ def test_moment_operator_monte_carlo_t4():
     t=4, n=3, for one permutation and one hatted label."""
     n = 3
     rng = np.random.default_rng(4)
-    tab = cl.random_stabilizer_tableau(n, rng)
+    tab = random_stabilizer_tableau(n, rng)
     samples = 100_000
     coeff = float(mo.state_average_coefficient(4, n, "clifford"))
     gram = mo.gram_matrix(4, n, "clifford")
@@ -283,7 +284,7 @@ def test_moment_operator_monte_carlo_t4():
     done = 0
     while done < samples:
         batch = cl.sample_uniform_batch(n, rng, min(4096, samples - done))
-        rows = (np.broadcast_to(a, (len(batch),) + a.shape) for a in (tab.xs, tab.zs, tab.phases))
+        rows = (np.broadcast_to(a, (len(batch),) + a.shape) for a in (tab.rows, tab.phases))
         w = statevectors(*cl.conjugate_rows_batch(batch, *rows))
         # 16 fourth tensor powers (1 MB, cache-sized) at a time, as rows of np.kron(w2, w2)
         for start in range(0, len(batch), 16):

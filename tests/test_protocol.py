@@ -18,6 +18,7 @@ from shadowkit import tails as tl
 from shadowkit.ensembles import EnsembleSpec, SampledCircuit, sample_circuit, sample_circuits
 from shadowkit.stabilizer import PauliString, StabilizerTableau
 
+from clifford_oracle import enumerate_group, random_pauli, random_stabilizer_tableau
 from dense_oracle import (circuit_unitary, conditional_mean_dense, observable_dense,
                           single_shot_dense)
 
@@ -68,12 +69,12 @@ def test_fast_path_equals_dense_path_exactly():
     cases = 0
     for n in (1, 2, 3, 4):
         for i in range(251):
-            tab = cl.random_stabilizer_tableau(n, rng)
+            tab = random_stabilizer_tableau(n, rng)
             o = pr.ObservableSpec.stabilizer_projector(tab)
             c = SampledCircuit("clifford", n, element=cl.sample_uniform(n, rng))
             if i == 250:
                 c = sample_circuit(EnsembleSpec("identity", n), rng)
-            p = pr.ObservableSpec.pauli(PauliString.random(n, rng))
+            p = pr.ObservableSpec.pauli(random_pauli(n, rng))
             for xi in range(2 ** n):
                 x = format(xi, f"0{n}b")
                 assert pr.single_shot(o, c, x) == pytest.approx(
@@ -147,7 +148,7 @@ def test_acquire_records_bytes_are_pinned():
     the order of every draw never change."""
     h = hashlib.sha256()
     for n in (1, 2, 3, 10):
-        state = cl.random_stabilizer_tableau(n, np.random.default_rng(n))
+        state = random_stabilizer_tableau(n, np.random.default_rng(n))
         cfg = pr.RunConfig(EnsembleSpec("clifford", n), measurements=64, reuse=4, batches=1,
                            seed=2212)
         for rec in pr.acquire(cfg, state):
@@ -161,10 +162,10 @@ def test_record_values_bytes_are_pinned():
     cases = []
     for n in (1, 2, 3, 10):
         rng = np.random.default_rng(n)
-        state = cl.random_stabilizer_tableau(n, rng)
-        obs = pr.ObservableSpec.stabilizer_projector(cl.random_stabilizer_tableau(n, rng))
+        state = random_stabilizer_tableau(n, rng)
+        obs = pr.ObservableSpec.stabilizer_projector(random_stabilizer_tableau(n, rng))
         cases.append((EnsembleSpec("clifford", n), state, obs))
-    state = cl.random_stabilizer_tableau(5, np.random.default_rng(5))
+    state = random_stabilizer_tableau(5, np.random.default_rng(5))
     for label in ("-XZZYI", "-ZIZZI"):
         obs = pr.ObservableSpec.pauli(PauliString.from_label(label))
         cases.append((EnsembleSpec("clifford", 5), state, obs))
@@ -210,7 +211,8 @@ def test_estimate_bytes_are_pinned(tmp_path):
     for spec, measurements, batches, records_sha, result_sha in cases:
         cfg = pr.RunConfig(spec, measurements, reuse=4, batches=batches, seed=1212)
         path = tmp_path / f"{spec.kind}{spec.n}.jsonl"
-        out = pr.estimate(cfg, *(wide if spec.n == 10 else (state, o)), records_out=path)
+        with open(path, "w") as records:
+            out = pr.estimate(cfg, *(wide if spec.n == 10 else (state, o)), records_out=records)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == records_sha, spec
         assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == result_sha, spec
 
@@ -227,7 +229,8 @@ def test_estimate_bytes_do_not_depend_on_the_chunk_size(monkeypatch, tmp_path):
             monkeypatch.setattr(pr, "CIRCUIT_CHUNK", chunk)
             path = tmp_path / f"{spec.kind}{chunk}.jsonl"
             cfg = pr.RunConfig(spec, measurements, reuse=3, batches=2, seed=77)
-            out = pr.estimate(cfg, state, o, records_out=path)
+            with open(path, "w") as records:
+                out = pr.estimate(cfg, state, o, records_out=records)
             runs.add((path.read_bytes(), json.dumps(out)))
         assert len(runs) == 1, spec
 
@@ -271,7 +274,7 @@ def test_act_makes_the_haar_state_vector_once(monkeypatch):
         return statevector(self)
     monkeypatch.setattr(StabilizerTableau, "statevector", counted)
     rng = np.random.default_rng(4)
-    state = cl.random_stabilizer_tableau(3, rng)
+    state = random_stabilizer_tableau(3, rng)
     circuits = sample_circuits(EnsembleSpec("haar", 3), [rng] * 4)
     psi = statevector(state)
     got = list(pr.act(list(circuits), state))
@@ -327,7 +330,7 @@ def test_t_gate_evaluators_match_dense_oracle():
     signed Paulis (X-containing ones included), signed Paulis of X and Y on
     Haar circuits, and both stabilizer projectors."""
     def check(circuit, state, paulis):
-        for o in [pr.ObservableSpec.stabilizer_projector(cl.random_stabilizer_tableau(n, rng)),
+        for o in [pr.ObservableSpec.stabilizer_projector(random_stabilizer_tableau(n, rng)),
                   pr.ObservableSpec.stabilizer_projector(state)] + \
                  [pr.ObservableSpec.pauli(p) for p in paulis]:
             value = pr.shot_evaluator(o, circuit)
@@ -342,18 +345,18 @@ def test_t_gate_evaluators_match_dense_oracle():
     for n in range(1, 6):
         for k in range(7):
             circuit = sample_circuit(EnsembleSpec("homeopathic", n, k=k), rng)
-            state = cl.random_stabilizer_tableau(n, rng)
-            paulis = [PauliString.random(n, rng) for _ in range(3)]
-            x_paulis += sum(bool(p.x.any()) for p in paulis)
+            state = random_stabilizer_tableau(n, rng)
+            paulis = [random_pauli(n, rng) for _ in range(3)]
+            x_paulis += sum(p.word >> n != 0 for p in paulis)
             check(circuit, state, paulis)
     assert x_paulis > 50
     rng = np.random.default_rng(25)
     for n in range(1, 6):
         for _ in range(3):
             circuit = sample_circuit(EnsembleSpec("haar", n), rng)
-            state = cl.random_stabilizer_tableau(n, rng)
+            state = random_stabilizer_tableau(n, rng)
             words = ("-" + ("XY" * n)[:n], ("YX" * n)[:n], "-" + ("YZX" * n)[:n])
-            check(circuit, state, [PauliString.random(n, rng) for _ in range(2)]
+            check(circuit, state, [random_pauli(n, rng) for _ in range(2)]
                   + [PauliString.from_label(w) for w in words])
 
 
@@ -380,7 +383,7 @@ def test_haar_evaluators_build_no_dense_observable():
 def test_measure_circuit_dense_branch_chi_square():
     """Non-Clifford shots follow |U psi|^2; outcomes of probability 0 never occur."""
     rng = np.random.default_rng(12)
-    state = cl.random_stabilizer_tableau(3, rng)
+    state = random_stabilizer_tableau(3, rng)
     shots = 40_000
     for spec in (EnsembleSpec("haar", 3), EnsembleSpec("homeopathic", 3, k=0),
                  EnsembleSpec("homeopathic", 3, k=2)):
@@ -482,12 +485,12 @@ def test_conditional_means_match_dense_oracle():
         for kind in ("clifford", "identity", "haar"):
             for _ in range(6):
                 circuit = sample_circuit(EnsembleSpec(kind, n), rng)
-                state = cl.random_stabilizer_tableau(n, rng)
-                paulis = [PauliString.random(n, rng) for _ in range(3)]
-                x_paulis += sum(bool(p.x.any()) for p in paulis)
+                state = random_stabilizer_tableau(n, rng)
+                paulis = [random_pauli(n, rng) for _ in range(3)]
+                x_paulis += sum(p.word >> n != 0 for p in paulis)
                 for o in [pr.ObservableSpec.stabilizer_projector(state),
                           pr.ObservableSpec.stabilizer_projector(
-                              cl.random_stabilizer_tableau(n, rng))] + \
+                              random_stabilizer_tableau(n, rng))] + \
                          [pr.ObservableSpec.pauli(p) for p in paulis]:
                     assert abs(pr.conditional_mean(o, circuit, state)
                                - conditional_mean_dense(o, circuit, state)) < 1e-12, (n, kind)
@@ -505,12 +508,12 @@ def test_clifford_projector_conditional_means_are_exact():
         d = 2 ** n
         for _ in range(20):
             circuit = sample_circuit(EnsembleSpec("clifford", n), rng)
-            state = cl.random_stabilizer_tableau(n, rng)
-            for target in (state, cl.random_stabilizer_tableau(n, rng)):
+            state = random_stabilizer_tableau(n, rng)
+            for target in (state, random_stabilizer_tableau(n, rng)):
                 u, v = (t.apply_clifford(circuit.element) for t in (state, target))
                 overlap = sum(u.z_probability(x) * v.z_probability(x) for x in range(d))
                 assert u.z_overlap(v) == overlap
-                dim = int(f2.rank_f2_batch(np.vstack([u.xs, v.xs])[None])[0])
+                dim = int(f2.rank_f2_batch(np.concatenate([u.rows, v.rows])[None] >> n)[0])
                 meet = Fraction(1, 2 ** dim) if overlap else Fraction(0)
                 met += bool(overlap)
                 o = pr.ObservableSpec.stabilizer_projector(target)
@@ -526,10 +529,10 @@ def test_conditional_means_of_a_list_are_each_circuits_mean(kind, k):
     circuit, in order, to the bit, for every observable form."""
     rng = np.random.default_rng(24)
     n = 3
-    state = cl.random_stabilizer_tableau(n, rng)
+    state = random_stabilizer_tableau(n, rng)
     circuits = sample_circuits(EnsembleSpec(kind, n, k=k), [rng] * 5)
     for o in (pr.ObservableSpec.stabilizer_projector(state),
-              pr.ObservableSpec.stabilizer_projector(cl.random_stabilizer_tableau(n, rng)),
+              pr.ObservableSpec.stabilizer_projector(random_stabilizer_tableau(n, rng)),
               pr.ObservableSpec.pauli(PauliString.from_label("-XZY"))):
         got = list(pr.conditional_means(list(circuits), state, o))
         assert got == [pr.conditional_mean(o, c, state) for c in circuits]
@@ -544,7 +547,8 @@ def test_estimate_equals_estimate_from_its_records(tmp_path):
                     (EnsembleSpec("homeopathic", 3, k=1), pair), (EnsembleSpec("haar", 3), pair)):
         cfg = pr.RunConfig(spec, measurements=48, reuse=4, batches=3, seed=31)
         path, path2 = tmp_path / "records.jsonl", tmp_path / "acquired.jsonl"
-        out = pr.estimate(cfg, state, o, records_out=path)
+        with open(path, "w") as records:
+            out = pr.estimate(cfg, state, o, records_out=records)
         assert out["estimate"] == pr.median_of_means(pr.record_values(pr.read_records(path), o), 3)
         pr.write_records(pr.acquire(cfg, state), path2)
         assert path.read_bytes() == path2.read_bytes()
@@ -553,12 +557,12 @@ def test_estimate_equals_estimate_from_its_records(tmp_path):
 def test_estimate_output_and_unbiasedness_n1_exact():
     """Exhaustive n=1: mean single-shot value over (C, x) equals tr(O rho)."""
     rng = np.random.default_rng(2)
-    state = cl.random_stabilizer_tableau(1, rng)
-    otab = cl.random_stabilizer_tableau(1, rng)
+    state = random_stabilizer_tableau(1, rng)
+    otab = random_stabilizer_tableau(1, rng)
     o = pr.ObservableSpec.stabilizer_projector(otab)
     total = Fraction(0)
     count = 0
-    for c in cl.enumerate_group(1):
+    for c in enumerate_group(1):
         value = pr.shot_evaluator(o, SampledCircuit("clifford", 1, element=c))
         rotated = state.apply_clifford(c)
         for xi in range(2):
@@ -567,7 +571,7 @@ def test_estimate_output_and_unbiasedness_n1_exact():
                 total += p * value(xi)
         count += 1
     # tr(O rho) = |<O|S>|^2 - 1/2, read exactly as |<0|C|O>|^2 for a C with C|S> = |0>
-    to_zero = next(c for c in cl.enumerate_group(1) if state.apply_clifford(c).z_probability(0) == 1)
+    to_zero = next(c for c in enumerate_group(1) if state.apply_clifford(c).z_probability(0) == 1)
     want = otab.apply_clifford(to_zero).z_probability(0) - Fraction(1, 2)
     assert total / count == want
 
@@ -688,7 +692,7 @@ def test_stabilizer_pair_collapse_matches_protocol_exactly():
     n = 2
     state, o = pr.stabilizer_pair(n)
     d_total = 2 ** n
-    for c in cl.enumerate_group(n):
+    for c in enumerate_group(n):
         value = pr.shot_evaluator(o, SampledCircuit("clifford", n, element=c))
         rotated = state.apply_clifford(c)
         dim = len(rotated.z_support()[2])

@@ -16,6 +16,8 @@ from shadowkit import tails as tl
 from shadowkit.ensembles import EnsembleSpec, SampledCircuit
 from shadowkit.stabilizer import StabilizerTableau
 
+from clifford_oracle import matrices
+
 
 def test_moment_formula_small_cases():
     assert tl.clifford_moment(2, 1) == Fraction(3, 4)
@@ -125,7 +127,7 @@ def test_support_dims_match_exact_law():
     sampler at n = 10 and 31 and for single draws (``sample_uniform``) at
     n = 3."""
     rng3 = np.random.default_rng(4)
-    single = np.array([len(f2.rref_f2(cl.sample_uniform(3, rng3).symplectic[:3, 3:])[1])
+    single = np.array([len(f2.rref_f2(matrices(cl.sample_uniform(3, rng3).images)[:3, 3:])[1])
                        for _ in range(4000)])
     inputs = [(n, tl.sample_pair_support_dims(n, np.random.default_rng(n), count))
               for n, count in ((10, 20_000), (31, 4_000))] + [(3, single)]
