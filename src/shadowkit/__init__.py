@@ -8,8 +8,9 @@ The package has three layers:
   and row-echelon form), ``dense`` (the dense-size budget), ``ensembles``
   (Haar, Clifford, and T-gate-interpolated circuit families), all on one
   F2 row layout: an (x|z) row is one int64 word;
-* estimation: ``protocol`` (single-shot estimator evaluated once per circuit,
-  acquisition with reuse, median of means, conditional-mean variances);
+* estimation: ``protocol`` (single-shot estimator evaluated a chunk of
+  circuits at a time, acquisition with reuse, records written and replayed
+  on the same chunked path, median of means, conditional-mean variances);
 * analysis: ``moments`` (commutant bases, exact Gram/Weingarten matrices,
   closed-form variances), ``tails`` (exact estimator moments, tail bounds,
   reuse-cost optimizer), ``experiments``/``cli`` (reproducible runs).
@@ -24,7 +25,8 @@ conjugation kernel) are test oracles and live with the tests.
 from .clifford import CliffordElement, sample_uniform
 from .ensembles import EnsembleSpec, SampledCircuit, sample_circuit
 from .protocol import (ObservableSpec, RunConfig, ShadowRecord, acquire, estimate,
-                       estimate_vstar, median_of_means, single_shot, stabilizer_pair)
+                       estimate_vstar, median_of_means, read_records, record_values,
+                       single_shot, stabilizer_pair, write_records)
 from .stabilizer import PauliString, StabilizerTableau
 from .moments import (commutant_labels, gram_matrix, stabilizer_pair_variance,
                       thrifty_variance_predict, weingarten_matrix)
@@ -40,7 +42,7 @@ __all__ = [
     "StabilizerTableau", "acquire", "bernstein_tail", "clifford_moment",
     "commutant_labels", "estimate", "estimate_vstar", "gram_matrix",
     "limiting_moment", "median_of_means", "mgf_bound_haar", "optimal_reuse",
-    "sample_circuit", "sample_uniform", "single_shot", "stabilizer_pair",
-    "stabilizer_pair_variance", "tail_experiment", "thrifty_variance_predict",
-    "weingarten_matrix",
+    "read_records", "record_values", "sample_circuit", "sample_uniform", "single_shot",
+    "stabilizer_pair", "stabilizer_pair_variance", "tail_experiment",
+    "thrifty_variance_predict", "weingarten_matrix", "write_records",
 ]

@@ -90,33 +90,46 @@ def _build_symplectic(k, free):
     h0 ^= _parity(h0, _swap(t1)) * t1
     f1 = np.where(free & 1 == 0, f1, 0)
     # level l acts on the last 2l rows and columns: shift its words there
-    shift = (nn - 2 * np.arange(1, n + 1, dtype=np.uint64))[:, None, None, None]
-    vectors = np.stack([t0, t1, h0, f1], axis=1)[..., None] << shift
+    shift = (nn - 2 * np.arange(1, n + 1, dtype=np.uint64))[:, None, None]
+    vectors = np.stack([t0, t1, h0, f1], axis=1) << shift
     swapped = _swap(vectors)
-    g = np.tile(np.uint64(1) << np.arange(nn, dtype=np.uint64), (count, 1))
+    # row i of the matrix is g[i], so level l's last 2l rows are one slice,
+    # transformed in place through the buffer t
+    g = np.repeat(np.uint64(1) << np.arange(nn, dtype=np.uint64)[:, None], count, axis=1)
+    buffer = np.empty_like(g)
     for level in range(1, n + 1):
         # the rows above the last 2l are e_i, i < nn - 2l, fixed by level l
-        block = g[:, nn - 2 * level:]
+        block, t = g[nn - 2 * level:], buffer[nn - 2 * level:]
         for h, h_swapped in zip(vectors[level - 1], swapped[level - 1]):
-            block ^= _parity(block, h_swapped) * h
+            np.bitwise_and(block, h_swapped, out=t)
+            np.bitwise_count(t, out=t)
+            np.bitwise_and(t, 1, out=t)
+            np.multiply(t, h, out=t)
+            block ^= t
+    del buffer, t
     # standard position i is direct-sum position 2i (x_i) or 2i+1 (z_i); column
     # word j holds S[c, j] = bit gather[j] of row gather[c] at bit 2n-1-c
     gather = np.concatenate([np.arange(0, nn, 2), np.arange(1, nn, 2)])
-    square = np.zeros((count, 64), dtype=np.uint64)
-    square[:, :nn] = g.take(gather[::-1], axis=1)
+    width = 1 << (nn - 1).bit_length()
+    square = np.zeros((count, width), dtype=np.uint64)
+    square[:, :nn] = g[gather[::-1]].T
     return _transpose(square).take(gather, axis=1).view(np.int64)
 
 
 def _transpose(square):
-    """Bit transposes of (count, 64) uint64 words in place, bit i of word r to
-    bit r of word i: each of six steps swaps the off-diagonal blocks of every
-    2j x 2j block (Hacker's Delight, section 7-3)."""
-    for j in (32, 16, 8, 4, 2, 1):
-        low = np.uint64(sum((1 << j) - 1 << i for i in range(0, 64, 2 * j)))
-        top, bottom = np.moveaxis(square.reshape(len(square), 32 // j, 2, j), 2, 0)
+    """Bit transposes of (count, w) uint64 words in place, w a power of two at
+    most 64, bit i of word r to bit r of word i: each of the log2 w steps swaps
+    the off-diagonal blocks of every 2j x 2j block (Hacker's Delight, section
+    7-3)."""
+    count, width = square.shape
+    j = width // 2
+    while j:
+        low = np.uint64(sum((1 << j) - 1 << i for i in range(0, width, 2 * j)))
+        top, bottom = np.moveaxis(square.reshape(count, width // (2 * j), 2, j), 2, 0)
         swap = (top >> np.uint64(j) ^ bottom) & low
         bottom ^= swap
         top ^= swap << np.uint64(j)
+        j //= 2
     return square
 
 
@@ -189,8 +202,20 @@ def _conjugate(images, alpha, rows, phases):
 def conjugate_rows_batch(elements, rows, phases):
     """Row words (B, r) and phases (B, r), block b conjugated by elements[b]:
     the same integers as ``elements[b].conjugate_rows`` on that block."""
-    return _conjugate(np.stack([e.images for e in elements]),
-                      np.stack([e.alpha for e in elements]), rows, phases)
+    return _conjugate(np.array([e.images for e in elements]),
+                      np.array([e.alpha for e in elements]), rows, phases)
+
+
+def hex_strings(images, alpha):
+    """``to_hex`` of each of B elements, given as (B, 2n) column words and sign
+    bits: one unpack, transpose and pack for the whole stack."""
+    count, nn = images.shape
+    # bit 2n-1-c of column word j, S[c, j], is column 64-2n+c of its bits
+    cols = np.unpackbits(images.astype(">i8").view(np.uint8).reshape(count, nn, 8), axis=2)
+    rows = cols[:, :, 64 - nn:].transpose(0, 2, 1).reshape(count, nn * nn)
+    packed = np.packbits(np.concatenate([rows, alpha], axis=1), axis=1)
+    text, width = packed.tobytes().hex(), 2 * packed.shape[1]
+    return [text[i:i + width] for i in range(0, len(text), width)]
 
 
 class CliffordElement:
@@ -221,12 +246,9 @@ class CliffordElement:
         return hash(self.key())
 
     def to_hex(self):
-        """S row by row, then alpha, as packed bits in hex."""
-        nn = 2 * self.n
-        # bit 2n-1-c of column word j, S[c, j], is column 64-2n+c of its bits
-        cols = np.unpackbits(self.images.astype(">i8").view(np.uint8).reshape(nn, 8), axis=1)
-        bits = np.concatenate([cols[:, 64 - nn:].T.reshape(-1), self.alpha])
-        return np.packbits(bits).tobytes().hex()
+        """S row by row, then alpha, as packed bits in hex: the count-1 case of
+        ``hex_strings``."""
+        return hex_strings(self.images[None], self.alpha[None])[0]
 
     @classmethod
     def from_hex(cls, n, hexstr):
@@ -236,8 +258,8 @@ class CliffordElement:
         if len(raw) != 8 * ((need + 7) // 8) or raw[need:].any():
             raise ValueError(f"hex payload {hexstr!r} is not an n={n} Clifford element")
         s = raw[:4 * n * n].reshape(2 * n, 2 * n)
-        # column j of S, zero-padded to 64 bits, is the big-endian word j
-        images = np.packbits(np.pad(s.T, ((0, 0), (64 - 2 * n, 0)))).view(">i8")
+        # column word j holds S[c, j] at bit 2n-1-c
+        images = s.T.astype(np.int64) @ (1 << np.arange(2 * n - 1, -1, -1))
         if not is_symplectic(images):
             raise ValueError(f"hex payload {hexstr!r} is not symplectic")
         return cls(images, raw[4 * n * n:need])

@@ -125,12 +125,8 @@ class SampledCircuit:
         return self._dense
 
     def descriptor(self):
-        if self.kind == "clifford":
-            return f"clifford:{self.n}:{self.element.to_hex()}"
-        if self.kind == "haar":
-            return f"haar:{self.n}:{self.haar_seed:016x}"
-        segs = ";".join(seg.to_hex() for seg in self.segments)
-        return f"homeopathic:{self.n}:{self.k}:{segs}"
+        """The count-1 case of ``descriptors``."""
+        return descriptors([self])[0]
 
     @classmethod
     def from_descriptor(cls, desc):
@@ -150,6 +146,23 @@ class SampledCircuit:
         if len(segs) != spec.k + 1:
             raise ValueError("segment count does not match T-gate count")
         return cls(kind, n, segments=segs)
+
+
+def descriptors(circuits):
+    """The serialized identities of a list of same-spec circuits, every
+    Clifford element's hex from one ``clifford.hex_strings`` call."""
+    first = circuits[0]
+    if first.kind == "haar":
+        return [f"haar:{c.n}:{c.haar_seed:016x}" for c in circuits]
+    elements = [c.element for c in circuits] if first.kind == "clifford" else \
+        [seg for c in circuits for seg in c.segments]
+    hexes = cl.hex_strings(np.array([e.images for e in elements]),
+                           np.array([e.alpha for e in elements]))
+    if first.kind == "clifford":
+        return [f"clifford:{first.n}:{h}" for h in hexes]
+    per = first.k + 1
+    return [f"homeopathic:{first.n}:{first.k}:" + ";".join(hexes[i:i + per])
+            for i in range(0, len(hexes), per)]
 
 
 def push_rows(circuits, rows, phases):

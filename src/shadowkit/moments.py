@@ -50,10 +50,6 @@ class Permutation:
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a permutation: {images}")
 
-    @classmethod
-    def identity(cls, t):
-        return cls(range(t))
-
     def __len__(self):
         return len(self.images)
 
@@ -68,18 +64,6 @@ class Permutation:
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(inv)
-
-    def cycle_count(self):
-        seen, cycles = set(), 0
-        for start in range(len(self.images)):
-            if start in seen:
-                continue
-            cycles += 1
-            i = start
-            while i not in seen:
-                seen.add(i)
-                i = self.images[i]
-        return cycles
 
     def cycle_label(self):
         seen, parts = set(), []
@@ -316,26 +300,6 @@ def weingarten_matrix(t, n, group):
     return _expand(orb, w)
 
 
-def state_average_coefficient(t, n, group):
-    """Uniform coefficient of the averaged t-th power of a pure state.
-
-    Haar: prod_{l=0}^{t-1} 1/(2^n+l) on each permutation; Clifford (on a
-    stabilizer state): 1/(2^n prod_{l=0}^{t-2} (2^n + 2^l)) on each R_T.
-    """
-    d = 2 ** n
-    if group == "unitary":
-        coeff = Fraction(1)
-        for ell in range(t):
-            coeff /= d + ell
-        return coeff
-    if group == "clifford":
-        denom = d
-        for ell in range(t - 1):
-            denom *= d + 2 ** ell
-        return Fraction(1, denom)
-    raise ValueError(f"unknown group {group!r}")
-
-
 # ---------------------------------------------------------------------------
 # Closed-form variance predictions.
 
@@ -370,34 +334,3 @@ def vstar_interpolation_bound(tr_o2, k, n):
     eps = 2.0 ** -n
     return (32.0 * eps * tr_o2
             + 30.0 * tr_o2 * (1.0 + 2.0 * eps) * (0.75 + 2.0 * eps) ** k)
-
-
-# ---------------------------------------------------------------------------
-# Scalar overlap identities.
-
-def tgate_sandwich(label_a, label_b, n):
-    """<<R_T| T^{(x)4} |R_T'>> for hatted labels: (|T cap T'| - 4)|T cap T'|^(n-1)."""
-    if not (label_a.hat and label_b.hat):
-        raise ValueError("the T-gate sandwich formula applies to hatted labels")
-    overlap = 2 ** intersection_dim(label_a.subspace(), label_b.subspace())
-    return Fraction((overlap - 4) * overlap ** (n - 1))
-
-
-_FREE_LABELS = {
-    (Permutation((0, 1, 2, 3)).images, False),
-    (Permutation((1, 0, 2, 3)).images, False),
-    (Permutation((0, 1, 3, 2)).images, False),
-    (Permutation((1, 0, 3, 2)).images, False),
-    (Permutation((0, 1, 2, 3)).images, True),
-    (Permutation((1, 0, 2, 3)).images, True),
-}
-
-
-def basis_overlap_rT(x, xhat, label):
-    """<<x x xhat xhat | R_T>>: 1 for the six x-free labels, else delta_{x,xhat}.
-
-    The x-free labels are e, (12), (34), (12)(34), T4 and (12)T4.
-    """
-    if (label.perm.images, label.hat) in _FREE_LABELS:
-        return Fraction(1)
-    return Fraction(1 if x == xhat else 0)

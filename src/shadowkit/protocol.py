@@ -6,15 +6,19 @@ The single-shot estimator for a circuit U and outcome x is
 
 which is the inverse-frame-operator estimator for any of the supported
 ensembles (all have the 2-design frame operator).  A record holds one
-circuit and its R outcomes, so X is evaluated per circuit: ``shot_evaluator``
-does the circuit's work once and returns x -> X.  A stabilizer projector is
-read off the circuit's ``act`` on its state: the rotated tableau's Z-basis
-support on a Clifford (two exact dyadic values per circuit, on and off the
-support, so a shot costs one membership test), else the Born vector
-|U psi'|^2.  A Pauli is a sum of parities over at most 2^k signed Pauli
-branches on a Clifford or T-gate circuit (one exact parity on a Clifford),
-and on a Haar circuit row x of its unitary u gives Re(u[x] . P u[x]^*), in
-O(2^n) per shot.  No observable is ever made dense.
+circuit and its R outcomes, and X is evaluated a chunk of same-spec circuits
+at a time: ``shot_values`` maps B circuits and their (B, R) outcomes to (B, R)
+values, one vectorized path per (circuit kind, observable kind) pair.  A
+stabilizer projector is read off the circuits' ``act`` on its state: on a
+Clifford circuit, one membership test of all B R outcomes against the
+rotated tableaux' Z-basis supports picks the exact dyadic value on the
+support (one per support dimension, made once per n) or off it; else one
+gather from the Born vectors |U psi'|^2.  A Pauli is a sum of parities over
+at most 2^k signed Pauli branches on a Clifford or T-gate circuit (one exact
+parity on a Clifford), all from one ``push_rows``, and on a Haar circuit row
+x of its unitary u gives Re(u[x] . P u[x]^*), in O(2^n) per shot.  No
+observable is ever made dense.  ``single_shot`` is the one-circuit,
+one-shot case.
 
 States are stabilizer tableaux.  Acquisition draws N/R circuits and
 measures each one R times.  Every circuit index owns a deterministic rng
@@ -24,24 +28,30 @@ reproducible bit for bit regardless of chunking or evaluation order.
 ``act`` is the one place where circuits act on a state, a list of same-spec
 circuits at a time: a Clifford circuit gives the rotated tableau, its
 Z-basis support found with the whole list's, any other circuit the Born
-vector |U psi|^2.  A circuit's R shots are drawn from that action in one draw
-(``measure``), ``estimate`` reuses it to evaluate the projector of the state
-itself, and the ``tails`` pair samplers read it on |0^n>.
+vector |U psi|^2.  Each circuit's R shots are drawn from that action in one
+draw.  ``_circuit_shots`` is the one stream of chunks: ``acquire`` takes
+its records half, and ``estimate`` its values too, reusing the action to
+evaluate the projector of the state itself; each chunk's per-circuit means
+are row means of its values, and its records are written in one write.
+``record_values`` evaluates records read back from their descriptors, a
+chunk of consecutive same-spec records at a time, to the same values.
 Records are grouped into K batches and estimates are medians of batch means.
-``estimate`` evaluates each circuit while it is in memory; ``record_values``
-evaluates records read back from their descriptors, to the same values.
 ``conditional_means`` is the one place where E_x[X|U] is computed, over
 ``act``: exactly and in poly(n) on Clifford circuits, from the Born vector
 otherwise.  ``conditional_mean``, ``estimate_vstar`` (V*) and the ``tails``
 pair conditional means call it.
 
 An outcome x is an int, qubit 0 its most significant bit.  Only a shadow
-record holds it as a bitstring of exactly n characters 0/1: ``_record``
-writes it and ``parse_outcome`` reads it back, refusing anything else.
+record holds it as a bitstring of exactly n characters 0/1: ``_records``
+writes it and ``parse_outcome`` reads it back, refusing anything else;
+``record_lines`` formats record lines with the bytes of ``json.dumps``.
 """
 
+import functools
+import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,8 +59,8 @@ import numpy as np
 
 from . import clifford as cl
 from . import stabilizer
-from .ensembles import (EnsembleSpec, SampledCircuit, push_rows, require_at_least,
-                        sample_circuits, statevectors, substream)
+from .ensembles import (EnsembleSpec, SampledCircuit, descriptors, push_rows,
+                        require_at_least, sample_circuits, statevectors, substream)
 from .stabilizer import StabilizerTableau, halves
 
 
@@ -106,7 +116,9 @@ class ShadowRecord:
     outcomes: list
 
     def to_json(self):
-        return json.dumps({"circuit": self.circuit, "outcomes": self.outcomes})
+        """The record's line, without its newline: the one-record case of
+        ``record_lines``."""
+        return record_lines([self.circuit], [self.outcomes])[:-1]
 
     @classmethod
     def from_json(cls, line):
@@ -120,10 +132,24 @@ class ShadowRecord:
         return cls(circuit=obj["circuit"], outcomes=obj["outcomes"])
 
 
+# Printable ASCII but '"' and '\\': the text json.dumps writes as it is.
+_VERBATIM = re.compile(r'[ !#-\[\]-~]*')
+
+
+def record_lines(descriptors, shots):
+    """The records-file lines of circuit descriptors and their outcome
+    strings, as one str: each line is the bytes of ``json.dumps({"circuit":
+    descriptor, "outcomes": shots})`` and a newline.  Every string is written
+    as it is, so one that JSON would escape is refused."""
+    if not _VERBATIM.fullmatch("".join(descriptors) + "".join(map("".join, shots))):
+        raise ValueError("record text must be printable ASCII without quotes or backslashes")
+    return "".join(['{"circuit": "%s", "outcomes": ["%s"]}\n' % (desc, '", "'.join(outs))
+                    for desc, outs in zip(descriptors, shots)])
+
+
 def write_records(records, path):
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
+        fh.write(record_lines([r.circuit for r in records], [r.outcomes for r in records]))
 
 
 def read_records(path):
@@ -131,9 +157,11 @@ def read_records(path):
         return [ShadowRecord.from_json(line) for line in fh if line.strip()]
 
 
-def _record(circuit, outcomes):
-    """The record of a circuit and its int outcomes, each as n characters 0/1."""
-    return ShadowRecord(circuit.descriptor(), [format(x, f"0{circuit.n}b") for x in outcomes])
+def _records(circuits, outcomes):
+    """The descriptors of a chunk of same-spec circuits and their (B, R) int
+    outcomes as bitstrings, n characters 0/1 each, qubit 0 first."""
+    width = f"0{circuits[0].n}b"
+    return descriptors(circuits), [[format(x, width) for x in row] for row in outcomes.tolist()]
 
 
 def parse_outcome(x, n):
@@ -144,42 +172,55 @@ def parse_outcome(x, n):
 
 
 # ---------------------------------------------------------------------------
-# Single-shot estimator, evaluated once per circuit.
+# Single-shot estimator, evaluated a chunk of circuits at a time.
 
-def shot_evaluator(o, circuit, action=None):
-    """The map x -> X for one circuit and an int outcome x, with the
-    per-circuit work done once: one path per (circuit kind, observable kind)
-    pair, as listed above.  ``action`` is the circuit's ``act`` on o.payload
-    when the caller already holds it."""
-    if circuit.n != o.n:
+def shot_values(o, circuits, outcomes, actions=None):
+    """The (B, R) values X of B same-spec circuits at their (B, R) int
+    outcomes, one vectorized path per (circuit kind, observable kind) pair, as
+    listed above.  ``actions`` are the circuits' ``act`` on o.payload when
+    the caller already holds them."""
+    n, d = o.n, 2 ** o.n
+    if circuits[0].n != n:
         raise ValueError("circuit and observable act on different qubit counts")
-    d = 2 ** o.n
+    outcomes, kind = np.asarray(outcomes, dtype=np.int64), circuits[0].kind
     if o.kind == "pauli":
-        return _pauli_evaluator(o, circuit)
-    acted = next(act([circuit], o.payload))[1] if action is None else action
-    if circuit.kind == "clifford":
-        on, off = ((d + 1) * (p - Fraction(1, d))
-                   for p in (Fraction(1, 2 ** len(acted.z_support()[2])), Fraction(0)))
-        return lambda x: on if acted.in_z_support(x) else off
-    return lambda x: (d + 1) * (float(acted[x]) - 2.0 ** -o.n)
+        tr = float(o.trace())
+        if kind == "haar":
+            # <x|U P U^dag|x> = u[x] . P u[x]^* from row x of the unitary u
+            p, values = o.payload, np.empty(outcomes.shape)
+            for b, circuit in enumerate(circuits):
+                u = circuit.dense()
+                values[b] = [(d + 1) * float(np.real(u[x] @ p.apply(u[x].conj()))) - tr
+                             for x in outcomes[b].tolist()]
+            return values
+        z, w = _pauli_parities(o, circuits)
+        total = np.zeros(outcomes.shape)
+        for zj, wj in zip(z.T[..., None], w.T[..., None]):     # summed in order
+            total += np.where(np.bitwise_count(zj & outcomes) & 1, -wj, wj)
+        return (d + 1) * total - tr
+    if actions is None:     # leaving a Haar unitary built, as the caller may read it
+        actions = [a for _, a in itertools.islice(act(list(circuits), o.payload), len(circuits))]
+    if kind == "clifford":
+        supports = stabilizer.stack_supports(actions)
+        on, off = _projector_values(n)
+        return np.where(stabilizer.in_z_supports(supports, outcomes), on[supports[3], None], off)
+    return (d + 1) * (np.take_along_axis(np.array(actions), outcomes, axis=1) - 2.0 ** -n)
 
 
-def _pauli_evaluator(o, circuit):
-    """X for a Pauli P: on a Haar circuit <x|U P U^dag|x> = u[x] . P u[x]^* from
-    row x of its unitary u, O(2^n) per shot; else, with no 2^n term, a sum of
-    ``_pauli_parities``."""
-    d, tr = 2 ** o.n, o.trace()
-    if circuit.kind == "haar":
-        u, p, tr = circuit.dense(), o.payload, float(tr)
-        return lambda x: (d + 1) * float(np.real(u[x] @ p.apply(u[x].conj()))) - tr
-    parities = _pauli_parities(o, circuit)
-    return lambda x: (d + 1) * sum(w * (-1) ** (z & x).bit_count()
-                                   for z, w in parities) - tr
+@functools.cache
+def _projector_values(n):
+    """A Clifford circuit's exact projector values as floats: (2^n + 1)(2^-dim
+    - 2^-n) on a support of each dimension 0..n, and -(2^n + 1) 2^-n off it."""
+    d = 2 ** n
+    on = [float((d + 1) * (Fraction(1, 2 ** dim) - Fraction(1, d))) for dim in range(n + 1)]
+    return np.array(on), float((d + 1) * (Fraction(0) - Fraction(1, d)))
 
 
-def _pauli_parities(o, circuit):
-    """<x|U P U^dag|x> = sum of w (-1)^(z.x) over the (z, w) returned, for a
-    Pauli P on a Clifford or T-gate circuit.
+def _pauli_parities(o, circuits):
+    """(B, m) arrays z, w with <x|U P U^dag|x> = sum_j w[b, j] (-1)^(z[b, j].x)
+    for a Pauli P and each of B same-spec Clifford or T-gate circuits U, from
+    one ``push_rows`` call; a circuit with fewer than m terms has (0, 0.0)
+    after them, which add 0 to its sum.
 
     With U ~ (c - is P_k)...(c - is P_1) C (``push_rows``), U P U^dag is
     Q = C P C^dag pushed through the factors: a branch Q that anticommutes
@@ -187,10 +228,21 @@ def _pauli_parities(o, circuit):
     2^k branches are the parities; a Clifford circuit has one branch.
     """
     p = o.payload
-    rows, phases = (a[0].tolist() for a in push_rows([circuit], [p.word], [p.phase]))
-    branches = {halves(rows[0], o.n): 1j ** phases[0]}
+    rows, phases = push_rows(circuits, [p.word], [p.phase])
+    terms = [_branches(r, ph, o.n) for r, ph in zip(rows.tolist(), phases.tolist())]
+    width = max(map(len, terms))
+    # z < 2^31 is exact as a float
+    table = np.array([t + [(0, 0.0)] * (width - len(t)) for t in terms])
+    table = table.reshape(len(terms), width, 2)
+    return table[..., 0].astype(np.int64), table[..., 1]
+
+
+def _branches(rows, phases, n):
+    """The parities of one circuit's pushed row Q (``rows[0]``) and branch
+    Paulis P_j (the rest), as ``_pauli_parities`` gives them."""
+    branches = {halves(rows[0], n): 1j ** phases[0]}
     for b, phase in zip(rows[1:], phases[1:]):
-        (bx, bz), split = halves(b, o.n), {}
+        (bx, bz), split = halves(b, n), {}
         for (x, z), c in branches.items():
             if ((x & bz).bit_count() + (z & bx).bit_count()) % 2:
                 c *= math.sqrt(0.5)
@@ -205,9 +257,9 @@ def _pauli_parities(o, circuit):
 
 def single_shot(o, circuit, x):
     """The estimator value X for one classical shadow (circuit, x), with x a
-    bitstring as in a record."""
-    x = parse_outcome(x, o.n)
-    return float(shot_evaluator(o, circuit)(x))
+    bitstring as in a record: the one-circuit, one-shot case of
+    ``shot_values``."""
+    return float(shot_values(o, [circuit], [[parse_outcome(x, o.n)]])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,39 +301,68 @@ def act(circuits, state):
 
 
 def measure(action, reuse, rng):
-    """R Z-basis outcomes, as ints, drawn from an ``act`` result in one draw."""
-    if isinstance(action, StabilizerTableau):
-        return action.sample_z_basis(rng, reuse)
+    """R Z-basis outcomes, as ints, drawn in one draw from a Born vector that
+    ``act`` gave (a Clifford chunk draws through ``stabilizer.sample_z_bases``)."""
     return rng.choice(len(action), size=reuse, p=action / action.sum()).tolist()
 
 
-# Circuits drawn and built per batch by ``_circuit_shots``: one Koenig-Smolin
-# build, one conjugation and one ``z_supports`` serve the whole chunk.  Each
-# circuit keeps its rng stream (about 12 KB, tracemalloc) until its shots are
-# drawn.  The CLI's n = 10 Clifford estimate (500 circuits, R = 4, records
-# written) peaks at 39.2 MB RSS at 64, against 38.5 MB at 16 and 40.4 MB at 128.
+# Circuits drawn, built, acted on, evaluated and written per chunk by
+# ``_circuit_shots``: one Koenig-Smolin build, one conjugation and one
+# ``z_support_arrays`` serve the whole chunk.  Each circuit keeps its rng
+# stream (about 12 KB, tracemalloc) until its shots are drawn.  The CLI's
+# n = 10 Clifford estimate (500 circuits, R = 4, records written) peaks at
+# 39.2 MB RSS at 64, against 38.5 MB at 16 and 40.4 MB at 128.
 CIRCUIT_CHUNK = 64
 
 
-def _circuit_shots(cfg, state):
-    """Yield each of the N/R circuits of a run, in order, with its action on
-    the state and its R outcomes.
+def _chunk_size(kind, n):
+    """Circuits per chunk: CIRCUIT_CHUNK, or as many T-gate circuits as one
+    batch of Born vectors holds, or one Haar circuit, whose Pauli values read
+    the unitary that ``act`` made for its shots."""
+    if kind == "haar":
+        return 1
+    if kind == "homeopathic":
+        return min(CIRCUIT_CHUNK, max(1, BORN_BATCH_ENTRIES >> n))
+    return CIRCUIT_CHUNK
+
+
+def _circuit_shots(cfg, state, o=None):
+    """Yield the N/R circuits of a run a chunk at a time, in order, each chunk
+    as (circuits, outcomes, values): its (B, R) int outcomes and, when an
+    observable o is given, their (B, R) ``shot_values``.
 
     Circuit t owns substream(seed, t).  A chunk's circuits are drawn from
     their streams first, built in one batch and acted on the state in one
     ``act``; each stream then goes on to its circuit's shots, so the bytes
-    do not depend on the chunk size.
+    do not depend on the chunk size.  When O is the projector of the state's
+    own tableau, the action on the state serves the evaluation too.
     """
-    for start in range(0, cfg.circuits, CIRCUIT_CHUNK):
-        rngs = [substream(cfg.seed, t)
-                for t in range(start, min(start + CIRCUIT_CHUNK, cfg.circuits))]
-        for rng, (circuit, action) in zip(rngs, act(sample_circuits(cfg.ensemble, rngs), state)):
-            yield circuit, action, measure(action, cfg.reuse, rng)
+    spec = cfg.ensemble
+    shared = o is not None and o.kind == "stab_projector" and o.payload is state
+    size = _chunk_size(spec.kind, spec.n)
+    for start in range(0, cfg.circuits, size):
+        rngs = [substream(cfg.seed, t) for t in range(start, min(start + size, cfg.circuits))]
+        circuits = sample_circuits(spec, rngs)
+        # ``act`` is not resumed past the last circuit until the values are
+        # made, so they can read the last Haar unitary it built
+        pairs = act(list(circuits), state)
+        actions = [a for _, a in itertools.islice(pairs, len(circuits))]
+        if circuits[0].kind == "clifford":
+            outcomes = stabilizer.sample_z_bases(stabilizer.stack_supports(actions), rngs,
+                                                 cfg.reuse)
+        else:
+            outcomes = np.array([measure(a, cfg.reuse, rng) for a, rng in zip(actions, rngs)])
+        values = None if o is None else \
+            shot_values(o, circuits, outcomes, actions if shared else None)
+        next(pairs, None)       # now it drops that unitary
+        yield circuits, outcomes, values
 
 
 def acquire(cfg, state):
-    """Run the data-acquisition loop: N/R records of R outcomes each."""
-    return [_record(circuit, outcomes) for circuit, _, outcomes in _circuit_shots(cfg, state)]
+    """Run the data-acquisition loop: N/R records of R outcomes each, the
+    records half of ``_circuit_shots``."""
+    return [ShadowRecord(*rec) for circuits, outcomes, _ in _circuit_shots(cfg, state)
+            for rec in zip(*_records(circuits, outcomes))]
 
 
 def median_of_means(values, batches):
@@ -294,33 +375,45 @@ def median_of_means(values, batches):
     return float(np.sort(means)[(batches - 1) // 2])
 
 
-def _mean_value(o, circuit, outcomes, action=None):
-    value = shot_evaluator(o, circuit, action)
-    return np.mean([float(value(x)) for x in outcomes])
+def _record_chunks(records, n):
+    """Consecutive records as (circuits, (B, R) int outcomes) chunks of
+    ``_chunk_size``, split where the circuit spec or the outcome count
+    changes; circuits are built from their descriptors a chunk at a time."""
+    circuits, outcomes, key = [], [], None
+    for rec in records:
+        circuit = SampledCircuit.from_descriptor(rec.circuit)
+        last, key = key, (circuit.kind, circuit.n, circuit.k, len(rec.outcomes))
+        if circuits and (key != last or len(circuits) == _chunk_size(*key[:2])):
+            yield circuits, np.array(outcomes)
+            circuits, outcomes = [], []
+        circuits.append(circuit)
+        outcomes.append([parse_outcome(x, n) for x in rec.outcomes])
+    if circuits:
+        yield circuits, np.array(outcomes)
 
 
 def record_values(records, o):
-    """Per-record means of the single-shot estimator."""
-    out = np.empty(len(records))
-    for i, rec in enumerate(records):
-        circuit = SampledCircuit.from_descriptor(rec.circuit)
-        out[i] = _mean_value(o, circuit, [parse_outcome(x, o.n) for x in rec.outcomes])
+    """Per-record means of the single-shot estimator: ``shot_values`` on
+    chunks of consecutive same-spec records, one ``act`` each."""
+    out, done = np.empty(len(records)), 0
+    for circuits, outcomes in _record_chunks(records, o.n):
+        out[done:done + len(circuits)] = shot_values(o, circuits, outcomes).mean(axis=1)
+        done += len(circuits)
     return out
 
 
 def estimate(cfg, state, o, records_out=None):
     """Full protocol: acquire, evaluate, median of K batch means; the
-    records are also written, one JSON line each, to ``records_out`` when it
-    is given, a text file open for writing.
-    Each circuit is evaluated as sampled and then dropped, so no dense
-    matrix outlives its circuit.  When O is the projector of the state's own
-    tableau, the circuit's action on the state serves the evaluation too."""
-    values = np.empty(cfg.circuits)
-    shared = o.kind == "stab_projector" and o.payload is state
-    for i, (circuit, action, outcomes) in enumerate(_circuit_shots(cfg, state)):
+    records are also written, one JSON line each and one write per chunk, to
+    ``records_out`` when it is given, a text file open for writing.
+    Each chunk of circuits is evaluated as sampled and then dropped, so no
+    dense matrix outlives its chunk."""
+    values, done = np.empty(cfg.circuits), 0
+    for circuits, outcomes, shots in _circuit_shots(cfg, state, o):
         if records_out:
-            records_out.write(_record(circuit, outcomes).to_json() + "\n")
-        values[i] = _mean_value(o, circuit, outcomes, action if shared else None)
+            records_out.write(record_lines(*_records(circuits, outcomes)))
+        values[done:done + len(circuits)] = shots.mean(axis=1)
+        done += len(circuits)
     est = median_of_means(values, cfg.batches)
     return {"estimate": est, "K": cfg.batches, "R": cfg.reuse,
             "N": cfg.measurements, "seed": cfg.seed}
@@ -353,12 +446,13 @@ def conditional_means(circuits, state, o):
             yield float((d + 1) * ((p * q).sum() - 2.0 ** -o.n))
         elif circuit.kind == "clifford":
             x0, basis, _ = p.z_support()
-            mean = sum(w * (-1) ** (z & x0).bit_count() for z, w in _pauli_parities(o, circuit)
-                       if not any((z & b).bit_count() % 2 for b in basis))
+            z, w = (a[0].tolist() for a in _pauli_parities(o, [circuit]))
+            mean = sum(wj * (-1) ** (zj & x0).bit_count() for zj, wj in zip(z, w)
+                       if not any((zj & b).bit_count() % 2 for b in basis))
             yield float((d + 1) * mean - o.trace())
         else:
-            value = shot_evaluator(o, circuit)
-            yield float(sum(p[x] * float(value(x)) for x in np.flatnonzero(p).tolist()))
+            xs = np.flatnonzero(p)
+            yield float(sum(p[xs] * shot_values(o, [circuit], xs[None])[0]))
 
 
 def conditional_mean(o, circuit, state):

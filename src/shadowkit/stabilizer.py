@@ -11,12 +11,16 @@ here needs them.  A tableau's Z-basis outcomes are uniform on an affine
 subspace x0 + span(B) (Aaronson-Gottesman), derived from the generators alone
 and read by shot sampling (R shots from one draw), Born probabilities and the
 dense statevector.  Supports, like dense statevectors, are made by kernels
-over a batch: ``z_supports`` runs one word Gauss-Jordan over a stack of
-tableaux (``tableaux`` builds a stack's tableaux with their supports),
-``statevectors`` takes the same stacks and ``apply_paulis`` one Pauli per row
-of a (B, 2^n) array; ``StabilizerTableau.z_support``, ``.statevector`` and
-``PauliString.apply`` are their count-1 cases.  An outcome is an int with
-qubit 0 the most significant bit; bitstrings exist only in shadow records.
+over a batch: ``z_support_arrays`` runs one word Gauss-Jordan over a stack of
+tableaux and hands out (B, n) arrays (``tableaux`` builds a stack's tableaux
+with their supports, ``stack_supports`` stacks tableaux' supports again),
+``sample_z_bases`` draws shots and ``in_z_supports`` tests outcomes against a
+stack of supports, ``statevectors`` takes the same stacks and
+``apply_paulis`` one Pauli per row of a (B, 2^n) array;
+``StabilizerTableau.z_support``, ``.sample_z_basis``, ``.in_z_support``,
+``.statevector`` and ``PauliString.apply`` are their count-1 cases.  An
+outcome is an int with qubit 0 the most significant bit; bitstrings exist
+only in shadow records.
 """
 
 from fractions import Fraction
@@ -98,12 +102,13 @@ class PauliString:
 class StabilizerTableau:
     """Pure stabilizer state as its n stabilizer generator row words."""
 
-    def __init__(self, rows, phases):
+    def __init__(self, rows, phases, support=None):
         self.rows = np.asarray(rows, dtype=np.int64)
         self.phases = np.asarray(phases, dtype=np.int64) % 4
         self.n = len(self.rows)
         if self.rows.shape != (self.n,) or self.phases.shape != (self.n,):
             raise ValueError("tableau must have n rows and n phases")
+        self._support = support     # its entry of ``z_support_arrays``, once found
         self._z_support = None
 
     @classmethod
@@ -120,33 +125,33 @@ class StabilizerTableau:
             raise ValueError("qubit count mismatch")
         return StabilizerTableau(*c.conjugate_rows(self.rows, self.phases))
 
-    def z_support(self):
-        """(x0, basis, pivots), computed once: Z-basis outcomes are x0 + span(basis).
+    def support_arrays(self):
+        """Its (x0, basis, pivots, dim) entry of ``z_support_arrays``, found once
+        (cached: no method changes a tableau once built); ``stack_supports``
+        stacks these."""
+        if self._support is None:
+            self._support = tuple(a[0] for a in z_support_arrays(self.rows[None],
+                                                                 self.phases[None]))
+        return self._support
 
-        The count-1 case of ``z_supports``.  Cached: no method changes a tableau
-        once built.
-        """
+    def z_support(self):
+        """(x0, basis, pivots) as an int and lists: Z-basis outcomes are
+        x0 + span(basis).  Its entry of ``z_support_arrays``, cut to its
+        dimension."""
         if self._z_support is None:
-            self._z_support = z_supports(self.rows[None], self.phases[None])[0]
+            x0, basis, pivots, dim = self.support_arrays()
+            self._z_support = (int(x0), basis[:dim].tolist(), pivots[:dim].tolist())
         return self._z_support
 
     def sample_z_basis(self, rng, count):
-        """count Z-basis outcomes, ints, drawn from |<x|S>|^2: one fair bit per
-        pivot, in qubit order, as qubit-by-qubit collapse draws them (q random iff
-        a pivot), from one (count, d) draw."""
-        x0, basis, _ = self.z_support()
-        bits = rng.integers(2, size=(count, len(basis)))
-        return (np.bitwise_xor.reduce(bits * np.array(basis, dtype=np.int64), axis=1)
-                ^ x0).tolist()
+        """count Z-basis outcomes, ints, drawn from |<x|S>|^2: the count-1 case
+        of ``sample_z_bases``."""
+        return sample_z_bases(stack_supports([self]), [rng], count)[0].tolist()
 
     def in_z_support(self, x):
-        """Whether outcome x (an int) lies in the support x0 + span(basis)."""
-        x0, basis, pivots = self.z_support()
-        y = x0 ^ x
-        for row, c in zip(basis, pivots):
-            if y >> (self.n - 1 - c) & 1:
-                y ^= row
-        return not y
+        """Whether outcome x (an int) lies in the support x0 + span(basis): the
+        count-1 case of ``in_z_supports``."""
+        return bool(in_z_supports(stack_supports([self]), np.array([[x]]))[0, 0])
 
     def z_probability(self, x):
         """Exact Born probability of outcome x (an int) as a Fraction."""
@@ -180,19 +185,20 @@ class StabilizerTableau:
 _SIGNED_PHASES = np.array([(1j ** a) * np.array([1, -1]) for a in range(4)])
 
 
-def z_supports(rows, phases):
-    """(x0, basis, pivots) of each tableau of (B, n) stacks of row words and
-    phases: its Z-basis outcomes are x0 + span(basis).
+def z_support_arrays(rows, phases):
+    """(x0, basis, pivots, dims) of each tableau of (B, n) stacks of row words
+    and phases: tableau b's Z-basis outcomes are x0[b] + span(basis[b, :dims[b]]).
 
-    ``basis`` is the stabilizer X-parts in reduced row-echelon form, with pivot
-    columns ``pivots``; ``x0`` is 0 on every pivot.  Bit vectors are ints, qubit
-    0 the most significant bit.  One Gauss-Jordan runs over the whole stack on
-    a copy of the words (2n <= 62 bits), and rows are multiplied as Paulis,
-    phases mod 4, so signs stay exact.
+    ``basis`` (B, n) is the stabilizer X-parts in reduced row-echelon form,
+    with pivot columns ``pivots`` (B, n); its rows past ``dims`` are those of
+    the pure-Z stabilizers, whose X-parts are 0.  ``x0`` is 0 on every pivot.
+    Bit vectors are int64, qubit 0 the most significant bit.  One Gauss-Jordan
+    runs over the whole stack on a copy of the words (2n <= 62 bits), and rows
+    are multiplied as Paulis, phases mod 4, so signs stay exact.
     """
     count, n = np.shape(rows)
     if n > 31:
-        raise ValueError(f"z_supports holds a 2n-bit row in one 64-bit word, so n <= 31; "
+        raise ValueError(f"z_support_arrays holds a 2n-bit row in one 64-bit word, so n <= 31; "
                          f"got n = {n}")
     words = np.array(rows, dtype=np.int64)
     phases = np.asarray(phases, dtype=np.int64).reshape(count, n) % 4
@@ -229,17 +235,45 @@ def z_supports(rows, phases):
         rank += take
     # a pure-Z row Z^a with sign (-1)^b asks a.x = b: x = b on its pivot
     x0 = ((phases >> 1 & 1) * (pivots >= n) << 2 * n - 1 - pivots).sum(axis=1)
-    return [(x, basis[:d], piv[:d]) for x, basis, piv, d in
-            zip(x0.tolist(), (words >> n).tolist(), pivots.tolist(), x_pivot.sum(axis=1).tolist())]
+    return x0, words >> n, pivots, x_pivot.sum(axis=1)
+
+
+def stack_supports(tabs):
+    """The ``z_support_arrays`` of a list of tableaux, stacked from each one's
+    own (``tableaux`` hands them out already found)."""
+    return tuple(np.array(a) for a in zip(*(t.support_arrays() for t in tabs)))
+
+
+def sample_z_bases(supports, rngs, count):
+    """(B, count) Z-basis outcomes, ints, of the B tableaux of stacked
+    ``z_support_arrays``, tableau b's drawn from |<x|S_b>|^2 with rngs[b]: one
+    fair bit per pivot, in qubit order, as qubit-by-qubit collapse draws them
+    (q random iff a pivot), from one (count, dim) draw per tableau."""
+    x0, basis, _, dims = supports
+    bits = np.zeros((len(rngs), count, basis.shape[1]), dtype=np.int64)
+    for b, (rng, dim) in enumerate(zip(rngs, dims.tolist())):
+        bits[b, :, :dim] = rng.integers(2, size=(count, dim))
+    return np.bitwise_xor.reduce(bits * basis[:, None], axis=2) ^ x0[:, None]
+
+
+def in_z_supports(supports, outcomes):
+    """(B, R) bools: whether outcome outcomes[b, r] lies in the support
+    x0 + span(basis) of tableau b of stacked ``z_support_arrays``.  The basis
+    is in reduced row-echelon form, so y = x0 ^ x is in the span exactly when
+    it equals the XOR of the basis rows whose pivot bits it holds; the rows
+    past a tableau's dimension are 0 and select nothing."""
+    x0, basis, pivots, _ = supports
+    n = basis.shape[1]
+    y = x0[:, None] ^ outcomes
+    held = y[..., None] >> np.maximum(n - 1 - pivots, 0)[:, None] & 1
+    return np.bitwise_xor.reduce(held * basis[:, None], axis=2) == y
 
 
 def tableaux(rows, phases):
     """The tableaux of (B, n) stacks of row words and phases, their Z-basis
-    supports found by one ``z_supports`` call."""
-    out = [StabilizerTableau(*t) for t in zip(rows, phases)]
-    for tab, support in zip(out, z_supports(rows, phases)):
-        tab._z_support = support
-    return out
+    supports found by one ``z_support_arrays`` call."""
+    return [StabilizerTableau(r, p, support) for r, p, *support in
+            zip(rows, phases, *z_support_arrays(rows, phases))]
 
 
 def apply_paulis(words, phases, vecs):
@@ -261,7 +295,7 @@ def apply_paulis(words, phases, vecs):
 def statevectors(rows, phases):
     """Dense statevectors (B, 2^n), arbitrary global phases, of the tableaux of
     (B, n) stacks of row words and phases: the stabilizer projectors
-    (1 + g)/2 applied to |x0> (the whole batch's x0 from one ``z_supports``),
+    (1 + g)/2 applied to |x0> (the whole batch's x0 from one ``z_support_arrays``),
     added and halved in place, so at most three batches are held (two and
     ``apply_paulis``' factors).  Every entry is i^a 2^-j, so the row sums of
     squares, and with them the norms, are exact."""
@@ -269,7 +303,7 @@ def statevectors(rows, phases):
     what = f"{count} statevectors" if count > 1 else "a statevector"
     check_entries(count * 2 ** n, f"{what} on {n} qubits")
     v = np.zeros((count, 2 ** n), dtype=complex)
-    v[np.arange(count), [x0 for x0, _, _ in z_supports(rows, phases)]] = 1.0
+    v[np.arange(count), z_support_arrays(rows, phases)[0]] = 1.0
     for i in range(n):
         w = apply_paulis(rows[:, i], phases[:, i], v)
         np.add(v, w, out=w)

@@ -1,8 +1,19 @@
-"""The scalar Gauss-Jordan oracle for ``stabilizer.z_supports``.
+"""The scalar Gauss-Jordan oracle for ``stabilizer.z_support_arrays``.
 
 One tableau at a time, on Python-int rows, in the column order the batched
 kernel follows; it must give the same (x0, basis, pivots) to the int.
+``z_supports`` reads the kernel's arrays as those per-tableau lists.
 """
+
+from shadowkit.stabilizer import z_support_arrays
+
+
+def z_supports(rows, phases):
+    """(x0, basis, pivots) of each tableau of (B, n) stacks of row words and
+    phases, as an int and lists: ``z_support_arrays`` cut to each dimension."""
+    x0, basis, pivots, dims = z_support_arrays(rows, phases)
+    return [(x, b[:d], p[:d]) for x, b, p, d in
+            zip(x0.tolist(), basis.tolist(), pivots.tolist(), dims.tolist())]
 
 
 def z_support_gauss_jordan(rows, phases):

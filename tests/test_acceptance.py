@@ -25,6 +25,7 @@ from shadowkit.ensembles import EnsembleSpec, SampledCircuit
 from clifford_oracle import enumerate_group
 from commutant_oracle import r_T_matrix, rt_inner
 from dense_oracle import T_GATE, basis_state, kron_all, tensor_power
+from moments_oracle import basis_overlap_rT, tgate_sandwich
 
 
 def _report(name, ok, detail=""):
@@ -41,12 +42,14 @@ def test_criterion_1_exact_n2_oracle():
     e2 = Fraction(0)
     count = 0
     for c in enumerate_group(n):
-        evaluate = pr.shot_evaluator(obs, SampledCircuit("clifford", n, element=c))
+        # the float values are dyadic, so Fraction reads them back exactly
+        values = pr.shot_values(obs, [SampledCircuit("clifford", n, element=c)],
+                                [range(2 ** n)])[0].tolist()
         rotated = state.apply_clifford(c)
         for xi in range(2 ** n):
             p = rotated.z_probability(xi)
             if p:
-                value = evaluate(xi)
+                value = Fraction(values[xi])
                 e1 += p * value
                 e2 += p * value * value
         count += 1
@@ -150,9 +153,9 @@ def test_criterion_6_overlap_identities():
         for b in hats:
             rb = r_T_matrix(b.subspace(), 1, dense=True)
             val = np.real(np.trace(ra.conj().T @ tg4 @ rb @ tg4.conj().T))
-            a3_ok &= abs(val - float(mo.tgate_sandwich(a, b, 1))) < 1e-9
+            a3_ok &= abs(val - float(tgate_sandwich(a, b, 1))) < 1e-9
             if a == b:
-                a3_ok &= mo.tgate_sandwich(a, b, 1) == 12
+                a3_ok &= tgate_sandwich(a, b, 1) == 12
     all_ok &= _report("criterion-6 tgate sandwich", a3_ok, "36 pairs, diagonal 12")
     # basis-overlap case table against the dense overlap, all 30 labels
     rng = np.random.default_rng(606)
@@ -162,7 +165,7 @@ def test_criterion_6_overlap_identities():
         for x, xh in ((0, 1), (1, 0), (0, 0), (1, 1)):
             big = kron_all([basis_state(x, 1)] * 2 + [basis_state(xh, 1)] * 2)
             want = np.real(np.trace(big.conj().T @ r1))
-            a2_ok &= float(mo.basis_overlap_rT(x, xh, lab)) == pytest.approx(want)
+            a2_ok &= float(basis_overlap_rT(x, xh, lab)) == pytest.approx(want)
     all_ok &= _report("criterion-6 basis overlap table", a2_ok, "all 30 labels, x = and != xhat")
     # |<<R_T|(O x rho)^(x)2>>| <= tr(O^2) + 1e-9 on 1000 random pairs
     labels = mo.commutant_labels(4)

@@ -210,6 +210,21 @@ def test_hex_round_trip():
             assert c.to_hex() == reference.tobytes().hex()
 
 
+def test_hex_strings_of_a_stack_match_each_elements_hex():
+    """``hex_strings`` unpacks, transposes and packs a whole stack at once;
+    each entry is the hex of that element's own uint8 matrix and signs, and
+    the n = 31 stack fills 62 bits of every column word."""
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 3, 10, 31):
+        elements = cl.sample_uniform_batch(n, rng, 9) + [cl.CliffordElement.identity(n)]
+        got = cl.hex_strings(np.stack([c.images for c in elements]),
+                             np.stack([c.alpha for c in elements]))
+        want = [np.packbits(np.concatenate([matrices(c.images).reshape(-1), c.alpha]))
+                .tobytes().hex() for c in elements]
+        assert got == want
+        assert [cl.CliffordElement.from_hex(n, h) for h in got] == elements
+
+
 def test_conjugation_tableau_vs_dense_on_random_paulis():
     rng = np.random.default_rng(9)
     for n in (1, 2, 3, 4):

@@ -764,20 +764,21 @@ def test_failed_estimate_leaves_no_records_file(monkeypatch, tmp_path):
     """The records file is written all or nothing: a failure at circuit 100 of
     500 leaves no file and no temporary sibling, and a file that was already
     there keeps its bytes."""
-    record = pr._record
+    records = pr._records
     argv = ["estimate", "--kind", "clifford", "--n", "3", "--measurements", "1000", "--reuse",
             "2", "--batches", "1", "--seed", "1", "--records-out", str(tmp_path / "records")]
     for before in (None, b"earlier contents\n"):
         if before is not None:
             (tmp_path / "records").write_bytes(before)
-        calls = []
+        written = []
 
-        def failing(circuit, outcomes):
-            calls.append(circuit)
-            if len(calls) == 101:
+        # records are formatted a chunk of circuits at a time: fail on the chunk holding 100
+        def failing(circuits, outcomes):
+            written.extend(circuits)
+            if len(written) > 100:
                 raise RuntimeError("failed at circuit 100")
-            return record(circuit, outcomes)
-        monkeypatch.setattr(pr, "_record", failing)
+            return records(circuits, outcomes)
+        monkeypatch.setattr(pr, "_records", failing)
         with pytest.raises(RuntimeError, match="circuit 100"):
             cli.main(argv)
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if before is None else ["records"])

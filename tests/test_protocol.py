@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from shadowkit import bits as f2
@@ -21,6 +23,7 @@ from shadowkit.stabilizer import PauliString, StabilizerTableau
 from clifford_oracle import enumerate_group, random_pauli, random_stabilizer_tableau
 from dense_oracle import (circuit_unitary, conditional_mean_dense, observable_dense,
                           single_shot_dense)
+from shot_oracle import mean_values, shot_evaluator
 
 IDENT1 = SampledCircuit("clifford", 1, element=cl.CliffordElement.identity(1))
 
@@ -239,7 +242,8 @@ def test_estimate_acts_once_per_circuit(monkeypatch):
     """On the stabilizer pair, acquisition and evaluation share one ``act`` per
     chunk of circuits: one batched tableau rotation per Clifford chunk (and
     no one-circuit ``apply_clifford``), one ``statevectors`` per T-gate chunk,
-    and one symplectic build per chunk."""
+    and one symplectic build per chunk.  Replaying records against a Pauli
+    pushes each chunk's rows once."""
     calls = Counter()
 
     def counted(owner, name):
@@ -261,6 +265,12 @@ def test_estimate_acts_once_per_circuit(monkeypatch):
     pr.estimate(pr.RunConfig(EnsembleSpec("homeopathic", 3, k=2), 24, 2, 3), state, o)
     # the statevectors call conjugates by each of the k + 1 segments
     assert calls == {"statevectors": 1, "conjugate_rows_batch": 3, "_build_symplectic": 1}
+    # replayed records: one push_rows for each chunk's Pauli parities
+    records = pr.acquire(pr.RunConfig(EnsembleSpec("clifford", 3), 2 * circuits, 2, 1), state)
+    counted(pr, "push_rows")
+    calls.clear()
+    pr.record_values(records, pr.ObservableSpec.pauli(PauliString.from_label("XYZ")))
+    assert calls == {"push_rows": 2, "conjugate_rows_batch": 2}
 
 
 def test_act_makes_the_haar_state_vector_once(monkeypatch):
@@ -325,7 +335,7 @@ def test_t_gate_record_values_match_dense_oracle_and_are_pinned():
 
 
 def test_t_gate_evaluators_match_dense_oracle():
-    """shot_evaluator and conditional_mean on T-gate circuits (k <= 6) and Haar
+    """shot_values and conditional_mean on T-gate circuits (k <= 6) and Haar
     circuits, n <= 5, against the dense unitary on every outcome: random
     signed Paulis (X-containing ones included), signed Paulis of X and Y on
     Haar circuits, and both stabilizer projectors."""
@@ -333,10 +343,10 @@ def test_t_gate_evaluators_match_dense_oracle():
         for o in [pr.ObservableSpec.stabilizer_projector(random_stabilizer_tableau(n, rng)),
                   pr.ObservableSpec.stabilizer_projector(state)] + \
                  [pr.ObservableSpec.pauli(p) for p in paulis]:
-            value = pr.shot_evaluator(o, circuit)
+            values = pr.shot_values(o, [circuit], [range(2 ** n)])[0]
             for xi in range(2 ** n):
                 x = format(xi, f"0{n}b")
-                assert abs(float(value(xi)) - single_shot_dense(o, circuit, x)) < 1e-12
+                assert abs(values[xi] - single_shot_dense(o, circuit, x)) < 1e-12
             assert abs(pr.conditional_mean(o, circuit, state)
                        - conditional_mean_dense(o, circuit, state)) < 1e-12
 
@@ -362,8 +372,8 @@ def test_t_gate_evaluators_match_dense_oracle():
 
 def test_haar_evaluators_build_no_dense_observable():
     """At n = 9, with the Haar circuit's unitary already built, making
-    ``shot_evaluator`` for the pair projector and for an X-containing Pauli,
-    and 8 shots with each, allocate under 1 MiB: no 2^n x 2^n observable
+    ``shot_values`` of 8 shots for the pair projector and for an X-containing
+    Pauli allocate under 1 MiB: no 2^n x 2^n observable
     (4 MiB here) is built."""
     n = 9
     rng = np.random.default_rng(9)
@@ -373,8 +383,8 @@ def test_haar_evaluators_build_no_dense_observable():
     circuit.dense()
     tracemalloc.start()
     for o in (pair, pauli):
-        value = pr.shot_evaluator(o, circuit)
-        assert all(np.isfinite(float(value(x))) for x in range(0, 2 ** n, 2 ** n // 8))
+        values = pr.shot_values(o, [circuit], [range(0, 2 ** n, 2 ** n // 8)])
+        assert np.isfinite(values).all()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 2 ** 20, peak
@@ -563,12 +573,12 @@ def test_estimate_output_and_unbiasedness_n1_exact():
     total = Fraction(0)
     count = 0
     for c in enumerate_group(1):
-        value = pr.shot_evaluator(o, SampledCircuit("clifford", 1, element=c))
+        values = pr.shot_values(o, [SampledCircuit("clifford", 1, element=c)], [[0, 1]])[0]
         rotated = state.apply_clifford(c)
         for xi in range(2):
             p = rotated.z_probability(xi)
             if p:
-                total += p * value(xi)
+                total += p * Fraction(values[xi])     # dyadic, so exact
         count += 1
     # tr(O rho) = |<O|S>|^2 - 1/2, read exactly as |<0|C|O>|^2 for a C with C|S> = |0>
     to_zero = next(c for c in enumerate_group(1) if state.apply_clifford(c).z_probability(0) == 1)
@@ -693,13 +703,13 @@ def test_stabilizer_pair_collapse_matches_protocol_exactly():
     state, o = pr.stabilizer_pair(n)
     d_total = 2 ** n
     for c in enumerate_group(n):
-        value = pr.shot_evaluator(o, SampledCircuit("clifford", n, element=c))
+        values = pr.shot_values(o, [SampledCircuit("clifford", n, element=c)], [range(d_total)])
         rotated = state.apply_clifford(c)
         dim = len(rotated.z_support()[2])
         collapsed = Fraction(d_total + 1) * (Fraction(1, 2 ** dim) - Fraction(1, d_total))
         for xi in range(d_total):
             if rotated.z_probability(xi):
-                assert value(xi) == collapsed
+                assert values[0, xi] == collapsed
 
 
 def test_reuse_variance_identity_clifford_and_haar():
@@ -748,3 +758,94 @@ def test_estimate_full_reuse_variance_floor():
     assert abs(estimates.mean() - 0.75) < 3 * mean_se
     vhat, vse = tl.variance_of_sample_variance(estimates)
     assert abs(vhat - v1) < 3 * vse + 0.05
+
+
+# ---------------------------------------------------------------------------
+# The chunked evaluation path against the per-circuit oracle.
+
+def _oracle_values(o, circuits, outcomes):
+    """(B, R) values of the per-circuit oracle, each shot as a float."""
+    values = [shot_evaluator(o, c) for c in circuits]
+    return np.array([[float(v(x)) for x in row] for v, row in zip(values, outcomes.tolist())])
+
+
+def _observables(state, n, rng):
+    """The state's own projector, another one, an X-containing Pauli, a
+    Z-type Pauli and the identity Pauli, by name."""
+    x_pauli = PauliString.from_label("-" + "Y" + "XZ"[n % 2] * (n - 1))
+    z_pauli = PauliString.from_label("Z" * n)
+    return {"own": pr.ObservableSpec.stabilizer_projector(state),
+            "other": pr.ObservableSpec.stabilizer_projector(random_stabilizer_tableau(n, rng)),
+            "x": pr.ObservableSpec.pauli(x_pauli), "z": pr.ObservableSpec.pauli(z_pauli),
+            "identity": pr.ObservableSpec.pauli(PauliString.from_label("I" * n))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["clifford", "homeopathic1", "homeopathic2", "haar"]),
+       observable=st.sampled_from(["own", "other", "x", "z", "identity"]),
+       count=st.sampled_from([1, 7, 64]), reuse=st.sampled_from([1, 3, 8]),
+       n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_shot_values_equal_the_per_circuit_oracle(kind, observable, count, reuse, n, seed):
+    """``shot_values`` on a chunk gives the oracle's floats to the bit, with
+    the caller's actions (as ``estimate`` passes them for the state's own
+    projector) and without, and its row means are the oracle's ``np.mean``
+    of each circuit's list of values."""
+    rng = np.random.default_rng(seed)
+    spec = EnsembleSpec(kind.rstrip("12"), n, k=int(kind[-1]) if kind[-1].isdigit() else 0)
+    state = random_stabilizer_tableau(n, rng)
+    o = _observables(state, n, rng)[observable]
+    circuits = sample_circuits(spec, [rng] * count)
+    outcomes = rng.integers(2 ** n, size=(count, reuse))
+    want = _oracle_values(o, circuits, outcomes)
+    got = pr.shot_values(o, circuits, outcomes)
+    assert got.tobytes() == want.tobytes()
+    if observable == "own":
+        actions = [a for _, a in pr.act(list(circuits), state)]
+        assert pr.shot_values(o, circuits, outcomes, actions).tobytes() == want.tobytes()
+    means = [mean_values(o, c, row) for c, row in zip(circuits, outcomes.tolist())]
+    assert got.mean(axis=1).tobytes() == np.array(means).tobytes()
+
+
+def test_record_lines_are_json_dumps():
+    """A chunk's record lines are the bytes of ``json.dumps`` of each record
+    for every circuit kind, ``to_json`` is the one-record case, and text JSON
+    would escape is refused."""
+    for spec in (EnsembleSpec("clifford", 3), EnsembleSpec("identity", 3),
+                 EnsembleSpec("homeopathic", 3, k=2), EnsembleSpec("haar", 3),
+                 EnsembleSpec("clifford", 31)):
+        cfg = pr.RunConfig(spec, measurements=70 * 3, reuse=3, batches=1, seed=5)
+        state = random_stabilizer_tableau(spec.n, np.random.default_rng(spec.n))
+        records = pr.acquire(cfg, state)
+        text = pr.record_lines([r.circuit for r in records], [r.outcomes for r in records])
+        want = [json.dumps({"circuit": r.circuit, "outcomes": r.outcomes}) for r in records]
+        assert text == "".join(line + "\n" for line in want)
+        assert [r.to_json() for r in records] == want
+    for circuit, outcomes in (('a"b', ["0"]), ("a\\b", ["0"]), ("clifford", ["0\n"]),
+                              ("café", ["0"])):
+        with pytest.raises(ValueError, match="printable ASCII"):
+            pr.ShadowRecord(circuit, outcomes).to_json()
+
+
+def test_mixed_records_file_replays_to_the_oracle(tmp_path):
+    """A records file mixing Clifford, T-gate (k = 1), legacy ``identity:3``
+    and Haar lines, and two outcome counts, splits into chunks where the spec
+    or the count changes and replays to the oracle's per-record means."""
+    n = 3
+    rng = np.random.default_rng(31)
+    state = random_stabilizer_tableau(n, rng)
+    lines = []
+    for spec, circuits, reuse in ((EnsembleSpec("clifford", n), 70, 2),
+                                  (EnsembleSpec("homeopathic", n, k=1), 3, 2),
+                                  (EnsembleSpec("clifford", n), 2, 3),
+                                  (EnsembleSpec("haar", n), 2, 2),
+                                  (EnsembleSpec("clifford", n), 1, 2)):
+        cfg = pr.RunConfig(spec, circuits * reuse, reuse, 1, seed=len(lines))
+        lines += [r.to_json() for r in pr.acquire(cfg, state)]
+        lines.append(json.dumps({"circuit": "identity:3", "outcomes": ["000", "011"]}))
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    records = pr.read_records(path)
+    for o in _observables(state, n, rng).values():
+        want = [mean_values(o, SampledCircuit.from_descriptor(r.circuit),
+                            [int(x, 2) for x in r.outcomes]) for r in records]
+        assert pr.record_values(records, o).tobytes() == np.array(want).tobytes()

@@ -9,11 +9,11 @@ from scipy import stats
 from shadowkit import clifford as cl
 from shadowkit.ensembles import EnsembleSpec, SampledCircuit, push_rows, sample_circuits
 from shadowkit.stabilizer import (PauliString, StabilizerTableau, apply_paulis, statevectors,
-                                  tableaux, z_supports)
+                                  tableaux)
 
 from clifford_oracle import random_pauli, random_stabilizer_tableau
 from dense_oracle import clifford_unitary, pauli_dense
-from support_oracle import z_support_gauss_jordan
+from support_oracle import z_support_gauss_jordan, z_supports
 
 HADAMARD = cl.CliffordElement([0b01, 0b10], np.zeros(2, dtype=np.uint8))
 
@@ -182,7 +182,7 @@ def test_sample_z_basis_draws_as_one_draw_per_shot():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 20, 31])
 def test_z_supports_match_gauss_jordan_oracle(n):
-    """``z_supports`` over a stack equals the scalar Gauss-Jordan, tableau by
+    """``z_support_arrays`` over a stack equals the scalar Gauss-Jordan, tableau by
     tableau, to the int: on Clifford-rotated random states, on the tableaux
     of T-gate segment pushes, and on arbitrary (also rank-deficient) rows.
     n = 31 fills 62 bits of a word.  ``z_support``, ``tableaux`` and the
